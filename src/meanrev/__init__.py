@@ -11,20 +11,16 @@ from .model import (
     OUParams,
     Preferences,
     normalize,
-    ou_exact_step,
     step_covariance,
     validate,
 )
 from .riccati import (
     RiccatiSolution,
-    SolutionKind,
     StepControl,
     d_common_kappa,
     d_scalar_closed_form,
     d_single_mr,
     d_uncorrelated,
-    ric_operator_A,
-    ric_operator_D,
     solve_A,
     solve_D,
 )
@@ -33,7 +29,6 @@ from .control import (
     StrategySpec,
     ValueReport,
     log_utility_value,
-    optimal_position,
     optimal_strategy,
     solve_value,
     value_at_mean,

@@ -2,8 +2,8 @@
 
 The value function, viewed through F = (A + A')Theta/2, is stationary in
 every pairwise correlation at Theta = I, and the curvature there carries
-the sign of the risk-aversion exponent.  This module solves the F-equation,
-implements the diagonal-limit closed forms (Psi, lambda, phi) used to
+the sign of the risk-aversion exponent.  This module reads F off the
+symmetric Riccati solution, implements the diagonal-limit closed forms (Psi, lambda, phi) used to
 establish those facts, and verifies the limits by finite differences.  It
 also produces the sweep data behind the position-multiplier and
 value-surface figures.
@@ -14,18 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .control import solve_value, value_at_mean
 from .errors import BlowUpDetected, ValidationError
 from .grids import SensitivityGrid
 from .model import OUParams, Preferences, validate
 from .riccati import (
-    QuadraticOperator,
     RiccatiSolution,
-    SolutionKind,
     StepControl,
     d_scalar_closed_form,
+    make_S_operator,
+    s_view,
     solve,
 )
 
@@ -33,28 +33,13 @@ from .riccati import (
 def solve_F(
     params: OUParams, prefs: Preferences, horizon: float, ctrl: StepControl | None = None
 ) -> RiccatiSolution:
-    """Solve F' = 2F^2 - delta(kappa F + F Gamma) + delta(delta-1)/2 kappa Gamma.
+    """F = S Theta / 2 with trace integral of Tr(F), S = A + A'.
 
-    Gamma = Theta^{-1} kappa Theta; F(0) = 0.  Consistent with
-    (A + A')Theta/2 built from the A-solution.
+    F solves F' = 2F^2 - delta(kappa F + F Gamma) + delta(delta-1)/2 kappa Gamma
+    with Gamma = Theta^{-1} kappa Theta and F(0) = 0.
     """
     params = validate(params)
-    delta = prefs.delta
-    kappa = np.diag(params.kappa)
-    gamma_mat = params.corr_inv @ kappa @ params.corr
-
-    def rhs(tau, f):
-        return (
-            2.0 * f @ f
-            - delta * (kappa @ f + f @ gamma_mat)
-            + 0.5 * delta * (delta - 1.0) * kappa @ gamma_mat
-        )
-
-    op = QuadraticOperator(
-        rhs=rhs, n=params.n, kind=SolutionKind.F_MATRIX,
-        initial=np.zeros((params.n, params.n)), trace_weight=np.eye(params.n),
-    )
-    return solve(op, horizon, ctrl)
+    return s_view(solve(make_S_operator(params, prefs), horizon, ctrl), "F", params, prefs)
 
 
 def _omega(delta: float) -> float:

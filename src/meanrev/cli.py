@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.integrate import quad, solve_ivp
 
 from . import __version__
 from .analysis import (
@@ -32,7 +33,7 @@ from .analysis import (
     value_vs_kappa2_rho,
 )
 from .control import optimal_strategy, solve_value, value_at_mean
-from .errors import BlowUpDetected, MeanrevError, ValidationError
+from .errors import BlowUpDetected, MeanrevError, NonFinite, ValidationError
 from .misspec import misspec_sweep
 from .model import OUParams, Preferences, normalize, validate
 from .riccati import (
@@ -40,7 +41,10 @@ from .riccati import (
     d_scalar_closed_form,
     d_single_mr,
     d_uncorrelated,
+    make_S_operator,
+    s_view,
     single_mr_blowup_tau,
+    solve,
     solve_A,
     solve_D,
 )
@@ -81,6 +85,8 @@ def parse_model(config: dict) -> tuple[OUParams, Preferences, float]:
     params = validate(OUParams.from_dict(config["model"]))
     prefs = Preferences(gamma=float(config.get("gamma", -4.0)))
     horizon = float(config.get("horizon", 3.0))
+    if not np.isfinite(horizon):
+        raise NonFinite(f"horizon must be finite, got {horizon}")
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
     return params, prefs, horizon
@@ -268,8 +274,8 @@ def cmd_validate(config: dict, outdir: Path, seed: int, plot: bool) -> int:
 def cmd_solve(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     params, prefs, horizon = parse_model(config)
     norm_params, _ = normalize(params)
-    a = solve_A(norm_params, prefs, horizon)
-    d = solve_D(norm_params, prefs, horizon)
+    s = solve(make_S_operator(norm_params, prefs), horizon)
+    a, d = (s_view(s, which, norm_params, prefs) for which in "AD")
     samples = int(config.get("samples", 201))
     taus = np.linspace(0.0, horizon, samples)
     n = params.n
@@ -510,7 +516,14 @@ def run_verification() -> dict:
     worst = max(np.max(np.abs(dlog.interpolate(tau) - fixed)) for tau in taus)
     record("log_utility_fixed_point", worst < 1e-10, f"max err {worst:.2e}")
 
-    # A/D consistency and F consistency on random draws.
+    # A, D and F, all views of one S solve, against the D- and F-equations
+    # integrated on their own by a different method at tight tolerance.
+    def reference(rhs, m0: np.ndarray, horizon: float, taus: np.ndarray) -> np.ndarray:
+        k = m0.shape[0]
+        res = solve_ivp(lambda tau, y: rhs(y.reshape(k, k)).ravel(), (0.0, horizon),
+                        m0.ravel(), method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True)
+        return np.moveaxis(res.sol(taus).reshape(k, k, -1), 2, 0)
+
     rng = np.random.default_rng(12345)
     worst_ad, worst_f = 0.0, 0.0
     for _ in range(5):
@@ -526,12 +539,20 @@ def run_verification() -> dict:
         a = solve_A(pr, prefs, 2.0)
         d = solve_D(pr, prefs, 2.0)
         f = solve_F(pr, prefs, 2.0)
-        base = prefs.delta * pr.corr_inv @ np.diag(pr.kappa)
-        for tau in np.linspace(0.0, 2.0, 21):
-            am, dm = a.interpolate(tau), d.interpolate(tau)
-            worst_ad = max(worst_ad, np.max(np.abs(base - (am + am.T) - dm)))
-            worst_f = max(worst_f, np.max(np.abs(f.interpolate(tau)
-                                                 - 0.5 * (am + am.T) @ corr)))
+        delta, kmat = prefs.delta, np.diag(pr.kappa)
+        base = delta * pr.corr_inv @ kmat
+        gam = pr.corr_inv @ kmat @ corr
+        tau_pts = np.linspace(0.0, 2.0, 21)
+        d_ref = reference(lambda m: -m.T @ corr @ m + delta * kmat @ pr.corr_inv @ kmat,
+                          base, 2.0, tau_pts)
+        f_ref = reference(lambda m: (2.0 * m @ m - delta * (kmat @ m + m @ gam)
+                                     + 0.5 * delta * (delta - 1.0) * kmat @ gam),
+                          np.zeros((n, n)), 2.0, tau_pts)
+        for tau, dr, fr in zip(tau_pts, d_ref, f_ref):
+            am = a.interpolate(tau)
+            worst_ad = max(worst_ad, np.max(np.abs(d.interpolate(tau) - dr)),
+                           np.max(np.abs(base - (am + am.T) - dr)))
+            worst_f = max(worst_f, np.max(np.abs(f.interpolate(tau) - fr)))
     record("a_d_consistency", worst_ad < 1e-8, f"max err {worst_ad:.2e}")
     record("f_consistency", worst_f < 1e-8, f"max err {worst_f:.2e}")
 
@@ -551,8 +572,6 @@ def run_verification() -> dict:
             worst_prop = max(worst_prop, float(np.max(np.abs(prop))))
     record("psi_ode_residual", worst_res < 1e-8, f"max resid {worst_res:.2e}")
     record("psi_property_identity", worst_prop < 1e-12, f"max err {worst_prop:.2e}")
-
-    from scipy.integrate import quad, solve_ivp
 
     q, _ = quad(lambda s: psi_closed_form(1.0, 4.0, s), 0.0, 2.0, limit=200)
     err = abs(q - psi_integral(1.0, 4.0, 2.0))
@@ -631,6 +650,9 @@ def cmd_verify(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
+# Commands that write no figure; ``--plot`` only earns them a note on stderr.
+PLOTLESS = ("validate", "positions", "simulate", "verify")
+
 COMMANDS = {
     "validate": cmd_validate,
     "solve": cmd_solve,
@@ -651,7 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a JSON run config")
     parser.add_argument("--output-dir", default=".", help="directory for output files")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    parser.add_argument("--plot", action="store_true", help="also write SVG plots")
+    parser.add_argument("--plot", action="store_true",
+                        help="also write SVG plots (solve, misspec, corr-sweep, kappa-sweep)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sub.add_parser(name)
@@ -672,6 +695,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot create output dir: {exc}", file=sys.stderr)
         return EXIT_IO
+    if args.plot and args.command in PLOTLESS:
+        print(f"note: {args.command} has no figure; --plot writes nothing", file=sys.stderr)
     try:
         return COMMANDS[args.command](config, outdir, seed, args.plot)
     except ValidationError as exc:

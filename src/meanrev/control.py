@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from .errors import OutOfHorizon
 from .model import NormalizationRecord, OUParams, Preferences, normalize, step_covariance
-from .riccati import RiccatiSolution, SolutionKind, StepControl, solve_A, solve_D
+from .riccati import RiccatiSolution, StepControl, solve_A, solve_D
 
 
 class StrategyKind(Enum):
@@ -43,6 +43,9 @@ class StrategySpec:
         return np.outer(r, r)
 
     def position(self, w: float, x, t: float) -> np.ndarray:
+        """Position vector at wealth w > 0, state x, time t."""
+        if not w > 0:
+            raise ValueError("wealth must be positive")
         if not 0.0 <= t <= self.horizon:
             raise OutOfHorizon(f"t={t} outside [0, {self.horizon}]")
         x_norm = self.normalization.state_to_unit_noise(x)
@@ -65,13 +68,6 @@ def optimal_strategy(
         normalization=record,
         horizon=horizon,
     )
-
-
-def optimal_position(w: float, x, t: float, spec: StrategySpec) -> np.ndarray:
-    """Position vector of the strategy at wealth w, state x, time t."""
-    if not w > 0:
-        raise ValueError("wealth must be positive")
-    return spec.position(w, x, t)
 
 
 def position_from_A(

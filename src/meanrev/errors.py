@@ -29,6 +29,10 @@ class NonPositiveSigma(ValidationError):
     pass
 
 
+class NonFinite(ValidationError):
+    """A parameter holds NaN or an infinity."""
+
+
 class FactorizationFailure(MeanrevError):
     """A covariance matrix could not be factorized (numerically not PSD)."""
 

@@ -17,15 +17,7 @@ from .control import StrategyKind, StrategySpec, solve_value, value_function
 from .errors import BlowUpDetected, NonPositiveVariance, OutOfHorizon
 from .grids import SensitivityGrid
 from .model import NormalizationRecord, OUParams, Preferences, normalize, validate
-from .riccati import (
-    QuadraticOperator,
-    RiccatiSolution,
-    SolutionKind,
-    StepControl,
-    solve,
-    solve_A,
-    solve_D,
-)
+from .riccati import QuadraticOperator, RiccatiSolution, StepControl, solve, solve_D
 
 
 @dataclass(frozen=True)
@@ -83,38 +75,28 @@ def misspecified_strategy(
     )
 
 
-def solve_A_hat(est: EstimatedParams, prefs: Preferences, horizon: float, ctrl: StepControl | None = None) -> RiccatiSolution:
-    """A-solution of the estimated model in its own unit-noise coordinates."""
-    est_norm, _ = normalize(validate(est.as_params()))
-    return solve_A(est_norm, prefs, horizon, ctrl)
-
-
 def beta_matrix(
     true_params: OUParams,
     est: EstimatedParams,
-    a_hat: RiccatiSolution,
-    prefs: Preferences,
+    d_hat: RiccatiSolution,
     tau: float,
 ) -> np.ndarray:
     """Effective feedback of the misspecified rule in true unit-noise coordinates.
 
-    beta = s sh^{-1} [ -delta Th^{-1} kh + (Ah + Ah') ] sh^{-1} s, so the
-    position is alpha = w beta x there.  Reduces to -D(tau) when the
-    estimates are exact.
+    beta = -(r r') o Dh(tau) with r = s / sh and Dh the feedback matrix of
+    the estimated model in its own unit-noise coordinates, so the position
+    is alpha = w beta x there.  Reduces to -D(tau) when the estimates are
+    exact.
     """
-    a = a_hat.interpolate(tau)
-    corr_hat_inv = np.linalg.inv(est.corr_hat)
-    core = -prefs.delta * corr_hat_inv @ np.diag(est.kappa_hat) + a + a.T
     r = true_params.sigma / est.sigma_hat
-    return np.outer(r, r) * core
+    return -np.outer(r, r) * d_hat.interpolate(tau)
 
 
 def make_Q_operator(
     epsilon: float,
     true_params: OUParams,
     est: EstimatedParams,
-    a_hat: RiccatiSolution,
-    prefs: Preferences,
+    d_hat: RiccatiSolution,
 ) -> QuadraticOperator:
     """Moment-generating Riccati operator; time-dependent through beta(tau)."""
     norm_true, _ = normalize(true_params)
@@ -122,7 +104,7 @@ def make_Q_operator(
     kappa = norm_true.kappa
 
     def rhs(tau, q):
-        beta = beta_matrix(true_params, est, a_hat, prefs, tau)
+        beta = beta_matrix(true_params, est, d_hat, tau)
         s = q + q.T
         bt_corr = beta.T @ corr
         return (
@@ -133,8 +115,8 @@ def make_Q_operator(
         )
 
     return QuadraticOperator(
-        rhs=rhs, n=true_params.n, kind=SolutionKind.Q_MATRIX,
-        initial=np.zeros((true_params.n, true_params.n)), trace_weight=corr,
+        rhs=rhs, n=true_params.n, initial=np.zeros((true_params.n, true_params.n)),
+        trace_weight=corr,
     )
 
 
@@ -145,13 +127,16 @@ def solve_Q(
     prefs: Preferences,
     horizon: float,
     ctrl: StepControl | None = None,
-    a_hat: RiccatiSolution | None = None,
+    d_hat: RiccatiSolution | None = None,
 ) -> RiccatiSolution:
-    """Solve the moment Riccati system for wealth exponent epsilon."""
-    if a_hat is None:
-        a_hat = solve_A_hat(est, prefs, horizon, ctrl)
-    op = make_Q_operator(epsilon, true_params, est, a_hat, prefs)
-    return solve(op, horizon, ctrl)
+    """Solve the moment Riccati system for wealth exponent epsilon.
+
+    ``d_hat`` is the estimated model's feedback solution, as held by
+    ``misspecified_strategy(...).d_solution``; it is solved when not given.
+    """
+    if d_hat is None:
+        d_hat = misspecified_strategy(true_params, est, prefs, horizon, ctrl).d_solution
+    return solve(make_Q_operator(epsilon, true_params, est, d_hat), horizon, ctrl)
 
 
 @dataclass(frozen=True)
@@ -249,13 +234,13 @@ def misspec_sweep(
                 kappa_hat=kappa_hat, sigma_hat=true_params.sigma, corr_hat=true_params.corr
             )
             try:
-                a_hat = solve_A_hat(est, prefs, horizon, ctrl)
-                q_g = solve_Q(prefs.gamma, true_params, est, prefs, horizon, ctrl, a_hat=a_hat)
+                d_hat = misspecified_strategy(true_params, est, prefs, horizon, ctrl).d_solution
+                q_g = solve_Q(prefs.gamma, true_params, est, prefs, horizon, ctrl, d_hat=d_hat)
                 p_g = p_epsilon(w, true_params.theta, 0.0, prefs.gamma, q_g, true_params)
                 cells[i, j] = p_g.p_value - j_true
                 if with_sharpe:
-                    q1 = solve_Q(1.0, true_params, est, prefs, horizon, ctrl, a_hat=a_hat)
-                    q2 = solve_Q(2.0, true_params, est, prefs, horizon, ctrl, a_hat=a_hat)
+                    q1 = solve_Q(1.0, true_params, est, prefs, horizon, ctrl, d_hat=d_hat)
+                    q2 = solve_Q(2.0, true_params, est, prefs, horizon, ctrl, d_hat=d_hat)
                     sharpes[i, j] = sharpe(
                         p_epsilon(w, true_params.theta, 0.0, 1.0, q1, true_params),
                         p_epsilon(w, true_params.theta, 0.0, 2.0, q2, true_params),

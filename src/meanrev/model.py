@@ -7,7 +7,6 @@ of the state process for simulation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +14,7 @@ import numpy as np
 from .errors import (
     AllKappaZero,
     FactorizationFailure,
+    NonFinite,
     NonPositiveSigma,
     NotPositiveDefinite,
     NotSymmetric,
@@ -66,10 +66,6 @@ class OUParams:
     def corr_inv(self) -> np.ndarray:
         return np.linalg.inv(self.corr)
 
-    @property
-    def kappa_mat(self) -> np.ndarray:
-        return np.diag(self.kappa)
-
     def is_normalized(self) -> bool:
         return bool(np.all(self.sigma == 1.0) and np.all(self.theta == 0.0))
 
@@ -83,10 +79,6 @@ class OUParams:
             theta=doc.get("theta", np.zeros(n)),
             corr=doc["corr"],
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "OUParams":
-        return cls.from_dict(json.loads(text))
 
     def to_dict(self) -> dict:
         return {
@@ -109,6 +101,8 @@ class Preferences:
     gamma: float
 
     def __post_init__(self):
+        if not np.isfinite(self.gamma):
+            raise NonFinite(f"gamma must be finite, got {self.gamma}")
         if not self.gamma < 1:
             raise ValueError(f"gamma must be < 1, got {self.gamma}")
 
@@ -164,6 +158,9 @@ def validate(params: OUParams, pd_tol: float = PD_TOL) -> OUParams:
 
     Raises the exception naming the first violated invariant.
     """
+    for name in ("kappa", "sigma", "theta", "corr"):
+        if not np.all(np.isfinite(getattr(params, name))):
+            raise NonFinite(f"{name} has a non-finite entry")
     corr = params.corr
     if not np.allclose(corr, corr.T, rtol=0.0, atol=1e-12):
         raise NotSymmetric("correlation matrix is not symmetric")
@@ -256,8 +253,3 @@ class ExactStepper:
     def step(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Advance states one step; x and z may carry leading batch axes."""
         return self.decay * x + z @ self.noise_factor.T
-
-
-def ou_exact_step(x, dt: float, params: OUParams, z) -> np.ndarray:
-    """One exact-in-distribution OU step from state x with normal draws z."""
-    return ExactStepper(params=params, dt=dt).step(np.asarray(x, dtype=float), np.asarray(z, dtype=float))

@@ -1,10 +1,19 @@
 """Matrix Riccati ODEs on an inverse-time grid, with closed-form oracles.
 
-Two first-class equations drive everything downstream:
+One equation drives everything downstream.  Only the symmetric matrix
+S = A + A' enters the value function, the position rule and the
+correlation sensitivities, and it solves
 
-* the A-equation, whose solution enters the value function, and
-* the D-equation, whose solution is the feedback matrix of the optimal
-  position rule alpha = -w D(tau) x.
+    S' = S Theta S - delta (K S + S K) + delta (delta - 1) K Theta^{-1} K,
+    S(0) = 0,
+
+with K = diag(kappa).  Each matrix the rest of the package reads is an
+affine view of one S solution (``s_view``):
+
+* A = S/2, the symmetric value matrix;
+* D = delta Theta^{-1} K - S, the feedback matrix of the optimal position
+  rule alpha = -w D(tau) x;
+* F = S Theta / 2, the correlation-sensitivity matrix.
 
 The explicitly solvable special cases (scalar, uncorrelated, common
 reversion rate, single mean-reverting asset hedged by Brownian motions)
@@ -14,8 +23,7 @@ cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,21 +32,16 @@ from scipy.integrate import solve_ivp
 from .errors import BlowUpDetected, OutOfRange, TrigSingularity
 from .model import OUParams, Preferences
 
-
-class SolutionKind(Enum):
-    A_MATRIX = "A"
-    D_MATRIX = "D"
-    F_MATRIX = "F"
-    Q_MATRIX = "Q"
+# Relative tolerance of every solve; ``StepControl.tol`` is the absolute one.
+RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class StepControl:
-    """Adaptive integrator settings."""
+    """Adaptive integrator settings; ``tol`` is the absolute tolerance."""
 
     tol: float = 1e-10
     first_step_fraction: float = 1e-3
-    min_step_fraction: float = 1e-9
     blowup_threshold: float = 1e12
     dense_points: int = 1024
 
@@ -53,33 +56,42 @@ class QuadraticOperator:
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
     n: int
-    kind: SolutionKind
     initial: np.ndarray
     trace_weight: np.ndarray
-
-    def __call__(self, tau: float, m: np.ndarray) -> np.ndarray:
-        return self.rhs(tau, m)
 
 
 class RiccatiSolution:
     """A time-indexed matrix function on a tau grid in [0, T].
 
-    Stores dense output at uniform points plus every adaptive accept point,
-    together with the running trace integral, and interpolates with the
-    integrator's own dense interpolant (order-matched, exact at grid points).
+    Built from the integrated state X and its running trace integral T at
+    the grid points (uniform points plus every adaptive accept point) and
+    the integrator's dense interpolant (order-matched, exact at grid
+    points).  The solution presents the affine view
+
+        M = offset + scale * X @ right,  trace integral scale * T + trace_rate * tau,
+
+    which is X itself with the default arguments.  ``values`` and
+    ``trace_integral`` hold the view on the grid; off-grid lookups map the
+    dense output the same way.
     """
 
-    def __init__(self, tau_grid, values, trace_integral, kind, dense, horizon):
+    def __init__(self, tau_grid, values, trace_integral, dense, horizon,
+                 scale=1.0, offset=0.0, right=None, trace_rate=0.0):
         self.tau_grid = np.asarray(tau_grid, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        self.trace_integral = np.asarray(trace_integral, dtype=float)
-        self.kind = kind
         self.horizon = float(horizon)
         self._dense = dense
+        self._scale, self._offset, self._right, self._trace_rate = scale, offset, right, trace_rate
+        self.values = self._matrix(np.asarray(values, dtype=float))
+        self.trace_integral = self._trace(np.asarray(trace_integral, dtype=float), self.tau_grid)
         self.n = self.values.shape[1]
 
-    def __call__(self, tau: float) -> np.ndarray:
-        return self.interpolate(tau)
+    def _matrix(self, x: np.ndarray) -> np.ndarray:
+        if self._right is not None:
+            x = x @ self._right
+        return self._offset + self._scale * x
+
+    def _trace(self, t, tau):
+        return self._scale * t + self._trace_rate * tau
 
     def interpolate(self, tau: float) -> np.ndarray:
         if tau < 0 or tau > self.horizon:
@@ -87,7 +99,7 @@ class RiccatiSolution:
         idx = np.searchsorted(self.tau_grid, tau)
         if idx < len(self.tau_grid) and self.tau_grid[idx] == tau:
             return self.values[idx]
-        return self._dense(tau)[: self.n * self.n].reshape(self.n, self.n)
+        return self._matrix(self._dense(tau)[: self.n * self.n].reshape(self.n, self.n))
 
     def trace_integral_at(self, tau: float) -> float:
         if tau < 0 or tau > self.horizon:
@@ -95,7 +107,7 @@ class RiccatiSolution:
         idx = np.searchsorted(self.tau_grid, tau)
         if idx < len(self.tau_grid) and self.tau_grid[idx] == tau:
             return float(self.trace_integral[idx])
-        return float(self._dense(tau)[-1])
+        return float(self._trace(self._dense(tau)[-1], tau))
 
     def at_many(self, taus: np.ndarray) -> np.ndarray:
         """Matrices at several tau values, shape (len(taus), n, n)."""
@@ -105,55 +117,48 @@ class RiccatiSolution:
         if taus.min() < 0 or taus.max() > self.horizon:
             raise OutOfRange("tau values outside solution span")
         flat = self._dense(taus)[: self.n * self.n]
-        return np.moveaxis(flat.reshape(self.n, self.n, -1), 2, 0)
+        return self._matrix(np.moveaxis(flat.reshape(self.n, self.n, -1), 2, 0))
 
 
-def ric_operator_A(a: np.ndarray, corr: np.ndarray, kappa: np.ndarray, delta: float) -> np.ndarray:
-    """Quadratic operator of the A-equation.
+def _symmetric(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.T)
 
-    kappa is the vector of reversion rates (the matrix is diagonal).
+
+def make_S_operator(params: OUParams, prefs: Preferences) -> QuadraticOperator:
+    """Operator of the S-equation, trace weight Theta.
+
+    The right-hand side is made exactly symmetric, so S stays symmetric to
+    the last bit along the whole solve.
     """
-    s = a.T + a
-    kd = kappa[:, None]  # diag(kappa) @ M  ==  kappa[:, None] * M
-    corr_inv = np.linalg.inv(corr)
-    const = (delta * (delta - 1.0) / 2.0) * (kd * corr_inv * kappa[None, :])
-    return 0.5 * s @ corr @ s - 0.5 * (delta + 1.0) * (kd * s) - 0.5 * (delta - 1.0) * (s * kappa[None, :]) + const
-
-
-def ric_operator_D(d: np.ndarray, corr: np.ndarray, kappa: np.ndarray, delta: float) -> np.ndarray:
-    """Quadratic operator of the D-equation: -D^T Theta D + delta K Theta^{-1} K."""
-    corr_inv = np.linalg.inv(corr)
-    return -d.T @ corr @ d + delta * (kappa[:, None] * corr_inv * kappa[None, :])
-
-
-def make_A_operator(params: OUParams, prefs: Preferences) -> QuadraticOperator:
     corr, kappa, delta = params.corr, params.kappa, prefs.delta
-    corr_inv = np.linalg.inv(corr)
-    kd = kappa[:, None]
-    const = (delta * (delta - 1.0) / 2.0) * (kd * corr_inv * kappa[None, :])
+    kd, kr = kappa[:, None], kappa[None, :]  # K @ M == kd * M, M @ K == M * kr
+    const = _symmetric(delta * (delta - 1.0) * (kd * params.corr_inv * kr))
 
-    def rhs(tau, a):
-        s = a.T + a
-        return 0.5 * s @ corr @ s - 0.5 * (delta + 1.0) * (kd * s) - 0.5 * (delta - 1.0) * (s * kappa[None, :]) + const
+    def rhs(tau, s):
+        return _symmetric(s @ corr @ s) - delta * (kd * s + s * kr) + const
 
     return QuadraticOperator(
-        rhs=rhs, n=params.n, kind=SolutionKind.A_MATRIX,
-        initial=np.zeros((params.n, params.n)), trace_weight=corr,
+        rhs=rhs, n=params.n, initial=np.zeros((params.n, params.n)), trace_weight=corr,
     )
 
 
-def make_D_operator(params: OUParams, prefs: Preferences) -> QuadraticOperator:
-    corr, kappa, delta = params.corr, params.kappa, prefs.delta
-    corr_inv = np.linalg.inv(corr)
-    const = delta * (kappa[:, None] * corr_inv * kappa[None, :])
+def s_view(s: RiccatiSolution, which: str, params: OUParams, prefs: Preferences) -> RiccatiSolution:
+    """A, D or F (``which``) as an affine view of a solution of the S-equation.
 
-    def rhs(tau, d):
-        return -d.T @ corr @ d + const
+    With T(tau) the trace integral of S Theta:
 
-    return QuadraticOperator(
-        rhs=rhs, n=params.n, kind=SolutionKind.D_MATRIX,
-        initial=delta * corr_inv @ np.diag(kappa), trace_weight=corr,
-    )
+    * A = S/2, trace integral of A Theta: T/2;
+    * D = delta Theta^{-1} K - S, trace integral of D Theta: delta tr(K) tau - T;
+    * F = S Theta / 2, trace integral of F: T/2.
+    """
+    delta, kappa = prefs.delta, params.kappa
+    view = {
+        "A": {"scale": 0.5},
+        "D": {"scale": -1.0, "offset": delta * params.corr_inv * kappa[None, :],
+              "trace_rate": delta * float(kappa.sum())},
+        "F": {"scale": 0.5, "right": params.corr},
+    }[which]
+    return RiccatiSolution(s.tau_grid, s.values, s.trace_integral, s._dense, s.horizon, **view)
 
 
 def solve(op: QuadraticOperator, horizon: float, ctrl: StepControl | None = None) -> RiccatiSolution:
@@ -163,8 +168,8 @@ def solve(op: QuadraticOperator, horizon: float, ctrl: StepControl | None = None
     shares the stepper's quadrature order.  Divergence raises BlowUpDetected
     with the inverse time at which it was observed.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < horizon < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     ctrl = ctrl or StepControl()
     n = op.n
     weight = op.trace_weight
@@ -188,7 +193,7 @@ def solve(op: QuadraticOperator, horizon: float, ctrl: StepControl | None = None
         y0,
         method="RK45",
         dense_output=True,
-        rtol=1e-10,
+        rtol=RTOL,
         atol=ctrl.tol,
         first_step=ctrl.first_step_fraction * horizon,
         events=blowup_event,
@@ -207,15 +212,17 @@ def solve(op: QuadraticOperator, horizon: float, ctrl: StepControl | None = None
     values[0] = np.asarray(op.initial, dtype=float)
     trace = stacked[-1]
     trace[0] = 0.0
-    return RiccatiSolution(tau_grid, values, trace, op.kind, dense, horizon)
+    return RiccatiSolution(tau_grid, values, trace, dense, horizon)
 
 
 def solve_A(params: OUParams, prefs: Preferences, horizon: float, ctrl: StepControl | None = None) -> RiccatiSolution:
-    return solve(make_A_operator(params, prefs), horizon, ctrl)
+    """Value matrix A = S/2 (the symmetric representative)."""
+    return s_view(solve(make_S_operator(params, prefs), horizon, ctrl), "A", params, prefs)
 
 
 def solve_D(params: OUParams, prefs: Preferences, horizon: float, ctrl: StepControl | None = None) -> RiccatiSolution:
-    return solve(make_D_operator(params, prefs), horizon, ctrl)
+    """Feedback matrix D = delta Theta^{-1} K - S."""
+    return s_view(solve(make_S_operator(params, prefs), horizon, ctrl), "D", params, prefs)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +309,3 @@ def d_single_mr(kappa: float, corr: np.ndarray, gamma: float, tau: float) -> np.
     out[1:, 0] = delta * kappa * corr_inv[1:, 0]
     return out
 
-
-def interpolate(sol: RiccatiSolution, tau: float) -> np.ndarray:
-    """Matrix at an arbitrary tau within the solution's span."""
-    return sol.interpolate(tau)

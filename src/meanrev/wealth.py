@@ -61,7 +61,11 @@ class SimulationEnsemble:
         return self.terminal_log_wealth[~self.excluded]
 
     def utility_estimate(self, gamma: float) -> tuple[float, float]:
-        """Sample mean and standard error of W_T^gamma / gamma (or log W_T)."""
+        """Sample mean and standard error of W_T^gamma / gamma (or log W_T).
+
+        Any exponent is accepted, so this also estimates the moment
+        E[W_T^eps / eps] of the misspecification framework.
+        """
         logw = self.retained_terminal_log_wealth
         if gamma == 0.0:
             sample = logw
@@ -70,10 +74,6 @@ class SimulationEnsemble:
         mean = float(sample.mean())
         se = float(sample.std(ddof=1) / np.sqrt(sample.size))
         return mean, se
-
-    def moment_estimate(self, epsilon: float) -> tuple[float, float]:
-        """Sample mean and standard error of W_T^eps / eps."""
-        return self.utility_estimate(epsilon)
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:

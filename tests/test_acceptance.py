@@ -196,7 +196,7 @@ def test_criterion_07_misspecification_framework():
         for eps in (1.0, 2.0):
             qe = solve_Q(eps, params, est, prefs, horizon)
             analytic = p_epsilon(1.0, x0, 0.0, eps, qe, params).p_value
-            mc, se = ens.moment_estimate(eps)
+            mc, se = ens.utility_estimate(eps)
             assert abs(mc - analytic) < 3.0 * se
 
     # Sweep: zero at the truth, non-positive everywhere, and overestimating

@@ -20,17 +20,36 @@ from meanrev.model import OUParams, Preferences
 from conftest import random_params, two_asset
 
 
+def f_equation_reference(params, prefs, horizon, taus):
+    """F' = 2F^2 - delta(K F + F Gamma) + delta(delta-1)/2 K Gamma, F(0) = 0,
+    Gamma = Theta^{-1} K Theta, integrated on its own at tight tolerance."""
+    n, delta = params.n, prefs.delta
+    kmat = np.diag(params.kappa)
+    gam = params.corr_inv @ kmat @ params.corr
+
+    def rhs(tau, y):
+        f = y.reshape(n, n)
+        return (2.0 * f @ f - delta * (kmat @ f + f @ gam)
+                + 0.5 * delta * (delta - 1.0) * kmat @ gam).ravel()
+
+    res = solve_ivp(rhs, (0.0, horizon), np.zeros(n * n), method="DOP853",
+                    rtol=1e-12, atol=1e-12, dense_output=True)
+    return np.moveaxis(res.sol(taus).reshape(n, n, -1), 2, 0)
+
+
 def test_f_consistency_with_a_solution(rng):
+    # F and A are views of one S solve; both are held against the F-equation.
+    taus = np.linspace(0.0, 2.0, 9)
     for _ in range(20):
         n = int(rng.integers(1, 4))
         params = random_params(rng, n, normalized=True)
         prefs = Preferences(gamma=float(rng.choice([-4.0, -1.0, 0.5])))
         f = solve_F(params, prefs, 2.0)
         a = solve_value(params, prefs, 2.0)
-        for tau in np.linspace(0.0, 2.0, 9):
+        for tau, f_ref in zip(taus, f_equation_reference(params, prefs, 2.0, taus)):
             am = a.interpolate(tau)
-            expected = 0.5 * (am + am.T) @ params.corr
-            assert np.max(np.abs(f.interpolate(tau) - expected)) < 1e-8
+            assert np.max(np.abs(f.interpolate(tau) - f_ref)) < 1e-8
+            assert np.max(np.abs(0.5 * (am + am.T) @ params.corr - f_ref)) < 1e-8
 
 
 def test_f_diagonal_is_psi_at_zero_correlation():

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meanrev
 from meanrev.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -64,6 +69,31 @@ def test_validate_zero_kappa(tmp_path, capsys):
     cfg["model"]["kappa"] = [0.0, 0.0]
     assert run(tmp_path, cfg, "validate") == EXIT_VALIDATION
     assert "AllKappaZero" in capsys.readouterr().err
+
+
+def test_infinite_horizon_is_rejected_without_hanging(tmp_path):
+    # In a subprocess with a timeout, so a solver that never returns fails
+    # the test instead of hanging the suite.
+    env = dict(os.environ)
+    src = str(Path(meanrev.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "meanrev.cli", "--config",
+         write_config(tmp_path, base_config(horizon=math.inf)),
+         "--output-dir", str(tmp_path / "out"), "solve"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert "NonFinite" in proc.stderr
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_non_finite_sigma_is_rejected(tmp_path, capsys):
+    cfg = base_config()
+    cfg["model"]["sigma"] = [math.nan, 1.0]
+    assert run(tmp_path, cfg, "positions") == EXIT_VALIDATION
+    assert "NonFinite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "positions.csv").exists()
 
 
 def test_missing_config_is_io_error(tmp_path):
@@ -174,6 +204,21 @@ def test_positions_output(tmp_path):
     cfg = base_config(positions={"wealth": 2.0, "states": [[0.4, -0.2]], "times": [0.0, 0.5]})
     assert run(tmp_path, cfg, "positions") == EXIT_OK
     assert len(read_body(tmp_path / "out" / "positions.csv")) == 3
+
+
+def test_positions_reject_zero_wealth(tmp_path):
+    cfg = base_config(positions={"wealth": 0.0, "states": [[0.4, -0.2]], "times": [0.0]})
+    assert run(tmp_path, cfg, "positions") == EXIT_VALIDATION
+    assert not (tmp_path / "out" / "positions.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "positions", "simulate", "verify"])
+def test_plot_on_a_command_without_figure_says_so(tmp_path, capsys, command):
+    cfg = base_config(simulate={"n_paths": 8, "n_steps": 16})
+    assert run(tmp_path, cfg, "--plot", command) == EXIT_OK
+    err = capsys.readouterr().err
+    assert f"{command} has no figure" in err
+    assert not list((tmp_path / "out").glob("*.svg"))
 
 
 def test_verify_all_green(tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from meanrev.control import (
     log_utility_value,
-    optimal_position,
     optimal_strategy,
     position_from_A,
     solve_value,
@@ -25,9 +24,16 @@ def test_position_routes_agree(rng):
         a = solve_value(params, prefs, 2.0)
         x = params.theta + rng.standard_normal(3) * 0.3
         for t in (0.0, 0.9, 2.0):
-            via_d = optimal_position(1.5, x, t, spec)
+            via_d = spec.position(1.5, x, t)
             via_a = position_from_A(1.5, x, t, a, params, prefs)
             assert np.allclose(via_d, via_a, atol=1e-8)
+
+
+@pytest.mark.parametrize("wealth", [0.0, -1.0])
+def test_position_rejects_non_positive_wealth(wealth):
+    spec = optimal_strategy(two_asset(), Preferences(gamma=-4.0), 1.0)
+    with pytest.raises(ValueError):
+        spec.position(wealth, np.zeros(2), 0.0)
 
 
 def test_position_zero_at_mean():

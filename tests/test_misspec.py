@@ -72,7 +72,7 @@ def test_moments_match_monte_carlo():
     for eps in (prefs.gamma, 1.0, 2.0):
         q = solve_Q(eps, params, est, prefs, horizon)
         analytic = p_epsilon(1.0, x0, 0.0, eps, q, params).p_value
-        mc, se = ens.moment_estimate(eps)
+        mc, se = ens.utility_estimate(eps)
         assert abs(mc - analytic) < 3.0 * se
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from meanrev.errors import (
     AllKappaZero,
+    NonFinite,
     NonPositiveSigma,
     NotPositiveDefinite,
     NotSymmetric,
@@ -14,7 +15,6 @@ from meanrev.model import (
     Preferences,
     covariance_factor,
     normalize,
-    ou_exact_step,
     step_covariance,
     validate,
 )
@@ -71,6 +71,25 @@ def test_negative_kappa_rejected():
         validate(two_asset(kappa=(1.0, -0.5)))
 
 
+@pytest.mark.parametrize("field", ["kappa", "sigma", "theta", "corr"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_non_finite_entries(field, bad):
+    good = two_asset(rho=0.3)
+    values = {name: np.array(getattr(good, name)) for name in ("kappa", "sigma", "theta", "corr")}
+    if field == "corr":
+        values["corr"][0, 1] = values["corr"][1, 0] = bad
+    else:
+        values[field][0] = bad
+    with pytest.raises(NonFinite):
+        validate(OUParams(n=2, **values))
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+def test_preferences_reject_non_finite_gamma(gamma):
+    with pytest.raises(NonFinite):
+        Preferences(gamma=gamma)
+
+
 def test_preferences_delta():
     assert Preferences(gamma=-4.0).delta == pytest.approx(0.2)
     assert Preferences(gamma=0.0).delta == 1.0
@@ -88,7 +107,7 @@ def test_preferences_from_delta_round_trip():
 def test_normalize_round_trip(rng):
     params = random_params(rng, 3)
     norm, record = normalize(params)
-    assert norm.is_normalized
+    assert norm.is_normalized()
     assert np.allclose(norm.sigma, 1.0)
     assert np.allclose(norm.theta, 0.0)
     assert np.allclose(norm.kappa, params.kappa)
@@ -155,12 +174,3 @@ def test_exact_stepper_moments():
     assert np.allclose(mean, np.exp(-params.kappa * dt) * x0, atol=5e-3)
     cov = np.cov(xs.T)
     assert np.allclose(cov, step_covariance(params, dt), atol=5e-3)
-
-
-def test_ou_exact_step_matches_stepper():
-    params, _ = normalize(two_asset())
-    z = np.array([0.3, -1.2])
-    x = np.array([0.5, 0.1])
-    a = ou_exact_step(x, 0.1, params, z)
-    b = ExactStepper(params=params, dt=0.1).step(x, z)
-    assert np.allclose(a, b)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from meanrev.errors import BlowUpDetected, TrigSingularity
 from meanrev.model import OUParams, Preferences, normalize
@@ -106,7 +107,26 @@ def test_log_utility_fixed_point():
         assert np.max(np.abs(sol.interpolate(tau) - fixed)) < 1e-10
 
 
+def d_equation_reference(params, prefs, horizon, taus):
+    """D' = -D'Theta D + delta K Theta^{-1} K, D(0) = delta Theta^{-1} K,
+    integrated on its own by a different method at tight tolerance."""
+    n, corr, delta = params.n, params.corr, prefs.delta
+    kmat = np.diag(params.kappa)
+    const = delta * kmat @ params.corr_inv @ kmat
+
+    def rhs(tau, y):
+        d = y.reshape(n, n)
+        return (-d.T @ corr @ d + const).ravel()
+
+    d0 = delta * params.corr_inv @ kmat
+    res = solve_ivp(rhs, (0.0, horizon), d0.ravel(), method="DOP853",
+                    rtol=1e-12, atol=1e-12, dense_output=True)
+    return np.moveaxis(res.sol(taus).reshape(n, n, -1), 2, 0)
+
+
 def test_a_d_consistency(rng):
+    # A and D are views of one S solve; both are held against the D-equation.
+    taus = np.linspace(0.0, 2.0, 11)
     for _ in range(20):
         n = int(rng.integers(1, 4))
         params, _ = normalize(random_params(rng, n))
@@ -114,9 +134,10 @@ def test_a_d_consistency(rng):
         a = solve_A(params, prefs, 2.0)
         d = solve_D(params, prefs, 2.0)
         base = prefs.delta * params.corr_inv @ np.diag(params.kappa)
-        for tau in np.linspace(0.0, 2.0, 11):
+        for tau, d_ref in zip(taus, d_equation_reference(params, prefs, 2.0, taus)):
             am = a.interpolate(tau)
-            assert np.max(np.abs(base - (am + am.T) - d.interpolate(tau))) < 1e-8
+            assert np.max(np.abs(d.interpolate(tau) - d_ref)) < 1e-8
+            assert np.max(np.abs(base - (am + am.T) - d_ref)) < 1e-8
 
 
 def test_dij_dji_offset_time_independent(rng):
@@ -161,6 +182,12 @@ def test_at_many_matches_pointwise(rng):
     stacked = sol.at_many(taus)
     for k, tau in enumerate(taus):
         assert np.allclose(stacked[k], sol.interpolate(tau))
+
+
+@pytest.mark.parametrize("horizon", [np.inf, np.nan, 0.0, -1.0])
+def test_solve_rejects_bad_horizon(horizon):
+    with pytest.raises(ValueError):
+        solve_D(two_asset(), Preferences(gamma=-4.0), horizon)
 
 
 def test_step_control_tightening_changes_little():
