@@ -16,7 +16,6 @@ from .model import (
 )
 from .riccati import (
     RiccatiSolution,
-    StepControl,
     d_common_kappa,
     d_scalar_closed_form,
     d_single_mr,
@@ -25,7 +24,6 @@ from .riccati import (
     solve_D,
 )
 from .control import (
-    StrategyKind,
     StrategySpec,
     ValueReport,
     log_utility_value,

@@ -17,12 +17,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .control import solve_value, value_at_mean
-from .errors import BlowUpDetected, ValidationError
+from .errors import BlowUpDetected, NotPositiveDefinite
 from .grids import SensitivityGrid
 from .model import OUParams, Preferences, validate
 from .riccati import (
     RiccatiSolution,
-    StepControl,
     d_scalar_closed_form,
     make_S_operator,
     s_view,
@@ -30,16 +29,14 @@ from .riccati import (
 )
 
 
-def solve_F(
-    params: OUParams, prefs: Preferences, horizon: float, ctrl: StepControl | None = None
-) -> RiccatiSolution:
+def solve_F(params: OUParams, prefs: Preferences, horizon: float) -> RiccatiSolution:
     """F = S Theta / 2 with trace integral of Tr(F), S = A + A'.
 
     F solves F' = 2F^2 - delta(kappa F + F Gamma) + delta(delta-1)/2 kappa Gamma
     with Gamma = Theta^{-1} kappa Theta and F(0) = 0.
     """
     params = validate(params)
-    return s_view(solve(make_S_operator(params, prefs), horizon, ctrl), "F", params, prefs)
+    return s_view(solve(make_S_operator(params, prefs), horizon), "F", params, prefs)
 
 
 def _omega(delta: float) -> float:
@@ -192,7 +189,6 @@ def corr_sensitivity(
     horizon: float,
     pair: tuple[int, int],
     h: float = 1e-3,
-    ctrl: StepControl | None = None,
 ) -> CorrSensitivityReport:
     """Correlation derivatives of J(1, theta, 0) around Theta = I.
 
@@ -221,7 +217,7 @@ def corr_sensitivity(
             n=params.n, kappa=params.kappa, sigma=params.sigma, theta=params.theta, corr=corr
         )
         validate(perturbed)
-        a = solve_value(perturbed, prefs, horizon, ctrl)
+        a = solve_value(perturbed, prefs, horizon)
         return value_at_mean(1.0, 0.0, a, prefs)
 
     # Shrink until every perturbed matrix in the stencil stays valid.
@@ -232,7 +228,7 @@ def corr_sensitivity(
                 corr=np.eye(params.n) + 2.0 * h * _pair_matrix(params.n, pair),
             ))
             break
-        except ValidationError:
+        except NotPositiveDefinite:
             h *= 0.5
             if h < 1e-8:
                 raise
@@ -373,7 +369,6 @@ def value_vs_kappa2_rho(
     gamma: float = -4.0,
     kappa1: float = 1.0,
     horizon: float = 3.0,
-    ctrl: StepControl | None = None,
 ) -> SensitivityGrid:
     """Value surface J(1, 0, 0) of a two-asset model over (kappa_2, rho)."""
     k2 = np.asarray(kappa2_grid, dtype=float)
@@ -390,7 +385,7 @@ def value_vs_kappa2_rho(
                 corr=np.array([[1.0, r], [r, 1.0]]),
             )
             try:
-                a = solve_value(params, prefs, horizon, ctrl)
+                a = solve_value(params, prefs, horizon)
                 cells[i, j] = value_at_mean(1.0, 0.0, a, prefs)
             except BlowUpDetected as exc:
                 cells[i, j] = np.nan

@@ -17,37 +17,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from . import __version__
-from .analysis import (
-    corr_sensitivity,
-    d_curve_1d,
-    lambda_closed_form,
-    matrix_calculus_checks,
-    phi_diagonal,
-    psi_closed_form,
-    psi_integral,
-    psi_property,
-    solve_F,
-    value_vs_kappa2_rho,
-)
+from .analysis import corr_sensitivity, d_curve_1d, value_vs_kappa2_rho
 from .control import optimal_strategy, solve_value, value_at_mean
 from .errors import BlowUpDetected, MeanrevError, NonFinite, ValidationError
 from .misspec import misspec_sweep
 from .model import OUParams, Preferences, normalize, validate
-from .riccati import (
-    d_common_kappa,
-    d_scalar_closed_form,
-    d_single_mr,
-    d_uncorrelated,
-    make_S_operator,
-    s_view,
-    single_mr_blowup_tau,
-    solve,
-    solve_A,
-    solve_D,
-)
+from .oracles import run_verification
+from .riccati import make_S_operator, s_view, solve
 from .wealth import default_steps, simulate
 
 EXIT_OK = 0
@@ -354,7 +332,7 @@ def cmd_misspec(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     m1 = np.asarray(section.get("multipliers1", [0.5, 0.75, 1.0, 1.5, 2.0]), dtype=float)
     m2 = np.asarray(section.get("multipliers2", [0.5, 0.75, 1.0, 1.5, 2.0]), dtype=float)
     with_sharpe = bool(section.get("sharpe", False))
-    grid = misspec_sweep(params, prefs, horizon, m1, m2, ctrl=None, with_sharpe=with_sharpe)
+    grid = misspec_sweep(params, prefs, horizon, m1, m2, with_sharpe=with_sharpe)
     meta = base_meta(config)
     meta["j_true"] = _fmt(grid.metadata["j_true"])
     header = [grid.axis1_name, grid.axis2_name, "value_shortfall"]
@@ -443,200 +421,6 @@ def cmd_kappa_sweep(config: dict, outdir: Path, seed: int, plot: bool) -> int:
         )
     print(f"wrote value_surface.csv, d_curves.csv to {outdir}")
     return EXIT_OK
-
-
-def run_verification() -> dict:
-    """Full oracle and identity suite; returns a name -> result report."""
-    checks: dict = {}
-
-    def record(name: str, passed: bool, detail: str) -> None:
-        checks[name] = {"passed": bool(passed), "detail": detail}
-
-    taus = np.linspace(0.0, 3.0, 61)
-
-    # Scalar, uncorrelated, common-kappa, and single-asset oracles.
-    worst = 0.0
-    for delta in (0.2, 1.0, 2.0):
-        prefs = Preferences.from_delta(delta)
-        p1 = OUParams(n=1, kappa=np.array([0.8]), sigma=np.ones(1),
-                      theta=np.zeros(1), corr=np.eye(1))
-        d1 = solve_D(p1, prefs, 3.0)
-        for tau in taus:
-            worst = max(worst, abs(d1.interpolate(tau)[0, 0]
-                                   - d_scalar_closed_form(0.8, delta, tau)))
-    record("scalar_oracle", worst < 1e-8, f"max err {worst:.2e}")
-
-    worst = 0.0
-    pole_detail = None
-    for rho in (-0.8, 0.0, 0.5, 0.9):
-        corr = np.array([[1.0, rho], [rho, 1.0]])
-        common = OUParams(n=2, kappa=np.array([0.7, 0.7]), sigma=np.ones(2),
-                          theta=np.zeros(2), corr=corr)
-        prefs = Preferences.from_delta(2.0)
-        dn = solve_D(common, prefs, 3.0)
-        for tau in taus:
-            worst = max(worst, np.max(np.abs(dn.interpolate(tau)
-                                             - d_common_kappa(0.7, corr, 2.0, tau))))
-        single = OUParams(n=2, kappa=np.array([1.0, 0.0]), sigma=np.ones(2),
-                          theta=np.zeros(2), corr=corr)
-        # Risk-seeking branch can have a finite-time pole inside the horizon;
-        # compare up to 90% of it and require the solver to locate it.
-        pole = single_mr_blowup_tau(1.0, corr, prefs.gamma)
-        span = 3.0 if pole is None else 0.9 * pole
-        try:
-            ds = solve_D(single, prefs, span if pole is None else 0.98 * pole)
-        except BlowUpDetected:
-            pole_detail = "unexpected blow-up before the pole"
-            ds = None
-        if ds is not None:
-            for tau in np.linspace(0.0, span, 61):
-                worst = max(worst, np.max(np.abs(ds.interpolate(tau)
-                                                 - d_single_mr(1.0, corr, prefs.gamma, tau))))
-        if pole is not None and pole < 3.0:
-            try:
-                solve_D(single, prefs, 3.0)
-                pole_detail = "missed finite-time pole"
-            except BlowUpDetected as exc:
-                if abs(exc.tau_star - pole) > 0.05 * pole:
-                    pole_detail = f"pole at {pole:.4f} reported as {exc.tau_star:.4f}"
-    uncorr = OUParams(n=3, kappa=np.array([0.4, 1.0, 1.6]), sigma=np.ones(3),
-                      theta=np.zeros(3), corr=np.eye(3))
-    du = solve_D(uncorr, Preferences.from_delta(0.2), 3.0)
-    for tau in taus:
-        worst = max(worst, np.max(np.abs(du.interpolate(tau)
-                                         - d_uncorrelated(uncorr.kappa, 0.2, tau))))
-    record("structured_oracles", worst < 1e-8 and pole_detail is None,
-           pole_detail or f"max err {worst:.2e}")
-
-    # Log-utility fixed point.
-    p = OUParams(n=2, kappa=np.array([1.0, 0.5]), sigma=np.ones(2), theta=np.zeros(2),
-                 corr=np.array([[1.0, 0.6], [0.6, 1.0]]))
-    dlog = solve_D(p, Preferences(gamma=0.0), 3.0)
-    fixed = p.corr_inv @ np.diag(p.kappa)
-    worst = max(np.max(np.abs(dlog.interpolate(tau) - fixed)) for tau in taus)
-    record("log_utility_fixed_point", worst < 1e-10, f"max err {worst:.2e}")
-
-    # A, D and F, all views of one S solve, against the D- and F-equations
-    # integrated on their own by a different method at tight tolerance.
-    def reference(rhs, m0: np.ndarray, horizon: float, taus: np.ndarray) -> np.ndarray:
-        k = m0.shape[0]
-        res = solve_ivp(lambda tau, y: rhs(y.reshape(k, k)).ravel(), (0.0, horizon),
-                        m0.ravel(), method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True)
-        return np.moveaxis(res.sol(taus).reshape(k, k, -1), 2, 0)
-
-    rng = np.random.default_rng(12345)
-    worst_ad, worst_f = 0.0, 0.0
-    for _ in range(5):
-        n = int(rng.integers(1, 4))
-        w = rng.standard_normal((n, n + 2))
-        c = w @ w.T
-        dd = np.sqrt(np.diag(c))
-        corr = c / np.outer(dd, dd)
-        np.fill_diagonal(corr, 1.0)
-        pr = OUParams(n=n, kappa=rng.uniform(0.3, 1.5, n), sigma=np.ones(n),
-                      theta=np.zeros(n), corr=corr)
-        prefs = Preferences(gamma=float(rng.choice([-4.0, -1.0, 0.5])))
-        a = solve_A(pr, prefs, 2.0)
-        d = solve_D(pr, prefs, 2.0)
-        f = solve_F(pr, prefs, 2.0)
-        delta, kmat = prefs.delta, np.diag(pr.kappa)
-        base = delta * pr.corr_inv @ kmat
-        gam = pr.corr_inv @ kmat @ corr
-        tau_pts = np.linspace(0.0, 2.0, 21)
-        d_ref = reference(lambda m: -m.T @ corr @ m + delta * kmat @ pr.corr_inv @ kmat,
-                          base, 2.0, tau_pts)
-        f_ref = reference(lambda m: (2.0 * m @ m - delta * (kmat @ m + m @ gam)
-                                     + 0.5 * delta * (delta - 1.0) * kmat @ gam),
-                          np.zeros((n, n)), 2.0, tau_pts)
-        for tau, dr, fr in zip(tau_pts, d_ref, f_ref):
-            am = a.interpolate(tau)
-            worst_ad = max(worst_ad, np.max(np.abs(d.interpolate(tau) - dr)),
-                           np.max(np.abs(base - (am + am.T) - dr)))
-            worst_f = max(worst_f, np.max(np.abs(f.interpolate(tau) - fr)))
-    record("a_d_consistency", worst_ad < 1e-8, f"max err {worst_ad:.2e}")
-    record("f_consistency", worst_f < 1e-8, f"max err {worst_f:.2e}")
-
-    # Psi residual, integral, property; lambda oracle; phi signs.
-    worst_res, worst_prop = 0.0, 0.0
-    h = 1e-5
-    for delta in (0.2, 2.0, 4.0):
-        for kappa in (0.5, 1.0):
-            ts = np.linspace(h, 3.0, 121)
-            psi = psi_closed_form(kappa, delta, ts)
-            dnum = (psi_closed_form(kappa, delta, ts + h)
-                    - psi_closed_form(kappa, delta, ts - h)) / (2 * h)
-            resid = dnum - (2 * psi**2 - 2 * delta * kappa * psi
-                            + 0.5 * delta * (delta - 1) * kappa**2)
-            worst_res = max(worst_res, float(np.max(np.abs(resid))))
-            prop = psi + 0.5 * (1 - delta) * kappa - psi_property(kappa, delta, ts)
-            worst_prop = max(worst_prop, float(np.max(np.abs(prop))))
-    record("psi_ode_residual", worst_res < 1e-8, f"max resid {worst_res:.2e}")
-    record("psi_property_identity", worst_prop < 1e-12, f"max err {worst_prop:.2e}")
-
-    q, _ = quad(lambda s: psi_closed_form(1.0, 4.0, s), 0.0, 2.0, limit=200)
-    err = abs(q - psi_integral(1.0, 4.0, 2.0))
-    record("psi_integral_quadrature", err < 1e-10, f"err {err:.2e}")
-
-    worst = 0.0
-    for ki in (0.5, 1.0, 2.0):
-        for kj in (0.4, 1.0, 1.7):
-            for delta in (0.2, 2.0, 4.0):
-                def lam_rhs(tau, y):
-                    return [y[0] * (2 * psi_closed_form(ki, delta, tau)
-                                    + 2 * psi_closed_form(kj, delta, tau)
-                                    - delta * (ki + kj))
-                            - delta * (ki - kj) * psi_property(ki, delta, tau)]
-                res = solve_ivp(lam_rhs, (0, 3), [0.0], rtol=1e-12, atol=1e-14,
-                                dense_output=True)
-                for tau in np.linspace(0, 3, 16):
-                    worst = max(worst, abs(res.sol(tau)[0]
-                                           - lambda_closed_form(ki, kj, delta, tau)))
-    record("lambda_oracle", worst < 1e-8, f"max err {worst:.2e}")
-
-    _, _, pos = phi_diagonal(1.0, 0.5, 4.0, 3.0)
-    _, _, neg = phi_diagonal(1.0, 0.5, 0.2, 3.0)
-    _, _, zero_d = phi_diagonal(1.0, 0.5, 1.0, 3.0)
-    _, _, zero_k = phi_diagonal(0.8, 0.8, 4.0, 3.0)
-    ok = pos > 0 and neg < 0 and abs(zero_d) < 1e-10 and abs(zero_k) < 1e-10
-    record("phi_integral_signs", ok,
-           f"pos {pos:.3e}, neg {neg:.3e}, zeros {zero_d:.1e}/{zero_k:.1e}")
-
-    rep = matrix_calculus_checks(np.array([1.0, 0.5, 2.0]), (0, 1), (1, 2))
-    record("matrix_calculus_identities", rep.all_passed,
-           "; ".join(f"{c.name} {c.max_error:.2e}" for c in rep.checks))
-
-    # Correlation-derivative trio at the uncorrelated point: the curvature
-    # sign matching sign(gamma) is carried by the log-transformed value,
-    # while J itself is convex in rho there on both sides of gamma = 0
-    # (local minimum of J).  Both readings are reported.
-    trio_ok = True
-    details = []
-    for gamma in (-4.0, 0.5):
-        for kpair in ((1.0, 0.5), (1.0, 1.0)):
-            pr = OUParams(n=2, kappa=np.array(kpair), sigma=np.ones(2),
-                          theta=np.zeros(2), corr=np.eye(2))
-            r = corr_sensitivity(pr, Preferences(gamma=gamma), 2.0, (0, 1))
-            tol1 = max(5 * r.first_error, 1e-9)
-            tol2 = max(5 * r.log_second_error, 1e-9)
-            if abs(r.first_derivative) > tol1:
-                trio_ok = False
-            if kpair[0] == kpair[1]:
-                if abs(r.log_second_derivative) > tol2:
-                    trio_ok = False
-            else:
-                if np.sign(r.log_second_derivative) != np.sign(gamma):
-                    trio_ok = False
-                if r.second_derivative <= 0:
-                    trio_ok = False
-            details.append(f"g={gamma:g} k={kpair}: d1={r.first_derivative:.1e} "
-                           f"d2J={r.second_derivative:.3e} "
-                           f"d2logJ={r.log_second_derivative:.3e}")
-    record("correlation_minimum_trio", trio_ok, "; ".join(details))
-    checks["correlation_minimum_trio"]["note"] = (
-        "curvature of J is positive on both sides of gamma = 0 (uncorrelated "
-        "point minimizes J); the gamma-signed curvature holds for log|J|"
-    )
-    return checks
 
 
 def cmd_verify(config: dict, outdir: Path, seed: int, plot: bool) -> int:

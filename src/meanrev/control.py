@@ -3,20 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.integrate import quad
 
 from .errors import OutOfHorizon
 from .model import NormalizationRecord, OUParams, Preferences, normalize, step_covariance
-from .riccati import RiccatiSolution, StepControl, solve_A, solve_D
-
-
-class StrategyKind(Enum):
-    OPTIMAL = "optimal"
-    MISSPECIFIED = "misspecified"
-    CUSTOM = "custom"
+from .riccati import RiccatiSolution, solve_A, solve_D
 
 
 @dataclass(frozen=True)
@@ -28,7 +21,6 @@ class StrategySpec:
     original coordinates through ``normalization``.
     """
 
-    kind: StrategyKind
     d_solution: RiccatiSolution
     normalization: NormalizationRecord
     horizon: float
@@ -53,20 +45,11 @@ class StrategySpec:
         return self.normalization.position_from_unit_noise(alpha_norm)
 
 
-def optimal_strategy(
-    params: OUParams,
-    prefs: Preferences,
-    horizon: float,
-    ctrl: StepControl | None = None,
-) -> StrategySpec:
+def optimal_strategy(params: OUParams, prefs: Preferences, horizon: float) -> StrategySpec:
     """Build the optimal StrategySpec by solving the feedback-matrix ODE."""
     norm_params, record = normalize(params)
-    d_solution = solve_D(norm_params, prefs, horizon, ctrl)
     return StrategySpec(
-        kind=StrategyKind.OPTIMAL,
-        d_solution=d_solution,
-        normalization=record,
-        horizon=horizon,
+        d_solution=solve_D(norm_params, prefs, horizon), normalization=record, horizon=horizon,
     )
 
 
@@ -187,9 +170,7 @@ def log_utility_value(w: float, x, t: float, params: OUParams, horizon: float) -
     return LogValueReport(log_wealth=float(np.log(w)), correction=0.5 * correction)
 
 
-def solve_value(
-    params: OUParams, prefs: Preferences, horizon: float, ctrl: StepControl | None = None
-) -> RiccatiSolution:
+def solve_value(params: OUParams, prefs: Preferences, horizon: float) -> RiccatiSolution:
     """A-solution in unit-noise coordinates, ready for value queries."""
     norm_params, _ = normalize(params)
-    return solve_A(norm_params, prefs, horizon, ctrl)
+    return solve_A(norm_params, prefs, horizon)

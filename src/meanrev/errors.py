@@ -33,6 +33,10 @@ class NonFinite(ValidationError):
     """A parameter holds NaN or an infinity."""
 
 
+class OutOfDomain(ValidationError):
+    """A finite parameter lies outside its admissible range."""
+
+
 class FactorizationFailure(MeanrevError):
     """A covariance matrix could not be factorized (numerically not PSD)."""
 

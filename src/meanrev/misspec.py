@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import StrategyKind, StrategySpec, solve_value, value_function
+from .control import StrategySpec, solve_value, value_function
 from .errors import BlowUpDetected, NonPositiveVariance, OutOfHorizon
 from .grids import SensitivityGrid
 from .model import NormalizationRecord, OUParams, Preferences, normalize, validate
-from .riccati import QuadraticOperator, RiccatiSolution, StepControl, solve, solve_D
+from .riccati import QuadraticOperator, RiccatiSolution, solve, solve_D
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ def misspecified_strategy(
     est: EstimatedParams,
     prefs: Preferences,
     horizon: float,
-    ctrl: StepControl | None = None,
 ) -> StrategySpec:
     """Position rule a trader with the given estimates would follow.
 
@@ -65,13 +64,9 @@ def misspecified_strategy(
     """
     est_params = validate(est.as_params(theta=true_params.theta))
     est_norm, _ = normalize(est_params)
-    d_solution = solve_D(est_norm, prefs, horizon, ctrl)
     record = NormalizationRecord(original_sigma=est.sigma_hat, original_theta=true_params.theta)
     return StrategySpec(
-        kind=StrategyKind.MISSPECIFIED,
-        d_solution=d_solution,
-        normalization=record,
-        horizon=horizon,
+        d_solution=solve_D(est_norm, prefs, horizon), normalization=record, horizon=horizon,
     )
 
 
@@ -126,7 +121,6 @@ def solve_Q(
     est: EstimatedParams,
     prefs: Preferences,
     horizon: float,
-    ctrl: StepControl | None = None,
     d_hat: RiccatiSolution | None = None,
 ) -> RiccatiSolution:
     """Solve the moment Riccati system for wealth exponent epsilon.
@@ -135,8 +129,8 @@ def solve_Q(
     ``misspecified_strategy(...).d_solution``; it is solved when not given.
     """
     if d_hat is None:
-        d_hat = misspecified_strategy(true_params, est, prefs, horizon, ctrl).d_solution
-    return solve(make_Q_operator(epsilon, true_params, est, d_hat), horizon, ctrl)
+        d_hat = misspecified_strategy(true_params, est, prefs, horizon).d_solution
+    return solve(make_Q_operator(epsilon, true_params, est, d_hat), horizon)
 
 
 @dataclass(frozen=True)
@@ -203,7 +197,6 @@ def misspec_sweep(
     multipliers1,
     multipliers2,
     w: float = 1.0,
-    ctrl: StepControl | None = None,
     with_sharpe: bool = False,
 ) -> SensitivityGrid:
     """Value lost to reversion-rate misspecification over a multiplier grid.
@@ -219,7 +212,7 @@ def misspec_sweep(
     m2 = np.asarray(multipliers2, dtype=float)
     if np.any(m1 <= 0) or np.any(m2 <= 0):
         raise ValueError("multipliers must be positive")
-    a_true = solve_value(true_params, prefs, horizon, ctrl)
+    a_true = solve_value(true_params, prefs, horizon)
     j_true = value_function(w, true_params.theta, 0.0, a_true, prefs, true_params).total
 
     cells = np.empty((m1.size, m2.size))
@@ -234,13 +227,13 @@ def misspec_sweep(
                 kappa_hat=kappa_hat, sigma_hat=true_params.sigma, corr_hat=true_params.corr
             )
             try:
-                d_hat = misspecified_strategy(true_params, est, prefs, horizon, ctrl).d_solution
-                q_g = solve_Q(prefs.gamma, true_params, est, prefs, horizon, ctrl, d_hat=d_hat)
+                d_hat = misspecified_strategy(true_params, est, prefs, horizon).d_solution
+                q_g = solve_Q(prefs.gamma, true_params, est, prefs, horizon, d_hat=d_hat)
                 p_g = p_epsilon(w, true_params.theta, 0.0, prefs.gamma, q_g, true_params)
                 cells[i, j] = p_g.p_value - j_true
                 if with_sharpe:
-                    q1 = solve_Q(1.0, true_params, est, prefs, horizon, ctrl, d_hat=d_hat)
-                    q2 = solve_Q(2.0, true_params, est, prefs, horizon, ctrl, d_hat=d_hat)
+                    q1 = solve_Q(1.0, true_params, est, prefs, horizon, d_hat=d_hat)
+                    q2 = solve_Q(2.0, true_params, est, prefs, horizon, d_hat=d_hat)
                     sharpes[i, j] = sharpe(
                         p_epsilon(w, true_params.theta, 0.0, 1.0, q1, true_params),
                         p_epsilon(w, true_params.theta, 0.0, 2.0, q2, true_params),

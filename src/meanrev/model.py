@@ -19,6 +19,7 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     NotUnitDiagonal,
+    OutOfDomain,
 )
 
 # Smallest admissible eigenvalue of the correlation matrix.  Near-singular
@@ -104,7 +105,7 @@ class Preferences:
         if not np.isfinite(self.gamma):
             raise NonFinite(f"gamma must be finite, got {self.gamma}")
         if not self.gamma < 1:
-            raise ValueError(f"gamma must be < 1, got {self.gamma}")
+            raise OutOfDomain(f"gamma must be < 1, got {self.gamma}")
 
     @property
     def delta(self) -> float:
@@ -172,7 +173,7 @@ def validate(params: OUParams, pd_tol: float = PD_TOL) -> OUParams:
             f"smallest correlation eigenvalue {min_eig:.3e} <= {pd_tol:.0e}"
         )
     if np.any(params.kappa < 0):
-        raise ValueError("reversion rates must be nonnegative")
+        raise OutOfDomain("reversion rates must be nonnegative")
     if not np.any(params.kappa > 0):
         raise AllKappaZero("at least one reversion rate must be positive")
     if np.any(params.sigma <= 0):

@@ -32,18 +32,14 @@ from scipy.integrate import solve_ivp
 from .errors import BlowUpDetected, OutOfRange, TrigSingularity
 from .model import OUParams, Preferences
 
-# Relative tolerance of every solve; ``StepControl.tol`` is the absolute one.
+# Settings of every solve: relative and absolute tolerance, first step as a
+# fraction of the horizon, the entry size taken as blow-up, and the number of
+# uniform points added to the solution grid.
 RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class StepControl:
-    """Adaptive integrator settings; ``tol`` is the absolute tolerance."""
-
-    tol: float = 1e-10
-    first_step_fraction: float = 1e-3
-    blowup_threshold: float = 1e12
-    dense_points: int = 1024
+ATOL = 1e-10
+FIRST_STEP_FRACTION = 1e-3
+BLOWUP_THRESHOLD = 1e12
+DENSE_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -161,7 +157,7 @@ def s_view(s: RiccatiSolution, which: str, params: OUParams, prefs: Preferences)
     return RiccatiSolution(s.tau_grid, s.values, s.trace_integral, s._dense, s.horizon, **view)
 
 
-def solve(op: QuadraticOperator, horizon: float, ctrl: StepControl | None = None) -> RiccatiSolution:
+def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
     """Integrate a matrix Riccati ODE over tau in [0, horizon].
 
     The running trace integral is carried as an extra state component so it
@@ -170,7 +166,6 @@ def solve(op: QuadraticOperator, horizon: float, ctrl: StepControl | None = None
     """
     if not 0.0 < horizon < np.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    ctrl = ctrl or StepControl()
     n = op.n
     weight = op.trace_weight
 
@@ -181,7 +176,7 @@ def solve(op: QuadraticOperator, horizon: float, ctrl: StepControl | None = None
         return np.append(dm.ravel(), dtrace)
 
     def blowup_event(tau, y):
-        return ctrl.blowup_threshold - np.abs(y[: n * n]).max()
+        return BLOWUP_THRESHOLD - np.abs(y[: n * n]).max()
 
     blowup_event.terminal = True
     blowup_event.direction = -1
@@ -194,8 +189,8 @@ def solve(op: QuadraticOperator, horizon: float, ctrl: StepControl | None = None
         method="RK45",
         dense_output=True,
         rtol=RTOL,
-        atol=ctrl.tol,
-        first_step=ctrl.first_step_fraction * horizon,
+        atol=ATOL,
+        first_step=FIRST_STEP_FRACTION * horizon,
         events=blowup_event,
     )
     if result.status == 1 or (result.status == 0 and result.t[-1] < horizon):
@@ -203,7 +198,7 @@ def solve(op: QuadraticOperator, horizon: float, ctrl: StepControl | None = None
     if result.status < 0:
         raise BlowUpDetected(result.t[-1], f"integrator failed near tau = {result.t[-1]:.6g}: {result.message}")
 
-    uniform = np.linspace(0.0, horizon, ctrl.dense_points)
+    uniform = np.linspace(0.0, horizon, DENSE_POINTS)
     tau_grid = np.union1d(uniform, result.t)
     dense = result.sol
     stacked = dense(tau_grid)
@@ -215,14 +210,14 @@ def solve(op: QuadraticOperator, horizon: float, ctrl: StepControl | None = None
     return RiccatiSolution(tau_grid, values, trace, dense, horizon)
 
 
-def solve_A(params: OUParams, prefs: Preferences, horizon: float, ctrl: StepControl | None = None) -> RiccatiSolution:
+def solve_A(params: OUParams, prefs: Preferences, horizon: float) -> RiccatiSolution:
     """Value matrix A = S/2 (the symmetric representative)."""
-    return s_view(solve(make_S_operator(params, prefs), horizon, ctrl), "A", params, prefs)
+    return s_view(solve(make_S_operator(params, prefs), horizon), "A", params, prefs)
 
 
-def solve_D(params: OUParams, prefs: Preferences, horizon: float, ctrl: StepControl | None = None) -> RiccatiSolution:
+def solve_D(params: OUParams, prefs: Preferences, horizon: float) -> RiccatiSolution:
     """Feedback matrix D = delta Theta^{-1} K - S."""
-    return s_view(solve(make_S_operator(params, prefs), horizon, ctrl), "D", params, prefs)
+    return s_view(solve(make_S_operator(params, prefs), horizon), "D", params, prefs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import numpy as np
 from .control import StrategySpec
 from .errors import OutOfRange
 from .model import ExactStepper, OUParams, Preferences, normalize
-from .riccati import RiccatiSolution
 
 # |log W| beyond this is treated as a diverged path and excluded.
 LOG_WEALTH_GUARD = 700.0
@@ -203,7 +202,6 @@ def decompose(
     path: int,
     s: float,
     t: float,
-    d_solution: RiccatiSolution | None = None,
     delta: float | None = None,
 ) -> WealthDecomposition:
     """Decompose one stored path's log return between grid times s < t.
@@ -218,7 +216,7 @@ def decompose(
         raise ValueError("need s < t")
     i0 = _time_index(ensemble.times, s)
     i1 = _time_index(ensemble.times, t)
-    sol = d_solution if d_solution is not None else ensemble.spec.d_solution
+    sol = ensemble.spec.d_solution
     norm_params, record = normalize(ensemble.params)
     corr = norm_params.corr
     kappa = norm_params.kappa

@@ -23,6 +23,11 @@ def random_params(rng, n, normalized=False):
     )
 
 
+def assert_passes(check):
+    """Assert that a ``meanrev.oracles.Check`` is within its bound."""
+    assert check.passed, f"{check.detail} (error {check.error:.2e}, tol {check.tol:.0e})"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -9,32 +9,17 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
-from meanrev.analysis import (
-    corr_sensitivity,
-    lambda_closed_form,
-    matrix_calculus_checks,
-    phi_diagonal,
-    psi_closed_form,
-    psi_property,
-)
+from meanrev.analysis import corr_sensitivity
 from meanrev.cli import main
 from meanrev.control import optimal_strategy, solve_value, value_function
 from meanrev.misspec import EstimatedParams, misspec_sweep, misspecified_strategy, p_epsilon, solve_Q
 from meanrev.model import OUParams, Preferences
-from meanrev.riccati import (
-    d_common_kappa,
-    d_scalar_closed_form,
-    d_single_mr,
-    d_uncorrelated,
-    single_mr_blowup_tau,
-    solve_A,
-    solve_D,
-)
+from meanrev.oracles import CHECKS
+from meanrev.riccati import solve_D
 from meanrev.wealth import decompose, simulate
 
-from conftest import random_params, two_asset
+from conftest import assert_passes, random_params, two_asset
 
 
 def pair_corr(rho):
@@ -49,65 +34,28 @@ def make_params(kappa, corr):
 
 def test_criterion_01_closed_form_oracle_suite():
     start = time.perf_counter()
-    taus = np.linspace(0.0, 3.0, 61)
-    worst = 0.0
-    for delta in (0.2, 1.0, 2.0):
-        prefs = Preferences.from_delta(delta)
-
-        scalar = make_params([0.8], np.eye(1))
-        sol = solve_D(scalar, prefs, 3.0)
-        for tau in taus:
-            worst = max(worst, abs(sol.interpolate(tau)[0, 0]
-                                   - d_scalar_closed_form(0.8, delta, tau)))
-
-        uncorr = make_params([1.0, 0.5, 2.0], np.eye(3))
-        sol = solve_D(uncorr, prefs, 3.0)
-        for tau in taus:
-            worst = max(worst, np.max(np.abs(
-                sol.interpolate(tau) - d_uncorrelated(uncorr.kappa, delta, tau))))
-
-        for rho in (-0.8, 0.0, 0.5, 0.9):
-            corr = pair_corr(rho)
-
-            common = make_params([0.7, 0.7], corr)
-            sol = solve_D(common, prefs, 3.0)
-            for tau in taus:
-                worst = max(worst, np.max(np.abs(
-                    sol.interpolate(tau) - d_common_kappa(0.7, corr, delta, tau))))
-
-            single = make_params([1.0, 0.0], corr)
-            pole = single_mr_blowup_tau(1.0, corr, prefs.gamma)
-            tau_max = 3.0 if pole is None or pole > 3.4 else 0.9 * pole
-            sol = solve_D(single, prefs, min(3.0, tau_max / 0.9 * 0.95))
-            for tau in taus[taus <= tau_max]:
-                worst = max(worst, np.max(np.abs(
-                    sol.interpolate(tau) - d_single_mr(1.0, corr, prefs.gamma, tau))))
-
+    deltas = (0.2, 1.0, 2.0)
+    assert_passes(CHECKS["scalar_oracle"](deltas=deltas))
+    assert_passes(CHECKS["structured_oracles"](
+        deltas=deltas, uncorrelated=[((1.0, 0.5, 2.0), d) for d in deltas]))
     elapsed = time.perf_counter() - start
-    assert worst < 1e-8, f"max oracle error {worst:.2e}"
     assert elapsed < 10.0, f"oracle suite took {elapsed:.1f} s"
 
 
 def test_criterion_02_log_utility_static():
-    params = two_asset(rho=0.5, kappa=(1.0, 0.5))
-    sol = solve_D(params, Preferences(gamma=0.0), 3.0)
-    fixed = np.linalg.inv(params.corr) @ np.diag(params.kappa)
-    for tau in np.linspace(0.0, 3.0, 31):
-        assert np.max(np.abs(sol.interpolate(tau) - fixed)) < 1e-10
+    assert_passes(CHECKS["log_utility_fixed_point"](rhos=(0.5,), taus=np.linspace(0.0, 3.0, 31)))
 
 
 def test_criterion_03_a_d_consistency(rng):
+    # A, D and F against their own equations integrated independently.
+    cases = []
     for _ in range(20):
         n = int(rng.integers(1, 4))
         params = random_params(rng, n, normalized=True)
-        prefs = Preferences(gamma=float(rng.choice([-4.0, -1.0, 0.5])))
-        delta = prefs.delta
-        a = solve_A(params, prefs, 2.0)
-        d = solve_D(params, prefs, 2.0)
-        base = delta * np.linalg.inv(params.corr) @ np.diag(params.kappa)
-        for tau in np.linspace(0.0, 2.0, 9):
-            am = a.interpolate(tau)
-            assert np.max(np.abs(base - (am + am.T) - d.interpolate(tau))) < 1e-8
+        cases.append((params, Preferences(gamma=float(rng.choice([-4.0, -1.0, 0.5])))))
+    taus = np.linspace(0.0, 2.0, 9)
+    assert_passes(CHECKS["a_d_consistency"](cases, taus=taus))
+    assert_passes(CHECKS["f_consistency"](cases, taus=taus))
 
 
 def test_criterion_04_antisymmetry_time_independent():
@@ -211,69 +159,28 @@ def test_criterion_07_misspecification_framework():
 
 
 def test_criterion_08_correlation_sensitivity_signs():
+    assert_passes(CHECKS["correlation_minimum_trio"]())
+    # Mixed second partials across distinct pairs vanish.
+    params3 = make_params([1.0, 0.5, 2.0], np.eye(3))
     for gamma in (-4.0, 0.5):
-        prefs = Preferences(gamma=gamma)
-        for kpair in ((1.0, 0.5), (1.0, 1.0)):
-            params = make_params(kpair, np.eye(2))
-            r = corr_sensitivity(params, prefs, 2.0, (0, 1))
-            assert abs(r.first_derivative) <= max(5.0 * r.first_error, 1e-9)
-            if kpair[0] == kpair[1]:
-                assert abs(r.log_second_derivative) <= max(5.0 * r.log_second_error, 1e-9)
-            else:
-                assert r.second_derivative > 0.0
-                assert np.sign(r.log_second_derivative) == np.sign(gamma)
-        # Mixed second partials across distinct pairs vanish.
-        params3 = make_params([1.0, 0.5, 2.0], np.eye(3))
-        r = corr_sensitivity(params3, prefs, 1.5, (0, 1))
+        r = corr_sensitivity(params3, Preferences(gamma=gamma), 1.5, (0, 1))
         assert r.mixed_derivatives
         for key, val in r.mixed_derivatives.items():
             assert abs(val) <= max(5.0 * r.mixed_errors[key], 1e-8)
 
 
 def test_criterion_09_auxiliary_closed_forms():
-    h = 1e-5
-    for delta in (0.2, 2.0, 4.0):
-        for kappa in (0.5, 1.0):
-            taus = np.linspace(h, 3.0, 150)
-            psi = psi_closed_form(kappa, delta, taus)
-            dnum = (psi_closed_form(kappa, delta, taus + h)
-                    - psi_closed_form(kappa, delta, taus - h)) / (2.0 * h)
-            resid = dnum - (2.0 * psi**2 - 2.0 * delta * kappa * psi
-                            + 0.5 * delta * (delta - 1.0) * kappa**2)
-            assert np.max(np.abs(resid)) < 1e-8
-
-    for delta in (0.2, 1.0, 2.0, 4.0):
-        taus = np.linspace(0.0, 3.0, 100)
-        lhs = psi_closed_form(1.3, delta, taus) + 0.5 * (1.0 - delta) * 1.3
-        assert np.max(np.abs(lhs - psi_property(1.3, delta, taus))) < 1e-12
-
-    for (ki, kj) in ((1.0, 0.4), (0.5, 1.7)):
-        for delta in (0.2, 4.0):
-            def rhs(tau, y):
-                return [
-                    y[0] * (2.0 * psi_closed_form(ki, delta, tau)
-                            + 2.0 * psi_closed_form(kj, delta, tau)
-                            - delta * (ki + kj))
-                    - delta * (ki - kj) * psi_property(ki, delta, tau)
-                ]
-            res = solve_ivp(rhs, (0.0, 3.0), [0.0], rtol=1e-12, atol=1e-14,
-                            dense_output=True)
-            sup = max(abs(res.sol(tau)[0] - lambda_closed_form(ki, kj, delta, tau))
-                      for tau in np.linspace(0.0, 3.0, 31))
-            assert sup < 1e-8
-
-    assert phi_diagonal(1.0, 0.5, 4.0, 3.0)[2] > 0.0
-    assert phi_diagonal(1.0, 0.5, 0.2, 3.0)[2] < 0.0
-    assert abs(phi_diagonal(1.0, 0.5, 1.0, 3.0)[2]) < 1e-10
-    assert abs(phi_diagonal(0.8, 0.8, 4.0, 3.0)[2]) < 1e-10
+    assert_passes(CHECKS["psi_ode_residual"](taus=np.linspace(1e-5, 3.0, 150)))
+    assert_passes(CHECKS["psi_property_identity"](
+        deltas=(0.2, 1.0, 2.0, 4.0), kappas=(1.3,), taus=np.linspace(0.0, 3.0, 100)))
+    for kappas_i, kappas_j in (((1.0,), (0.4,)), ((0.5,), (1.7,))):
+        assert_passes(CHECKS["lambda_oracle"](kappas_i=kappas_i, kappas_j=kappas_j, deltas=(0.2, 4.0),
+                                              taus=np.linspace(0.0, 3.0, 31)))
+    assert_passes(CHECKS["phi_integral_signs"]())
 
 
 def test_criterion_10_matrix_calculus_identities():
-    rep = matrix_calculus_checks(np.array([1.0, 0.5, 2.0]), (0, 1), (1, 2),
-                                 h=1e-4, tol=1e-6)
-    assert rep.all_passed
-    for check in rep.checks:
-        assert check.max_error < 1e-6, f"{check.name}: {check.max_error:.2e}"
+    assert_passes(CHECKS["matrix_calculus_identities"]())
 
 
 def test_criterion_11_figure_qualitative_via_cli(tmp_path):

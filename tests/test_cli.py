@@ -96,6 +96,11 @@ def test_non_finite_sigma_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "out" / "positions.csv").exists()
 
 
+def test_gamma_out_of_range_is_a_validation_error(tmp_path, capsys):
+    assert run(tmp_path, base_config(gamma=1.5), "validate") == EXIT_VALIDATION
+    assert "validation error: OutOfDomain" in capsys.readouterr().err
+
+
 def test_missing_config_is_io_error(tmp_path):
     assert main(["--config", str(tmp_path / "nope.json"), "validate"]) == 3
 
@@ -225,7 +230,12 @@ def test_verify_all_green(tmp_path):
     assert run(tmp_path, base_config(), "verify") == EXIT_OK
     report = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert report["all_passed"]
-    assert all(c["passed"] for c in report["checks"].values())
+    assert len(report["checks"]) == 12
+    for name, c in report["checks"].items():
+        assert c["passed"], name
+        # Every check records its measured error against the bound it applies.
+        assert math.isfinite(c["error"]) and c["tol"] > 0, name
+        assert c["passed"] == (c["error"] <= c["tol"]), name
 
 
 def plot_case_config(case):

@@ -8,6 +8,7 @@ from meanrev.errors import (
     NotPositiveDefinite,
     NotSymmetric,
     NotUnitDiagonal,
+    OutOfDomain,
 )
 from meanrev.model import (
     ExactStepper,
@@ -67,7 +68,7 @@ def test_validate_rejects_nonpositive_sigma():
 
 
 def test_negative_kappa_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(OutOfDomain):
         validate(two_asset(kappa=(1.0, -0.5)))
 
 
@@ -95,7 +96,7 @@ def test_preferences_delta():
     assert Preferences(gamma=0.0).delta == 1.0
     assert Preferences(gamma=0.5).delta == 2.0
     assert Preferences(gamma=0.0).is_log_utility
-    with pytest.raises(Exception):
+    with pytest.raises(OutOfDomain):
         Preferences(gamma=1.0)
 
 
