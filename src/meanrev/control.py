@@ -16,23 +16,26 @@ from .riccati import RiccatiSolution, solve_A, solve_D
 class StrategySpec:
     """A position rule (w, x, t) -> alpha.
 
-    ``d_solution`` holds the feedback matrix in unit-noise coordinates of the
-    true model; the position is alpha = -w D(T - t) x there, mapped back to
-    original coordinates through ``normalization``.
+    The feedback matrix lives in the unit-noise coordinates of the true
+    model: ``frame`` o ``d_solution``(tau), where ``d_solution`` solves the
+    feedback equation of the model the trader believes and ``frame`` = r r'
+    with r = sigma / sigma-hat maps it into the true coordinates (all ones
+    for the optimal rule).  The position is alpha = -w feedback(T - t) x
+    there, mapped back to original coordinates through ``normalization``,
+    the true model's record.
     """
 
     d_solution: RiccatiSolution
     normalization: NormalizationRecord
+    frame: np.ndarray
     horizon: float
 
     def feedback(self, tau: float) -> np.ndarray:
-        return self.d_solution.interpolate(tau)
+        return self.frame * self.d_solution.interpolate(tau)
 
-    def feedback_scale(self, target: NormalizationRecord) -> np.ndarray:
-        """Elementwise rescaling of the feedback matrix into another
-        unit-noise coordinate system (identity when the records agree)."""
-        r = target.original_sigma / self.normalization.original_sigma
-        return np.outer(r, r)
+    def feedback_many(self, taus) -> np.ndarray:
+        """Feedback matrices at several tau values, shape (len(taus), n, n)."""
+        return self.d_solution.at_many(taus) * self.frame
 
     def position(self, w: float, x, t: float) -> np.ndarray:
         """Position vector at wealth w > 0, state x, time t."""
@@ -49,23 +52,9 @@ def optimal_strategy(params: OUParams, prefs: Preferences, horizon: float) -> St
     """Build the optimal StrategySpec by solving the feedback-matrix ODE."""
     norm_params, record = normalize(params)
     return StrategySpec(
-        d_solution=solve_D(norm_params, prefs, horizon), normalization=record, horizon=horizon,
+        d_solution=solve_D(norm_params, prefs, horizon), normalization=record,
+        frame=np.ones((params.n, params.n)), horizon=horizon,
     )
-
-
-def position_from_A(
-    w: float, x, t: float, a_solution: RiccatiSolution, params: OUParams, prefs: Preferences
-) -> np.ndarray:
-    """Position via the first-order condition written with the A-matrix.
-
-    Equivalent to the D-based rule; kept as an independent consistency route.
-    """
-    tau = a_solution.horizon - t
-    a = a_solution.interpolate(tau)
-    sigma = params.sigma
-    x_norm = (np.asarray(x, dtype=float) - params.theta) / sigma
-    mult = -prefs.delta * params.corr_inv @ np.diag(params.kappa) + a + a.T
-    return (w * mult @ x_norm) / sigma
 
 
 @dataclass(frozen=True)

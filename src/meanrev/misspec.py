@@ -16,7 +16,7 @@ import numpy as np
 from .control import StrategySpec, solve_value, value_function
 from .errors import BlowUpDetected, NonPositiveVariance, OutOfHorizon
 from .grids import SensitivityGrid
-from .model import NormalizationRecord, OUParams, Preferences, normalize, validate
+from .model import OUParams, Preferences, normalize, validate
 from .riccati import QuadraticOperator, RiccatiSolution, solve, solve_D
 
 
@@ -33,13 +33,13 @@ class EstimatedParams:
         object.__setattr__(self, "sigma_hat", np.asarray(self.sigma_hat, dtype=float))
         object.__setattr__(self, "corr_hat", np.asarray(self.corr_hat, dtype=float))
 
-    def as_params(self, theta=None) -> OUParams:
+    def as_params(self) -> OUParams:
         n = self.kappa_hat.size
         return OUParams(
             n=n,
             kappa=self.kappa_hat,
             sigma=self.sigma_hat,
-            theta=np.zeros(n) if theta is None else theta,
+            theta=np.zeros(n),
             corr=self.corr_hat,
         )
 
@@ -56,50 +56,41 @@ def misspecified_strategy(
 ) -> StrategySpec:
     """Position rule a trader with the given estimates would follow.
 
-    The feedback ODE is solved with the estimated parameters; the spec's
-    normalization record carries the estimated volatilities (and the true
-    long-term means, whose estimation is out of scope), so positions come
-    out in original coordinates exactly as the estimate-believing trader
-    would compute them.
+    The feedback ODE is solved with the estimated parameters (it reads only
+    the reversion rates and the correlation); the frame r r', r = s / sh,
+    carries that solution into the true model's unit-noise coordinates, so
+    positions come out exactly as the estimate-believing trader computes
+    them, with the true long-term means (their estimation is out of scope).
     """
-    est_params = validate(est.as_params(theta=true_params.theta))
-    est_norm, _ = normalize(est_params)
-    record = NormalizationRecord(original_sigma=est.sigma_hat, original_theta=true_params.theta)
+    _, record = normalize(true_params)
+    r = true_params.sigma / est.sigma_hat
     return StrategySpec(
-        d_solution=solve_D(est_norm, prefs, horizon), normalization=record, horizon=horizon,
+        d_solution=solve_D(validate(est.as_params()), prefs, horizon), normalization=record,
+        frame=np.outer(r, r), horizon=horizon,
     )
 
 
-def beta_matrix(
-    true_params: OUParams,
-    est: EstimatedParams,
-    d_hat: RiccatiSolution,
-    tau: float,
-) -> np.ndarray:
-    """Effective feedback of the misspecified rule in true unit-noise coordinates.
+def beta_matrix(spec: StrategySpec, tau: float) -> np.ndarray:
+    """Effective feedback of a position rule in true unit-noise coordinates.
 
-    beta = -(r r') o Dh(tau) with r = s / sh and Dh the feedback matrix of
-    the estimated model in its own unit-noise coordinates, so the position
+    beta = -(r r') o Dh(tau), the negated ``spec.feedback``, so the position
     is alpha = w beta x there.  Reduces to -D(tau) when the estimates are
     exact.
     """
-    r = true_params.sigma / est.sigma_hat
-    return -np.outer(r, r) * d_hat.interpolate(tau)
+    return -spec.feedback(tau)
 
 
 def make_Q_operator(
     epsilon: float,
     true_params: OUParams,
-    est: EstimatedParams,
-    d_hat: RiccatiSolution,
+    spec: StrategySpec,
 ) -> QuadraticOperator:
     """Moment-generating Riccati operator; time-dependent through beta(tau)."""
-    norm_true, _ = normalize(true_params)
-    corr = norm_true.corr
-    kappa = norm_true.kappa
+    corr = true_params.corr
+    kappa = true_params.kappa
 
     def rhs(tau, q):
-        beta = beta_matrix(true_params, est, d_hat, tau)
+        beta = beta_matrix(spec, tau)
         s = q + q.T
         bt_corr = beta.T @ corr
         return (
@@ -115,22 +106,10 @@ def make_Q_operator(
     )
 
 
-def solve_Q(
-    epsilon: float,
-    true_params: OUParams,
-    est: EstimatedParams,
-    prefs: Preferences,
-    horizon: float,
-    d_hat: RiccatiSolution | None = None,
-) -> RiccatiSolution:
-    """Solve the moment Riccati system for wealth exponent epsilon.
-
-    ``d_hat`` is the estimated model's feedback solution, as held by
-    ``misspecified_strategy(...).d_solution``; it is solved when not given.
-    """
-    if d_hat is None:
-        d_hat = misspecified_strategy(true_params, est, prefs, horizon).d_solution
-    return solve(make_Q_operator(epsilon, true_params, est, d_hat), horizon)
+def solve_Q(epsilon: float, true_params: OUParams, spec: StrategySpec) -> RiccatiSolution:
+    """Solve the moment Riccati system for wealth exponent epsilon under the
+    rule ``spec`` (e.g. ``misspecified_strategy(...)``) over its horizon."""
+    return solve(make_Q_operator(epsilon, true_params, spec), spec.horizon)
 
 
 @dataclass(frozen=True)
@@ -227,13 +206,13 @@ def misspec_sweep(
                 kappa_hat=kappa_hat, sigma_hat=true_params.sigma, corr_hat=true_params.corr
             )
             try:
-                d_hat = misspecified_strategy(true_params, est, prefs, horizon).d_solution
-                q_g = solve_Q(prefs.gamma, true_params, est, prefs, horizon, d_hat=d_hat)
+                spec = misspecified_strategy(true_params, est, prefs, horizon)
+                q_g = solve_Q(prefs.gamma, true_params, spec)
                 p_g = p_epsilon(w, true_params.theta, 0.0, prefs.gamma, q_g, true_params)
                 cells[i, j] = p_g.p_value - j_true
                 if with_sharpe:
-                    q1 = solve_Q(1.0, true_params, est, prefs, horizon, d_hat=d_hat)
-                    q2 = solve_Q(2.0, true_params, est, prefs, horizon, d_hat=d_hat)
+                    q1 = solve_Q(1.0, true_params, spec)
+                    q2 = solve_Q(2.0, true_params, spec)
                     sharpes[i, j] = sharpe(
                         p_epsilon(w, true_params.theta, 0.0, 1.0, q1, true_params),
                         p_epsilon(w, true_params.theta, 0.0, 2.0, q2, true_params),

@@ -63,12 +63,7 @@ TRIO_NOTE = (
 
 @dataclass(frozen=True)
 class Check:
-    """Outcome of one check; it passes when ``error <= tol``.
-
-    The bound is inclusive because the correlation trio's equal-rate case
-    lands exactly on it: |d2 log J| is 5 times its Richardson error estimate,
-    both a few units of roundoff.
-    """
+    """Outcome of one check; it passes when ``error <= tol``."""
 
     error: float
     tol: float
@@ -377,8 +372,11 @@ def correlation_minimum_trio(gammas=(-4.0, 0.5), kappa_pairs=((1.0, 0.5), (1.0, 
     J is convex, and the curvature of log|J| has the sign of gamma (zero for
     equal reversion rates).
 
-    The derivatives are held to five times their Richardson error estimates
-    (at least 1e-9), so the error is reported as a multiple of those bounds.
+    The first derivative is held to five times its Richardson error estimate
+    (at least 1e-9).  The equal-rate curvature of log|J| vanishes exactly, so
+    its finite difference is pure roundoff and is held to the roundoff bound
+    100 eps |log|J|| / h^2 of the stencil.  The error is reported as a
+    multiple of those bounds.
     """
     worst, signs_ok, details = 0.0, True, []
     for gamma in gammas:
@@ -386,7 +384,8 @@ def correlation_minimum_trio(gammas=(-4.0, 0.5), kappa_pairs=((1.0, 0.5), (1.0, 
             r = corr_sensitivity(unit_noise(kpair, np.eye(2)), Preferences(gamma=gamma), horizon, (0, 1))
             worst = max(worst, abs(r.first_derivative) / max(5.0 * r.first_error, 1e-9))
             if kpair[0] == kpair[1]:
-                worst = max(worst, abs(r.log_second_derivative) / max(5.0 * r.log_second_error, 1e-9))
+                roundoff = 100.0 * np.finfo(float).eps * abs(np.log(abs(r.value))) / r.h**2
+                worst = max(worst, abs(r.log_second_derivative) / roundoff)
             else:
                 signs_ok &= bool(np.sign(r.log_second_derivative) == np.sign(gamma)
                                  and r.second_derivative > 0)

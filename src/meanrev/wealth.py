@@ -31,11 +31,13 @@ class SimulationEnsemble:
 
     States and log-wealth are kept in unit-noise coordinates of the true
     model.  Full per-step storage is optional; terminal log-wealth and the
-    excluded-path count are always present.
+    excluded-path count are always present.  ``delta`` is the distortion
+    rate of the preferences the simulation was run with.
     """
 
     params: OUParams
     spec: StrategySpec
+    delta: float
     seed: int
     n_steps: int
     n_paths: int
@@ -99,7 +101,8 @@ def simulate(
 
     The state steps are exact in distribution; log-wealth is advanced by the
     Ito (left-point) discretization of d log W = -x'D' dX - x'D'ThetaD x dt/2
-    using the exact state increment.
+    using the exact state increment.  ``prefs.delta`` is recorded on the
+    ensemble for ``decompose``.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need n_steps >= 1 and n_paths >= 1")
@@ -113,10 +116,8 @@ def simulate(
     stepper = ExactStepper(params=norm_params, dt=dt)
     times = np.linspace(0.0, horizon, n_steps + 1)
 
-    # Feedback matrices at left points, shared by every path, expressed in
-    # the true model's unit-noise coordinates.
-    taus_left = spec.horizon - times[:-1]
-    d_left = spec.d_solution.at_many(taus_left) * spec.feedback_scale(record)
+    # Feedback matrices at left points, shared by every path.
+    d_left = spec.feedback_many(spec.horizon - times[:-1])
     corr = norm_params.corr
     quad_left = np.einsum("kji,jl,klm->kim", d_left, corr, d_left)  # D'ThetaD per step
 
@@ -157,6 +158,7 @@ def simulate(
     return SimulationEnsemble(
         params=params,
         spec=spec,
+        delta=prefs.delta,
         seed=seed,
         n_steps=n_steps,
         n_paths=n_paths,
@@ -202,13 +204,13 @@ def decompose(
     path: int,
     s: float,
     t: float,
-    delta: float | None = None,
 ) -> WealthDecomposition:
     """Decompose one stored path's log return between grid times s < t.
 
     Terms follow the stochastic-exponential solution of the wealth SDE,
-    discretized with the same left-point convention as the simulation;
-    ``total`` is read from the stored log-wealth and is exact.
+    discretized with the same left-point convention as the simulation and
+    the ensemble's ``delta``; ``total`` is read from the stored log-wealth
+    and is exact.
     """
     if ensemble.states is None or ensemble.log_wealth is None:
         raise ValueError("ensemble was simulated without stored paths")
@@ -216,21 +218,15 @@ def decompose(
         raise ValueError("need s < t")
     i0 = _time_index(ensemble.times, s)
     i1 = _time_index(ensemble.times, t)
-    sol = ensemble.spec.d_solution
-    norm_params, record = normalize(ensemble.params)
-    corr = norm_params.corr
-    kappa = norm_params.kappa
-    scale = ensemble.spec.feedback_scale(record)
+    spec = ensemble.spec
+    kappa = ensemble.params.kappa
 
     xs = ensemble.states[path]  # (n_steps + 1, n)
     dt = ensemble.dt
-    horizon = ensemble.spec.horizon
-    taus_left = horizon - ensemble.times[i0:i1]
-    d_k = sol.at_many(taus_left) * scale
+    horizon = spec.horizon
+    d_k = spec.feedback_many(horizon - ensemble.times[i0:i1])
 
-    if delta is None:
-        delta = _strategy_delta(ensemble)
-    m = delta * (kappa[:, None] * np.linalg.inv(corr) * kappa[None, :])
+    m = ensemble.delta * (kappa[:, None] * ensemble.params.corr_inv * kappa[None, :])
 
     x_left = xs[i0:i1]
     dx = xs[i0 + 1 : i1 + 1] - x_left
@@ -242,8 +238,8 @@ def decompose(
     quad_part = np.einsum("pi,ij,pj->p", x_left, m, x_left)
     term_a = float(0.5 * (np.sum(trace_part) - np.sum(quad_part) * dt))
 
-    d_s = sol.interpolate(horizon - ensemble.times[i0]) * scale
-    d_t = sol.interpolate(horizon - ensemble.times[i1]) * scale
+    d_s = spec.feedback(horizon - ensemble.times[i0])
+    d_t = spec.feedback(horizon - ensemble.times[i1])
     term_b = float(0.5 * (xs[i0] @ d_s @ xs[i0] - xs[i1] @ d_t @ xs[i1]))
 
     asym = d_k - np.swapaxes(d_k, 1, 2)
@@ -257,17 +253,3 @@ def decompose(
 
     total = float(ensemble.log_wealth[path, i1] - ensemble.log_wealth[path, i0])
     return WealthDecomposition(term_a=term_a, term_b=term_b, term_c=term_c, total=total)
-
-
-def _strategy_delta(ensemble: SimulationEnsemble) -> float:
-    """Distortion rate implied by the feedback matrix's initial condition.
-
-    D(0) = delta Theta^{-1} kappa for the optimal rule; recovering delta here
-    keeps decompose free of a separate preferences argument.
-    """
-    norm_params, _ = normalize(ensemble.params)
-    d0 = ensemble.spec.d_solution.interpolate(0.0)
-    base = np.linalg.inv(norm_params.corr) @ np.diag(norm_params.kappa)
-    num = float(np.sum(d0 * base))
-    den = float(np.sum(base * base))
-    return num / den if den > 0 else 1.0

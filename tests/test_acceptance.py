@@ -100,7 +100,7 @@ def test_criterion_06_wealth_decomposition():
         ens = simulate(params, prefs, spec, 1.0, n_steps, 4, 23,
                        x0=np.array([0.5, -0.3]), store_paths=True)
         residuals.append(max(
-            abs(decompose(ens, p, 0.0, 1.0, delta=prefs.delta).residual)
+            abs(decompose(ens, p, 0.0, 1.0).residual)
             for p in range(4)))
     assert residuals[1] < 0.7 * residuals[0]
     assert residuals[2] < 0.7 * residuals[1]
@@ -111,7 +111,7 @@ def test_criterion_06_wealth_decomposition():
         ens = simulate(special, prefs, spec, 1.0, 64, 3, 7,
                        x0=np.array([0.5, -0.3]), store_paths=True)
         for p in range(3):
-            assert decompose(ens, p, 0.0, 1.0, delta=prefs.delta).term_c == 0.0
+            assert decompose(ens, p, 0.0, 1.0).term_c == 0.0
 
 
 def test_criterion_07_misspecification_framework():
@@ -120,7 +120,8 @@ def test_criterion_07_misspecification_framework():
     horizon = 1.0
 
     # Truth reproduces the value function.
-    q = solve_Q(prefs.gamma, params, EstimatedParams.from_params(params), prefs, horizon)
+    truth = misspecified_strategy(params, EstimatedParams.from_params(params), prefs, horizon)
+    q = solve_Q(prefs.gamma, params, truth)
     a = solve_value(params, prefs, horizon)
     for t, x in ((0.0, params.theta), (0.4, params.theta + 0.2)):
         p = p_epsilon(1.5, x, t, prefs.gamma, q, params).p_value
@@ -142,7 +143,7 @@ def test_criterion_07_misspecification_framework():
         ens = simulate(params, prefs, spec, horizon, 512, 8000, 100 + k,
                        x0=x0, store_paths=False)
         for eps in (1.0, 2.0):
-            qe = solve_Q(eps, params, est, prefs, horizon)
+            qe = solve_Q(eps, params, spec)
             analytic = p_epsilon(1.0, x0, 0.0, eps, qe, params).p_value
             mc, se = ens.utility_estimate(eps)
             assert abs(mc - analytic) < 3.0 * se

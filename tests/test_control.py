@@ -4,29 +4,30 @@ import pytest
 from meanrev.control import (
     log_utility_value,
     optimal_strategy,
-    position_from_A,
     solve_value,
     value_at_mean,
     value_function,
 )
 from meanrev.errors import OutOfHorizon
 from meanrev.model import Preferences
+from meanrev.oracles import d_equation, reference_solve
 
 from conftest import random_params, two_asset
 
 
 def test_position_routes_agree(rng):
-    # First-order condition through A equals the D-based feedback rule.
+    # The rule alpha = -w D(T - t) s^-1 (x - theta) / s, with D from the
+    # D-equation integrated independently of the package's solve.
     for _ in range(5):
         params = random_params(rng, 3)
         prefs = Preferences(gamma=float(rng.choice([-4.0, -1.0, 0.5])))
         spec = optimal_strategy(params, prefs, 2.0)
-        a = solve_value(params, prefs, 2.0)
         x = params.theta + rng.standard_normal(3) * 0.3
-        for t in (0.0, 0.9, 2.0):
-            via_d = spec.position(1.5, x, t)
-            via_a = position_from_A(1.5, x, t, a, params, prefs)
-            assert np.allclose(via_d, via_a, atol=1e-8)
+        ts = (0.0, 0.9, 2.0)
+        d_ref = reference_solve(*d_equation(params, prefs), 2.0, [2.0 - t for t in ts])
+        for t, d in zip(ts, d_ref):
+            expected = -1.5 * d @ ((x - params.theta) / params.sigma) / params.sigma
+            assert np.allclose(spec.position(1.5, x, t), expected, atol=1e-8)
 
 
 @pytest.mark.parametrize("wealth", [0.0, -1.0])

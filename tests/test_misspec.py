@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meanrev.control import optimal_strategy, solve_value, value_function
 from meanrev.errors import NonPositiveVariance
@@ -12,9 +13,10 @@ from meanrev.misspec import (
     solve_Q,
 )
 from meanrev.model import Preferences
+from meanrev.oracles import d_equation, reference_solve
 from meanrev.wealth import simulate
 
-from conftest import two_asset
+from conftest import random_corr, random_params, two_asset
 
 
 def correlated_pair():
@@ -32,12 +34,36 @@ def test_true_estimates_reproduce_optimal_positions(rng):
         assert np.allclose(s_opt.position(2.0, x, t), s_mis.position(2.0, x, t), atol=1e-10)
 
 
+ratios = st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3).map(np.array)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kappa_ratio=ratios, sigma_ratio=ratios,
+       gamma=st.sampled_from([-4.0, -1.0, 0.0]))
+def test_misspecified_positions_follow_the_estimates(seed, kappa_ratio, sigma_ratio, gamma):
+    # The estimate-believer trades -w sh^-1 Dh(T - t) sh^-1 (x - theta), with
+    # Dh from the estimated model's D-equation integrated independently.
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, 3)
+    est = EstimatedParams(kappa_hat=params.kappa * kappa_ratio,
+                          sigma_hat=params.sigma * sigma_ratio, corr_hat=random_corr(rng, 3))
+    prefs = Preferences(gamma=gamma)
+    spec = misspecified_strategy(params, est, prefs, 1.0)
+    x = params.theta + rng.standard_normal(3) * 0.3
+    ts = (0.0, 0.4, 1.0)
+    d_hat = reference_solve(*d_equation(est.as_params(), prefs), 1.0, [1.0 - t for t in ts])
+    for t, d in zip(ts, d_hat):
+        expected = -1.5 * d @ ((x - params.theta) / est.sigma_hat) / est.sigma_hat
+        got = spec.position(1.5, x, t)
+        assert np.max(np.abs(got - expected)) <= 1e-8 * np.max(np.abs(expected))
+
+
 def test_p_gamma_equals_value_at_truth():
     params = correlated_pair()
     prefs = Preferences(gamma=-1.0)
     est = EstimatedParams.from_params(params)
     horizon = 1.5
-    q = solve_Q(prefs.gamma, params, est, prefs, horizon)
+    q = solve_Q(prefs.gamma, params, misspecified_strategy(params, est, prefs, horizon))
     a = solve_value(params, prefs, horizon)
     for t, x in ((0.0, params.theta), (0.0, params.theta + 0.25), (0.8, params.theta - 0.1)):
         p = p_epsilon(1.7, x, t, prefs.gamma, q, params).p_value
@@ -49,7 +75,7 @@ def test_zeroth_moment_is_trivial():
     params = correlated_pair()
     est = EstimatedParams(kappa_hat=params.kappa * 1.3, sigma_hat=params.sigma,
                           corr_hat=params.corr)
-    q0 = solve_Q(0.0, params, est, Preferences(gamma=-1.0), 1.0)
+    q0 = solve_Q(0.0, params, misspecified_strategy(params, est, Preferences(gamma=-1.0), 1.0))
     assert np.max(np.abs(q0.values)) == 0.0
     assert q0.trace_integral_at(1.0) == 0.0
     with pytest.raises(ValueError):
@@ -70,7 +96,7 @@ def test_moments_match_monte_carlo():
     ens = simulate(params, prefs, spec, horizon, 512, 8000, 42, x0=x0, store_paths=False)
     assert ens.n_excluded == 0
     for eps in (prefs.gamma, 1.0, 2.0):
-        q = solve_Q(eps, params, est, prefs, horizon)
+        q = solve_Q(eps, params, spec)
         analytic = p_epsilon(1.0, x0, 0.0, eps, q, params).p_value
         mc, se = ens.utility_estimate(eps)
         assert abs(mc - analytic) < 3.0 * se
@@ -80,8 +106,9 @@ def test_sharpe_positive_at_truth():
     params = correlated_pair()
     prefs = Preferences(gamma=-1.0)
     est = EstimatedParams.from_params(params)
-    q1 = solve_Q(1.0, params, est, prefs, 1.5)
-    q2 = solve_Q(2.0, params, est, prefs, 1.5)
+    spec = misspecified_strategy(params, est, prefs, 1.5)
+    q1 = solve_Q(1.0, params, spec)
+    q2 = solve_Q(2.0, params, spec)
     sr = sharpe(
         p_epsilon(1.0, params.theta, 0.0, 1.0, q1, params),
         p_epsilon(1.0, params.theta, 0.0, 2.0, q2, params),
@@ -93,7 +120,7 @@ def test_sharpe_rejects_wrong_exponents():
     params = correlated_pair()
     prefs = Preferences(gamma=-1.0)
     est = EstimatedParams.from_params(params)
-    q1 = solve_Q(1.0, params, est, prefs, 1.0)
+    q1 = solve_Q(1.0, params, misspecified_strategy(params, est, prefs, 1.0))
     p1 = p_epsilon(1.0, params.theta, 0.0, 1.0, q1, params)
     with pytest.raises(ValueError):
         sharpe(p1, p1)

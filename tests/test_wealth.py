@@ -79,7 +79,7 @@ def test_decomposition_identity_and_order():
     for n_steps in (128, 256, 512):
         ens = simulate(params, prefs, spec, horizon, n_steps, 4, 23,
                        x0=np.array([0.5, -0.3]), store_paths=True)
-        res = [abs(decompose(ens, p, 0.0, horizon, delta=prefs.delta).residual)
+        res = [abs(decompose(ens, p, 0.0, horizon).residual)
                for p in range(4)]
         residuals.append(max(res))
     # Halving the step should at least halve the residual (order >= 1),
@@ -95,7 +95,7 @@ def test_decomposition_subinterval():
     ens = simulate(params, prefs, spec, 1.0, 256, 2, 5,
                    x0=np.array([0.4, 0.1]), store_paths=True)
     s, t = ens.times[64], ens.times[192]
-    dec = decompose(ens, 0, s, t, delta=prefs.delta)
+    dec = decompose(ens, 0, s, t)
     assert abs(dec.residual) < 5e-3
     assert dec.total == pytest.approx(
         ens.log_wealth[0, 192] - ens.log_wealth[0, 64])
@@ -108,7 +108,7 @@ def test_term_c_zero_uncorrelated():
     ens = simulate(params, prefs, spec, 1.0, 64, 3, 7,
                    x0=np.array([0.5, -0.3]), store_paths=True)
     for p in range(3):
-        assert decompose(ens, p, 0.0, 1.0, delta=prefs.delta).term_c == 0.0
+        assert decompose(ens, p, 0.0, 1.0).term_c == 0.0
 
 
 def test_term_c_zero_common_kappa():
@@ -118,7 +118,7 @@ def test_term_c_zero_common_kappa():
     ens = simulate(params, prefs, spec, 1.0, 64, 3, 7,
                    x0=np.array([0.5, -0.3]), store_paths=True)
     for p in range(3):
-        assert decompose(ens, p, 0.0, 1.0, delta=prefs.delta).term_c == 0.0
+        assert decompose(ens, p, 0.0, 1.0).term_c == 0.0
 
 
 def test_decompose_requires_grid_times():
@@ -127,7 +127,7 @@ def test_decompose_requires_grid_times():
     spec = optimal_strategy(params, prefs, 1.0)
     ens = simulate(params, prefs, spec, 1.0, 64, 1, 1, store_paths=True)
     with pytest.raises(OutOfRange):
-        decompose(ens, 0, 0.0, 0.5 + 1e-4, delta=1.0)
+        decompose(ens, 0, 0.0, 0.5 + 1e-4)
 
 
 def test_decompose_needs_stored_paths():
@@ -137,14 +137,3 @@ def test_decompose_needs_stored_paths():
     ens = simulate(params, prefs, spec, 1.0, 8, 1, 1, store_paths=False)
     with pytest.raises(ValueError):
         decompose(ens, 0, 0.0, 1.0)
-
-
-def test_strategy_delta_projection_fallback():
-    params = two_asset(rho=0.3)
-    prefs = Preferences(gamma=-4.0)
-    spec = optimal_strategy(params, prefs, 1.0)
-    ens = simulate(params, prefs, spec, 1.0, 128, 1, 2,
-                   x0=np.array([0.2, 0.2]), store_paths=True)
-    with_delta = decompose(ens, 0, 0.0, 1.0, delta=prefs.delta)
-    inferred = decompose(ens, 0, 0.0, 1.0)
-    assert with_delta.term_a == pytest.approx(inferred.term_a, abs=1e-10)
