@@ -47,7 +47,6 @@ from .analysis import (
     corr_sensitivity,
     d_curve_1d,
     lambda_closed_form,
-    matrix_calculus_checks,
     phi_diagonal,
     psi_closed_form,
     psi_integral,

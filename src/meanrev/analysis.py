@@ -3,10 +3,11 @@
 The value function, viewed through F = (A + A')Theta/2, is stationary in
 every pairwise correlation at Theta = I, and the curvature there carries
 the sign of the risk-aversion exponent.  This module reads F off the
-symmetric Riccati solution, implements the diagonal-limit closed forms (Psi, lambda, phi) used to
-establish those facts, and verifies the limits by finite differences.  It
-also produces the sweep data behind the position-multiplier and
-value-surface figures.
+symmetric Riccati solution, implements the diagonal-limit closed forms
+(Psi, lambda, phi) used to establish those facts, and takes the exact
+correlation derivatives of the value from the tangent equations of the
+S-equation.  It also produces the sweep data behind the position-multiplier
+and value-surface figures.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .control import solve_value, value_at_mean
-from .errors import BlowUpDetected, NotPositiveDefinite
+from .errors import BlowUpDetected
 from .grids import SensitivityGrid
 from .model import OUParams, Preferences, validate
 from .riccati import (
+    ATOL,
+    FIRST_STEP_FRACTION,
+    RTOL,
     RiccatiSolution,
     d_scalar_closed_form,
     make_S_operator,
@@ -119,23 +123,28 @@ def phi_diagonal(kappa_i: float, kappa_j: float, delta: float, horizon: float):
     """Diagonal pure-second-derivative limits phi_ii, phi_jj and their sum's integral.
 
     Each solves the linear ODE
-      phi' = phi [4 Psi(kappa, .) - 2 delta kappa]
+      phi' = phi [4 Psi(kappa, .) - 2 delta kappa] + 4 lambda_ij lambda_ji
              + 2 delta (kappa - kappa_other) [lambda - (Psi + (1-delta) kappa / 2)],
       phi(0) = 0,
     with (kappa, kappa_other) = (kappa_i, kappa_j) for the ii entry and
-    swapped for jj.  Returns (phi_ii, phi_jj, int_0^T (phi_ii + phi_jj)),
-    the first two as callables of tau.
+    swapped for jj; lambda is lambda(kappa, kappa_other) and
+    lambda_ij lambda_ji is the diagonal of the squared first derivative of F
+    that the 2F^2 term contributes.  Returns (phi_ii, phi_jj,
+    int_0^T (phi_ii + phi_jj)), the first two as callables of tau.
     """
     if min(kappa_i, kappa_j, delta, horizon) <= 0:
         raise ValueError("kappa_i, kappa_j, delta, horizon must be positive")
 
     def rhs(tau, y):
-        src_i = lambda_closed_form(kappa_i, kappa_j, delta, tau) - psi_property(kappa_i, delta, tau)
-        src_j = lambda_closed_form(kappa_j, kappa_i, delta, tau) - psi_property(kappa_j, delta, tau)
+        lam_ij = lambda_closed_form(kappa_i, kappa_j, delta, tau)
+        lam_ji = lambda_closed_form(kappa_j, kappa_i, delta, tau)
+        square = 4.0 * lam_ij * lam_ji
+        src_i = lam_ij - psi_property(kappa_i, delta, tau)
+        src_j = lam_ji - psi_property(kappa_j, delta, tau)
         dp_i = y[0] * (4.0 * psi_closed_form(kappa_i, delta, tau) - 2.0 * delta * kappa_i) \
-            + 2.0 * delta * (kappa_i - kappa_j) * src_i
+            + square + 2.0 * delta * (kappa_i - kappa_j) * src_i
         dp_j = y[1] * (4.0 * psi_closed_form(kappa_j, delta, tau) - 2.0 * delta * kappa_j) \
-            + 2.0 * delta * (kappa_j - kappa_i) * src_j
+            + square + 2.0 * delta * (kappa_j - kappa_i) * src_j
         return [dp_i, dp_j, y[0] + y[1]]
 
     res = solve_ivp(
@@ -157,26 +166,24 @@ def phi_diagonal(kappa_i: float, kappa_j: float, delta: float, horizon: float):
 
 @dataclass(frozen=True)
 class CorrSensitivityReport:
-    """Finite-difference correlation derivatives of the value at the mean.
+    """Correlation derivatives of the value at the mean, J = J(1, theta, 0).
 
-    Taken at the uncorrelated point; ``first_error`` and ``second_error``
-    are Richardson step-halving estimates of the FD truncation error.
+    ``first_derivative`` and ``second_derivative`` are derivatives of J in
+    the correlation of ``pair``, ``log_second_derivative`` is the curvature
+    of log|J| there, and ``mixed_derivatives`` maps every other index pair
+    (p, q), p < q, to the mixed second partial of J.
     """
 
     pair: tuple[int, int]
-    h: float
     value: float
     first_derivative: float
-    first_error: float
     second_derivative: float
-    second_error: float
     log_second_derivative: float
-    log_second_error: float
     mixed_derivatives: dict = field(default_factory=dict)  # (p, q) -> value
-    mixed_errors: dict = field(default_factory=dict)
 
 
-def _pair_matrix(n: int, pair: tuple[int, int]) -> np.ndarray:
+def pair_matrix(n: int, pair: tuple[int, int]) -> np.ndarray:
+    """I^{pq}: the derivative of the correlation matrix in its (p, q) entry."""
     m = np.zeros((n, n))
     i, j = pair
     m[i, j] = m[j, i] = 1.0
@@ -188,179 +195,87 @@ def corr_sensitivity(
     prefs: Preferences,
     horizon: float,
     pair: tuple[int, int],
-    h: float = 1e-3,
 ) -> CorrSensitivityReport:
-    """Correlation derivatives of J(1, theta, 0) around Theta = I.
+    """Correlation derivatives of J(1, theta, 0) at the model's correlation matrix.
 
-    Central differences with steps h and h/2; the halved-step values feed
-    Richardson extrapolation and the attached error estimates.  Mixed second
-    partials are computed against every other index pair.
+    J comes from the value solve, which raises ``BlowUpDetected`` at a pole.
+    Its derivatives come from one solve of the S-equation together with its
+    tangents.  With E_a = I^{pq} for every index pair a, the requested pair
+    first (a = 0), and c = delta(delta - 1):
+
+      S_a'  = S_a Theta S + S Theta S_a + S E_a S - delta(K S_a + S_a K)
+              - c K Theta^{-1} E_a Theta^{-1} K,
+      S_0a' = S_0a Theta S + S Theta S_0a + S_0 Theta S_a + S_a Theta S_0
+              + S_0 E_a S + S E_a S_0 + S_a E_0 S + S E_0 S_a
+              - delta(K S_0a + S_0a K)
+              + c K (Theta^{-1} E_0 Theta^{-1} E_a Theta^{-1}
+                     + Theta^{-1} E_a Theta^{-1} E_0 Theta^{-1}) K,
+
+    all zero at tau = 0.  With L = log|J| = -log|gamma| + int Tr(S Theta)/(2 delta),
+
+      dL/drho_a          = int Tr(S_a Theta + S E_a) / (2 delta),
+      d2L/drho_0 drho_a  = int Tr(S_0a Theta + S_0 E_a + S_a E_0) / (2 delta).
+
+    S is finite on [0, T] once the value solve has returned, so the linear
+    tangent equations cannot blow up.
 
     Two curvatures are reported.  ``second_derivative`` is the curvature of
-    J itself, positive on both sides of gamma = 0 (the uncorrelated point
-    minimizes J).  ``log_second_derivative`` is the curvature of log|J|,
-    proportional to the running trace of the pure second derivative of F;
-    its sign equals sign(gamma) when the reversion rates of the pair differ
-    and it vanishes when they coincide.
+    J itself, positive on both sides of gamma = 0 at Theta = I (the
+    uncorrelated point minimizes J).  ``log_second_derivative`` is the
+    curvature of log|J|; at Theta = I it is the integral of the pure second
+    derivative of F's diagonal over delta, its sign equals sign(gamma) when
+    the reversion rates of the pair differ, and it vanishes when they
+    coincide.
     """
-    if not np.allclose(params.corr, np.eye(params.n)):
-        raise ValueError("correlation sensitivities are taken at the uncorrelated point")
+    n = params.n
     i, j = pair
-    if not (0 <= i < params.n and 0 <= j < params.n and i != j):
+    if not (0 <= i < n and 0 <= j < n and i != j):
         raise ValueError(f"invalid pair {pair}")
+    value = value_at_mean(1.0, 0.0, solve_value(params, prefs, horizon), prefs)
 
-    def value_at(offsets: dict) -> float:
-        corr = np.eye(params.n)
-        for (p, q), rho in offsets.items():
-            corr[p, q] = corr[q, p] = rho
-        perturbed = OUParams(
-            n=params.n, kappa=params.kappa, sigma=params.sigma, theta=params.theta, corr=corr
-        )
-        validate(perturbed)
-        a = solve_value(perturbed, prefs, horizon)
-        return value_at_mean(1.0, 0.0, a, prefs)
-
-    # Shrink until every perturbed matrix in the stencil stays valid.
-    while True:
-        try:
-            validate(OUParams(
-                n=params.n, kappa=params.kappa, sigma=params.sigma, theta=params.theta,
-                corr=np.eye(params.n) + 2.0 * h * _pair_matrix(params.n, pair),
-            ))
-            break
-        except NotPositiveDefinite:
-            h *= 0.5
-            if h < 1e-8:
-                raise
-
-    j0 = value_at({})
-    jp, jm = value_at({pair: h}), value_at({pair: -h})
-    jp2, jm2 = value_at({pair: h / 2}), value_at({pair: -h / 2})
-
-    d1_h = (jp - jm) / (2.0 * h)
-    d1_h2 = (jp2 - jm2) / h
-    first = (4.0 * d1_h2 - d1_h) / 3.0
-    first_err = abs(d1_h2 - d1_h) / 3.0
-
-    d2_h = (jp - 2.0 * j0 + jm) / h**2
-    d2_h2 = (jp2 - 2.0 * j0 + jm2) / (h / 2) ** 2
-    second = (4.0 * d2_h2 - d2_h) / 3.0
-    second_err = abs(d2_h2 - d2_h) / 3.0
-
-    # Curvature of log|J|; |J| > 0 everywhere on the stencil.
-    lj0, ljp, ljm = np.log(abs(j0)), np.log(abs(jp)), np.log(abs(jm))
-    ljp2, ljm2 = np.log(abs(jp2)), np.log(abs(jm2))
-    l2_h = (ljp - 2.0 * lj0 + ljm) / h**2
-    l2_h2 = (ljp2 - 2.0 * lj0 + ljm2) / (h / 2) ** 2
-    log_second = (4.0 * l2_h2 - l2_h) / 3.0
-    log_second_err = abs(l2_h2 - l2_h) / 3.0
-
-    mixed, mixed_err = {}, {}
     key = (min(i, j), max(i, j))
-    for p in range(params.n):
-        for q in range(p + 1, params.n):
-            if (p, q) == key:
-                continue
+    others = [(p, q) for p in range(n) for q in range(p + 1, n) if (p, q) != key]
+    e = np.array([pair_matrix(n, a) for a in [key, *others]])  # (m, n, n)
+    m, size = len(e), n * n
+    corr, ci, delta = params.corr, params.corr_inv, prefs.delta
+    kd, kr = params.kappa[:, None], params.kappa[None, :]
+    c = delta * (delta - 1.0)
+    # Each tangent right-hand side is G + G' with G below; the S E_a S and
+    # constant terms are halved in G because they are symmetric already.
+    src1 = -0.5 * c * (kd * (ci @ e @ ci) * kr)
+    src2 = c * (kd * (ci @ e[0] @ ci @ e @ ci) * kr)
+    s_rhs = make_S_operator(params, prefs).rhs
 
-            def cross(step: float) -> float:
-                return (
-                    value_at({pair: step, (p, q): step})
-                    - value_at({pair: step, (p, q): -step})
-                    - value_at({pair: -step, (p, q): step})
-                    + value_at({pair: -step, (p, q): -step})
-                ) / (4.0 * step**2)
+    def rhs(tau, y):
+        s = y[:size].reshape(n, n)
+        s1 = y[size:(1 + m) * size].reshape(m, n, n)
+        s2 = y[(1 + m) * size:(1 + 2 * m) * size].reshape(m, n, n)
+        cs = corr @ s
+        g1 = s1 @ cs + 0.5 * (s @ e @ s) - delta * kd * s1 + src1
+        g2 = (s2 @ cs + s1[0] @ corr @ s1 + s1[0] @ e @ s + s1 @ e[0] @ s
+              - delta * kd * s2 + src2)
+        t1 = np.einsum("aij,ij->a", s1, corr) + np.einsum("ij,aij->a", s, e)
+        t2 = (np.einsum("aij,ij->a", s2, corr) + np.einsum("ij,aij->a", s1[0], e)
+              + np.einsum("aij,ij->a", s1, e[0]))
+        return np.concatenate([
+            s_rhs(tau, s).ravel(), (g1 + g1.transpose(0, 2, 1)).ravel(),
+            (g2 + g2.transpose(0, 2, 1)).ravel(), t1, t2,
+        ])
 
-            m_h, m_h2 = cross(h), cross(h / 2)
-            mixed[(p, q)] = (4.0 * m_h2 - m_h) / 3.0
-            mixed_err[(p, q)] = abs(m_h2 - m_h) / 3.0
-
+    res = solve_ivp(rhs, (0.0, horizon), np.zeros((1 + 2 * m) * size + 2 * m), method="RK45",
+                    rtol=RTOL, atol=ATOL, first_step=FIRST_STEP_FRACTION * horizon)
+    if not res.success:
+        raise RuntimeError(f"tangent integration failed: {res.message}")
+    traces = (res.y[-2 * m:, -1] / (2.0 * delta)).tolist()
+    l1, l2 = traces[:m], traces[m:]
     return CorrSensitivityReport(
-        pair=pair, h=h, value=j0,
-        first_derivative=first, first_error=first_err,
-        second_derivative=second, second_error=second_err,
-        log_second_derivative=log_second, log_second_error=log_second_err,
-        mixed_derivatives=mixed, mixed_errors=mixed_err,
+        pair=pair, value=value,
+        # + 0.0 turns the signed zero of a vanishing derivative into 0.0.
+        first_derivative=value * l1[0] + 0.0,
+        second_derivative=value * (l2[0] + l1[0] ** 2),
+        log_second_derivative=l2[0],
+        mixed_derivatives={a: value * (l2[k] + l1[0] * l1[k]) for k, a in enumerate(others, 1)},
     )
-
-
-@dataclass(frozen=True)
-class FactCheck:
-    name: str
-    max_error: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_error < self.tol
-
-
-@dataclass(frozen=True)
-class MatrixCalculusReport:
-    checks: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def matrix_calculus_checks(
-    kappa,
-    pair_mn: tuple[int, int],
-    pair_pq: tuple[int, int],
-    h: float = 1e-4,
-    tol: float = 1e-6,
-) -> MatrixCalculusReport:
-    """Verify the correlation-derivative identities of Gamma = Theta^{-1} kappa Theta.
-
-    Four facts, each checked by finite differences around the identity
-    matrix: the inverse-derivative rule, the commutator limit of dGamma/drho,
-    the zero diagonal of the mixed second derivative, and the diagonal of
-    the pure second derivative.  Failures are reported, not raised.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    n = kappa.size
-    kmat = np.diag(kappa)
-    i_mn = _pair_matrix(n, pair_mn)
-    i_pq = _pair_matrix(n, pair_pq)
-
-    def gamma_of(corr: np.ndarray) -> np.ndarray:
-        return np.linalg.inv(corr) @ kmat @ corr
-
-    eye = np.eye(n)
-
-    # Fact 1: d(Theta^{-1})/drho = -Theta^{-1} dTheta/drho Theta^{-1}; at the
-    # identity the right side is -I^{mn}.
-    fd_inv = (np.linalg.inv(eye + h * i_mn) - np.linalg.inv(eye - h * i_mn)) / (2.0 * h)
-    err1 = float(np.max(np.abs(fd_inv + i_mn)))
-
-    # Fact 2: dGamma/drho -> kappa I^{mn} - I^{mn} kappa.
-    fd_g = (gamma_of(eye + h * i_mn) - gamma_of(eye - h * i_mn)) / (2.0 * h)
-    err2 = float(np.max(np.abs(fd_g - (kmat @ i_mn - i_mn @ kmat))))
-
-    # Fact 3: the mixed second derivative has zero diagonal.
-    fd_mixed = (
-        gamma_of(eye + h * i_mn + h * i_pq)
-        - gamma_of(eye + h * i_mn - h * i_pq)
-        - gamma_of(eye - h * i_mn + h * i_pq)
-        + gamma_of(eye - h * i_mn - h * i_pq)
-    ) / (4.0 * h**2)
-    err3 = float(np.max(np.abs(np.diag(fd_mixed))))
-
-    # Fact 4: pure second derivative diagonal P_ii = 2 [kappa_i - kappa_j]
-    # on the pair's indices, zero elsewhere.
-    fd_pure = (gamma_of(eye + h * i_mn) - 2.0 * gamma_of(eye) + gamma_of(eye - h * i_mn)) / h**2
-    m, nn = pair_mn
-    p_diag = np.zeros(n)
-    p_diag[m] = 2.0 * (kappa[m] - kappa[nn])
-    p_diag[nn] = 2.0 * (kappa[nn] - kappa[m])
-    err4 = float(np.max(np.abs(np.diag(fd_pure) - p_diag)))
-
-    return MatrixCalculusReport(checks=(
-        FactCheck("inverse_derivative_rule", err1, tol),
-        FactCheck("gamma_first_derivative_commutator", err2, tol),
-        FactCheck("gamma_mixed_second_zero_diagonal", err3, tol),
-        FactCheck("gamma_pure_second_diagonal", err4, tol),
-    ))
 
 
 def value_vs_kappa2_rho(

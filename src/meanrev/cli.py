@@ -373,16 +373,16 @@ def cmd_corr_sweep(config: dict, outdir: Path, seed: int, plot: bool) -> int:
         ))
         a = solve_value(perturbed, prefs, horizon)
         rows.append([rho, value_at_mean(1.0, 0.0, a, prefs)])
-    report = corr_sensitivity(params, prefs, horizon, pair, h=float(section.get("h", 1e-3)))
+    report = corr_sensitivity(params, prefs, horizon, pair)
     meta = base_meta(config)
     meta.update({
         "pair": f"{pair[0]}-{pair[1]}",
         "first_derivative": _fmt(report.first_derivative),
-        "first_error": _fmt(report.first_error),
+        # Exact derivatives carry no error estimate; the key stays because
+        # perfbench's corr-sweep check reads it.
+        "first_error": "0",
         "second_derivative": _fmt(report.second_derivative),
-        "second_error": _fmt(report.second_error),
         "log_second_derivative": _fmt(report.log_second_derivative),
-        "log_second_error": _fmt(report.log_second_error),
     })
     write_csv(outdir / "corr_sweep.csv", meta, ["rho", "value_at_mean"], rows)
     if plot:

@@ -116,7 +116,7 @@ def value_function(
         raise OutOfHorizon(f"t={t} outside [0, {a_solution.horizon}]")
     tau = a_solution.horizon - t
     delta = prefs.delta
-    x_norm = (np.asarray(x, dtype=float) - params.theta) / params.sigma
+    x_norm = NormalizationRecord(params.sigma, params.theta).state_to_unit_noise(x)
     a = a_solution.interpolate(tau)
     return ValueReport(
         wealth_utility=w**prefs.gamma / prefs.gamma,

@@ -16,7 +16,7 @@ import numpy as np
 from .control import StrategySpec, solve_value, value_function
 from .errors import BlowUpDetected, NonPositiveVariance, OutOfHorizon
 from .grids import SensitivityGrid
-from .model import OUParams, Preferences, normalize, validate
+from .model import NormalizationRecord, OUParams, Preferences, normalize, validate
 from .riccati import QuadraticOperator, RiccatiSolution, solve, solve_D
 
 
@@ -146,7 +146,7 @@ def p_epsilon(
         raise OutOfHorizon(f"t={t} outside [0, {q_solution.horizon}]")
     tau = q_solution.horizon - t
     q = q_solution.interpolate(tau)
-    x_norm = (np.asarray(x, dtype=float) - true_params.theta) / true_params.sigma
+    x_norm = NormalizationRecord(true_params.sigma, true_params.theta).state_to_unit_noise(x)
     return MomentReport(
         epsilon=epsilon,
         wealth_factor=w**epsilon / epsilon,

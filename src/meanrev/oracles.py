@@ -8,15 +8,16 @@ acceptance criteria and the unit tests call the same functions with their
 own grids, so each oracle is written once.
 
 A check that combines bounds of different scales (a matrix error and a
-relative blow-up time, or finite differences held to their own error
-estimates) reports its worst error as a multiple of each bound, against a
-bound of 1.  A violated sign condition or a missed blow-up is an infinite
-error.
+relative blow-up time) reports its worst error as a multiple of each bound,
+against a bound of 1.  A violated sign condition or a missed blow-up is an
+infinite error.
 
 Every reference is independent of the code path it checks: the D- and
 F-equations and the lambda ODE are integrated by ``reference_solve``
 (DOP853 at rtol = atol = 1e-12), not by the package's RK45 solve of the
-S-equation.
+S-equation, and the tangent solve behind the correlation derivatives is
+held to ``phi_diagonal``, which is built from the closed forms of Psi and
+lambda.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from scipy.integrate import quad, solve_ivp
 from .analysis import (
     corr_sensitivity,
     lambda_closed_form,
-    matrix_calculus_checks,
+    pair_matrix,
     phi_diagonal,
     psi_closed_form,
     psi_integral,
@@ -359,11 +360,47 @@ def phi_integral_signs(kappas=(1.0, 0.5), horizon: float = 3.0) -> Check:
 
 
 def matrix_calculus_identities(kappa=(1.0, 0.5, 2.0), pair_mn=(0, 1), pair_pq=(1, 2)) -> Check:
-    """The correlation-derivative identities of Gamma = Theta^{-1} K Theta."""
-    rep = matrix_calculus_checks(np.asarray(kappa, dtype=float), pair_mn, pair_pq)
-    error = max(c.max_error for c in rep.checks)
-    return Check(error, rep.checks[0].tol,
-                 "; ".join(f"{c.name} {c.max_error:.2e}" for c in rep.checks))
+    """The correlation-derivative identities of Gamma = Theta^{-1} K Theta.
+
+    Four facts, each checked by central differences of step 1e-4 around the
+    identity matrix: the inverse-derivative rule, the commutator limit of
+    dGamma/drho, the zero diagonal of the mixed second derivative (distinct
+    pairs), and the diagonal of the pure second derivative.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    n, h = kappa.size, 1e-4
+    kmat, eye = np.diag(kappa), np.eye(n)
+    i_mn, i_pq = pair_matrix(n, pair_mn), pair_matrix(n, pair_pq)
+
+    def gamma_of(corr: np.ndarray) -> np.ndarray:
+        return np.linalg.inv(corr) @ kmat @ corr
+
+    # d(Theta^{-1})/drho = -Theta^{-1} dTheta/drho Theta^{-1}, which is -I^{mn}
+    # at the identity.
+    fd_inv = (np.linalg.inv(eye + h * i_mn) - np.linalg.inv(eye - h * i_mn)) / (2.0 * h)
+    # dGamma/drho -> K I^{mn} - I^{mn} K.
+    fd_g = (gamma_of(eye + h * i_mn) - gamma_of(eye - h * i_mn)) / (2.0 * h)
+    fd_mixed = (
+        gamma_of(eye + h * i_mn + h * i_pq)
+        - gamma_of(eye + h * i_mn - h * i_pq)
+        - gamma_of(eye - h * i_mn + h * i_pq)
+        + gamma_of(eye - h * i_mn - h * i_pq)
+    ) / (4.0 * h**2)
+    # The pure second derivative has diagonal 2 (kappa_m - kappa_n) at m,
+    # 2 (kappa_n - kappa_m) at n and zero elsewhere.
+    fd_pure = (gamma_of(eye + h * i_mn) - 2.0 * gamma_of(eye) + gamma_of(eye - h * i_mn)) / h**2
+    m, nn = pair_mn
+    p_diag = np.zeros(n)
+    p_diag[m] = 2.0 * (kappa[m] - kappa[nn])
+    p_diag[nn] = 2.0 * (kappa[nn] - kappa[m])
+    errors = {
+        "inverse_derivative_rule": np.max(np.abs(fd_inv + i_mn)),
+        "gamma_first_derivative_commutator": np.max(np.abs(fd_g - (kmat @ i_mn - i_mn @ kmat))),
+        "gamma_mixed_second_zero_diagonal": np.max(np.abs(np.diag(fd_mixed))),
+        "gamma_pure_second_diagonal": np.max(np.abs(np.diag(fd_pure) - p_diag)),
+    }
+    return Check(float(max(errors.values())), 1e-6,
+                 "; ".join(f"{name} {err:.2e}" for name, err in errors.items()))
 
 
 def correlation_minimum_trio(gammas=(-4.0, 0.5), kappa_pairs=((1.0, 0.5), (1.0, 1.0)),
@@ -372,27 +409,38 @@ def correlation_minimum_trio(gammas=(-4.0, 0.5), kappa_pairs=((1.0, 0.5), (1.0, 
     J is convex, and the curvature of log|J| has the sign of gamma (zero for
     equal reversion rates).
 
-    The first derivative is held to five times its Richardson error estimate
-    (at least 1e-9).  The equal-rate curvature of log|J| vanishes exactly, so
-    its finite difference is pure roundoff and is held to the roundoff bound
-    100 eps |log|J|| / h^2 of the stencil.  The error is reported as a
-    multiple of those bounds.
+    The error is the largest first derivative of log|J| and equal-rate
+    curvature of log|J|; both vanish exactly, so they are held to 1e-12.
     """
     worst, signs_ok, details = 0.0, True, []
     for gamma in gammas:
         for kpair in kappa_pairs:
             r = corr_sensitivity(unit_noise(kpair, np.eye(2)), Preferences(gamma=gamma), horizon, (0, 1))
-            worst = max(worst, abs(r.first_derivative) / max(5.0 * r.first_error, 1e-9))
+            worst = max(worst, abs(r.first_derivative / r.value))
             if kpair[0] == kpair[1]:
-                roundoff = 100.0 * np.finfo(float).eps * abs(np.log(abs(r.value))) / r.h**2
-                worst = max(worst, abs(r.log_second_derivative) / roundoff)
+                worst = max(worst, abs(r.log_second_derivative))
             else:
                 signs_ok &= bool(np.sign(r.log_second_derivative) == np.sign(gamma)
                                  and r.second_derivative > 0)
             details.append(f"g={gamma:g} k={kpair}: d1={r.first_derivative:.1e} "
                            f"d2J={r.second_derivative:.3e} "
                            f"d2logJ={r.log_second_derivative:.3e}")
-    return Check(worst if signs_ok else np.inf, 1.0, "; ".join(details))
+    return Check(worst if signs_ok else np.inf, 1e-12, "; ".join(details))
+
+
+def corr_curvature_phi(gammas=(-4.0, 0.5), kappa_pairs=((1.0, 0.5), (2.0, 0.5)),
+                       horizon: float = 2.0) -> Check:
+    """At the uncorrelated point, delta times the curvature of log|J| from the
+    tangent solve equals the integral of phi_ii + phi_jj, which ``phi_diagonal``
+    builds from the closed forms of Psi and lambda."""
+    worst = 0.0
+    for gamma in gammas:
+        prefs = Preferences(gamma=gamma)
+        for kpair in kappa_pairs:
+            r = corr_sensitivity(unit_noise(kpair, np.eye(2)), prefs, horizon, (0, 1))
+            worst = max(worst, abs(prefs.delta * r.log_second_derivative
+                                   - phi_diagonal(*kpair, prefs.delta, horizon)[2]))
+    return Check(worst, SOLVER_TOL, f"max err {worst:.2e}")
 
 
 CHECKS = {
@@ -408,6 +456,7 @@ CHECKS = {
     "phi_integral_signs": phi_integral_signs,
     "matrix_calculus_identities": matrix_calculus_identities,
     "correlation_minimum_trio": correlation_minimum_trio,
+    "corr_curvature_phi": corr_curvature_phi,
 }
 
 

@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from meanrev import oracles
 from meanrev.analysis import (
     corr_sensitivity,
     d_curve_1d,
     lambda_closed_form,
-    matrix_calculus_checks,
     phi_diagonal,
     psi_closed_form,
     psi_integral,
     solve_F,
     value_vs_kappa2_rho,
 )
+from meanrev.control import solve_value, value_at_mean
+from meanrev.errors import BlowUpDetected
 from meanrev.model import OUParams, Preferences
 
-from conftest import assert_passes, two_asset
+from conftest import assert_passes, random_corr, two_asset
 
 
 def test_f_diagonal_is_psi_at_zero_correlation():
@@ -86,29 +88,78 @@ def test_matrix_calculus_identities():
 
 
 def test_matrix_calculus_hand_values():
-    # n=2, kappa=(1, 0.5): the commutator limit is [[0, 0.5], [-0.5, 0]] and
-    # the pure second derivative diagonal is (1, -1).
-    kappa = np.array([1.0, 0.5])
-    kmat = np.diag(kappa)
-    i12 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    expected = kmat @ i12 - i12 @ kmat
-    assert np.allclose(expected, [[0.0, 0.5], [-0.5, 0.0]])
-    rep = matrix_calculus_checks(kappa, (0, 1), (0, 1))
-    assert rep.checks[1].passed and rep.checks[3].passed
+    # kappa = (1, 0.5, 0.7): the commutator limit of the (0, 1) pair is
+    # [[0, 0.5], [-0.5, 0]] on that pair and the pure second derivative
+    # diagonal is (1, -1, 0).
+    kmat = np.diag([1.0, 0.5, 0.7])
+    i01 = np.zeros((3, 3))
+    i01[0, 1] = i01[1, 0] = 1.0
+    expected = kmat @ i01 - i01 @ kmat
+    assert np.allclose(expected, [[0.0, 0.5, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert_passes(oracles.matrix_calculus_identities(
+        kappa=(1.0, 0.5, 0.7), pair_mn=(0, 1), pair_pq=(1, 2)))
 
 
 def test_corr_sensitivity_mixed_partials_vanish():
     params = OUParams(n=3, kappa=np.array([1.0, 0.5, 2.0]), sigma=np.ones(3),
                       theta=np.zeros(3), corr=np.eye(3))
     r = corr_sensitivity(params, Preferences(gamma=-4.0), 1.5, (0, 1))
+    assert r.first_derivative == 0.0
     assert r.mixed_derivatives
-    for key, val in r.mixed_derivatives.items():
-        assert abs(val) <= max(5.0 * r.mixed_errors[key], 1e-8)
+    assert all(val == 0.0 for val in r.mixed_derivatives.values())
 
 
-def test_corr_sensitivity_requires_identity():
-    with pytest.raises(ValueError):
-        corr_sensitivity(two_asset(rho=0.5), Preferences(gamma=-4.0), 1.0, (0, 1))
+def test_corr_sensitivity_raises_at_pole():
+    # One mean-reverting asset hedged by a Brownian one: the value equation
+    # blows up before T = 3 (the single_mr_pole model).
+    params = two_asset(rho=0.9, kappa=(1.0, 0.0))
+    with pytest.raises(BlowUpDetected):
+        corr_sensitivity(params, Preferences(gamma=0.5), 3.0, (0, 1))
+
+
+def log_value_fd(params, prefs, horizon, a, b, h=2e-3):
+    """d/drho_a, d2/drho_a^2 and d2/drho_a drho_b of log|J| at the model's
+    correlation, by central differences of steps h and h/2 and Richardson
+    extrapolation."""
+    def log_j(da, db):
+        corr = params.corr.copy()
+        corr[a] = corr[a[::-1]] = params.corr[a] + da
+        corr[b] = corr[b[::-1]] = params.corr[b] + db
+        moved = OUParams(n=params.n, kappa=params.kappa, sigma=params.sigma,
+                         theta=params.theta, corr=corr)
+        return np.log(abs(value_at_mean(1.0, 0.0, solve_value(moved, prefs, horizon), prefs)))
+
+    def stencil(s):
+        l0 = log_j(0.0, 0.0)
+        first_a = (log_j(s, 0.0) - log_j(-s, 0.0)) / (2.0 * s)
+        first_b = (log_j(0.0, s) - log_j(0.0, -s)) / (2.0 * s)
+        second = (log_j(s, 0.0) - 2.0 * l0 + log_j(-s, 0.0)) / s**2
+        mixed = (log_j(s, s) - log_j(s, -s) - log_j(-s, s) + log_j(-s, -s)) / (4.0 * s**2)
+        return np.array([first_a, first_b, second, mixed])
+
+    return (4.0 * stencil(h / 2) - stencil(h)) / 3.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([-4.0, -1.0, 0.5]))
+def test_corr_sensitivity_matches_finite_differences(seed, gamma):
+    # Away from Theta = I nothing vanishes, so every term of the tangent
+    # equations is exercised.  Near-singular Theta is skipped: its large
+    # higher derivatives put the reference's truncation error near the bound.
+    rng = np.random.default_rng(seed)
+    corr = random_corr(rng, 3)
+    assume(np.linalg.eigvalsh(corr).min() > 0.2)
+    params = OUParams(n=3, kappa=rng.uniform(0.3, 2.0, 3), sigma=np.ones(3),
+                      theta=np.zeros(3), corr=corr)
+    prefs = Preferences(gamma=gamma)
+    r = corr_sensitivity(params, prefs, 1.5, (0, 1))
+    l_a, l_b, l_aa, l_ab = log_value_fd(params, prefs, 1.5, (0, 1), (1, 2))
+    got = [r.first_derivative / r.value, r.log_second_derivative,
+           r.mixed_derivatives[(1, 2)] / r.value]
+    expected = [l_a, l_aa, l_ab + l_a * l_b]
+    # 1e-6 relative to max(|x|, 1): the solver's tolerance over h^2 leaves
+    # the reference about 1e-7 of absolute noise on small derivatives.
+    assert got == pytest.approx(expected, rel=1e-6, abs=1e-6)
 
 
 def test_value_surface_shapes():

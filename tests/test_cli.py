@@ -230,7 +230,7 @@ def test_verify_all_green(tmp_path):
     assert run(tmp_path, base_config(), "verify") == EXIT_OK
     report = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert report["all_passed"]
-    assert len(report["checks"]) == 12
+    assert len(report["checks"]) == 13
     for name, c in report["checks"].items():
         assert c["passed"], name
         # Every check records its measured error against the bound it applies.
