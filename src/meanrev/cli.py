@@ -362,11 +362,9 @@ def cmd_corr_sweep(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     section = config.get("corr_sweep", {})
     pair = tuple(section.get("pair", [0, 1]))
     rhos = np.asarray(section.get("rho_grid", np.linspace(-0.9, 0.9, 19).tolist()), dtype=float)
-    if not np.allclose(params.corr, np.eye(params.n)):
-        raise ValidationError("corr-sweep starts from the uncorrelated model")
     rows = []
     for rho in rhos:
-        corr = np.eye(params.n)
+        corr = params.corr.copy()
         corr[pair[0], pair[1]] = corr[pair[1], pair[0]] = rho
         perturbed = validate(OUParams(
             n=params.n, kappa=params.kappa, sigma=params.sigma, theta=params.theta, corr=corr

@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import OutOfHorizon
-from .model import NormalizationRecord, OUParams, Preferences, normalize, step_covariance
+from .model import NormalizationRecord, OUParams, Preferences, normalize
 from .riccati import RiccatiSolution, solve_A, solve_D
 
 
@@ -137,9 +136,10 @@ def value_at_mean(w: float, t: float, a_solution: RiccatiSolution, prefs: Prefer
 def log_utility_value(w: float, x, t: float, params: OUParams, horizon: float) -> LogValueReport:
     """Expected terminal log wealth under the (static) log-utility strategy.
 
-    With delta = 1 the feedback matrix is the constant Theta^{-1} kappa and
-    d E[log W] = E[X' K Theta^{-1} K X] / 2 dt along the state process, which
-    integrates in closed form up to a scalar quadrature.
+    With delta = 1 the feedback is the constant Theta^{-1} K, and d E[log W] / dt =
+    E[X' M X] / 2, M = K Theta^{-1} K, integrates to sum_ij M_ij [x_i x_j g_ij + Theta_ij
+    (tau - g_ij) / k_ij] / 2, k_ij = kappa_i + kappa_j, g_ij = (1 - exp(-k_ij tau)) / k_ij.
+    M_ij = 0 wherever k_ij = 0.
     """
     if not w > 0:
         raise ValueError("wealth must be positive")
@@ -147,16 +147,13 @@ def log_utility_value(w: float, x, t: float, params: OUParams, horizon: float) -
         raise OutOfHorizon(f"t={t} outside [0, {horizon}]")
     norm_params, record = normalize(params)
     x0 = record.state_to_unit_noise(x)
-    kappa = norm_params.kappa
+    kappa, tau = norm_params.kappa, horizon - t
     m = kappa[:, None] * norm_params.corr_inv * kappa[None, :]
-
-    def integrand(s: float) -> float:
-        decayed = np.exp(-kappa * s) * x0
-        cov = step_covariance(norm_params, s) if s > 0 else np.zeros_like(m)
-        return float(decayed @ m @ decayed + np.sum(m * cov.T))
-
-    correction, _ = quad(integrand, 0.0, horizon - t, limit=200)
-    return LogValueReport(log_wealth=float(np.log(w)), correction=0.5 * correction)
+    k = kappa[:, None] + kappa[None, :]
+    safe = np.where(k > 0.0, k, 1.0)
+    g = np.where(k > 0.0, -np.expm1(-k * tau) / safe, tau)
+    correction = np.sum(m * (np.outer(x0, x0) * g + norm_params.corr * (tau - g) / safe))
+    return LogValueReport(log_wealth=float(np.log(w)), correction=0.5 * float(correction))
 
 
 def solve_value(params: OUParams, prefs: Preferences, horizon: float) -> RiccatiSolution:

@@ -17,7 +17,7 @@ from .control import StrategySpec, solve_value, value_function
 from .errors import BlowUpDetected, NonPositiveVariance, OutOfHorizon
 from .grids import SensitivityGrid
 from .model import NormalizationRecord, OUParams, Preferences, normalize, validate
-from .riccati import QuadraticOperator, RiccatiSolution, solve, solve_D
+from .riccati import QuadraticOperator, RiccatiSolution, solve, solve_D, symmetric_operator
 
 
 @dataclass(frozen=True)
@@ -85,30 +85,23 @@ def make_Q_operator(
     true_params: OUParams,
     spec: StrategySpec,
 ) -> QuadraticOperator:
-    """Moment-generating Riccati operator; time-dependent through beta(tau)."""
-    corr = true_params.corr
-    kappa = true_params.kappa
+    """Moment-generating operator for S_Q = Q + Q': M = eps beta' Theta - K and
+    C = eps (eps - 1) beta' Theta beta - eps (beta' K + K beta), through beta(tau)."""
+    corr, kappa = true_params.corr, true_params.kappa
+    kmat = np.diag(kappa)
 
-    def rhs(tau, q):
+    def coefficients(tau):
         beta = beta_matrix(spec, tau)
-        s = q + q.T
-        bt_corr = beta.T @ corr
-        return (
-            0.5 * s @ corr @ s
-            + (epsilon * bt_corr - np.diag(kappa)) @ s
-            + 0.5 * epsilon * (epsilon - 1.0) * bt_corr @ beta
-            - epsilon * (beta.T * kappa[None, :])
-        )
+        bt_corr, bk = beta.T @ corr, beta.T * kappa
+        return (epsilon * bt_corr - kmat,
+                epsilon * (epsilon - 1.0) * bt_corr @ beta - epsilon * (bk + bk.T))
 
-    return QuadraticOperator(
-        rhs=rhs, n=true_params.n, initial=np.zeros((true_params.n, true_params.n)),
-        trace_weight=corr,
-    )
+    return symmetric_operator(corr, coefficients)
 
 
 def solve_Q(epsilon: float, true_params: OUParams, spec: StrategySpec) -> RiccatiSolution:
-    """Solve the moment Riccati system for wealth exponent epsilon under the
-    rule ``spec`` (e.g. ``misspecified_strategy(...)``) over its horizon."""
+    """Solve the moment system for S_Q = Q + Q' at wealth exponent epsilon under
+    the rule ``spec`` (e.g. ``misspecified_strategy(...)``) over its horizon."""
     return solve(make_Q_operator(epsilon, true_params, spec), spec.horizon)
 
 
@@ -137,7 +130,7 @@ def p_epsilon(
     q_solution: RiccatiSolution,
     true_params: OUParams,
 ) -> MomentReport:
-    """Evaluate the moment functional at (w, x, t)."""
+    """Evaluate the moment functional at (w, x, t) from the S_Q = Q + Q' solution."""
     if not w > 0:
         raise ValueError("wealth must be positive")
     if epsilon == 0.0:
@@ -145,13 +138,13 @@ def p_epsilon(
     if not 0.0 <= t <= q_solution.horizon:
         raise OutOfHorizon(f"t={t} outside [0, {q_solution.horizon}]")
     tau = q_solution.horizon - t
-    q = q_solution.interpolate(tau)
+    s_q = q_solution.interpolate(tau)
     x_norm = NormalizationRecord(true_params.sigma, true_params.theta).state_to_unit_noise(x)
     return MomentReport(
         epsilon=epsilon,
         wealth_factor=w**epsilon / epsilon,
-        log_trace_factor=q_solution.trace_integral_at(tau),
-        log_quadratic_factor=float(x_norm @ q @ x_norm),
+        log_trace_factor=0.5 * q_solution.trace_integral_at(tau),
+        log_quadratic_factor=0.5 * float(x_norm @ s_q @ x_norm),
     )
 
 

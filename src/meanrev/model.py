@@ -154,7 +154,7 @@ class NormalizationRecord:
         return np.asarray(alpha, dtype=float) / self.original_sigma
 
 
-def validate(params: OUParams, pd_tol: float = PD_TOL) -> OUParams:
+def validate(params: OUParams) -> OUParams:
     """Check all model invariants, returning the parameters unchanged.
 
     Raises the exception naming the first violated invariant.
@@ -168,9 +168,9 @@ def validate(params: OUParams, pd_tol: float = PD_TOL) -> OUParams:
     if not np.allclose(np.diag(corr), 1.0, rtol=0.0, atol=1e-12):
         raise NotUnitDiagonal("correlation matrix diagonal is not all ones")
     min_eig = float(np.linalg.eigvalsh(corr).min())
-    if min_eig <= pd_tol:
+    if min_eig <= PD_TOL:
         raise NotPositiveDefinite(
-            f"smallest correlation eigenvalue {min_eig:.3e} <= {pd_tol:.0e}"
+            f"smallest correlation eigenvalue {min_eig:.3e} <= {PD_TOL:.0e}"
         )
     if np.any(params.kappa < 0):
         raise OutOfDomain("reversion rates must be nonnegative")
@@ -212,14 +212,14 @@ def step_covariance(params: OUParams, dt: float) -> np.ndarray:
     return params.corr * factor
 
 
-def covariance_factor(cov: np.ndarray, clip_tol: float = CLIP_TOL) -> np.ndarray:
+def covariance_factor(cov: np.ndarray) -> np.ndarray:
     """Factor L of a covariance matrix with cov = L L^T.
 
-    Symmetric eigendecomposition; eigenvalues in [clip_tol, 0) are clipped
-    to zero, anything below clip_tol signals pathological inputs.
+    Symmetric eigendecomposition; eigenvalues in [CLIP_TOL, 0) are clipped
+    to zero, anything below CLIP_TOL signals pathological inputs.
     """
     eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals.min() < clip_tol * max(1.0, abs(eigvals.max())):
+    if eigvals.min() < CLIP_TOL * max(1.0, abs(eigvals.max())):
         raise FactorizationFailure(
             f"step covariance has eigenvalue {eigvals.min():.3e}; not positive semidefinite"
         )

@@ -12,10 +12,10 @@ relative blow-up time) reports its worst error as a multiple of each bound,
 against a bound of 1.  A violated sign condition or a missed blow-up is an
 infinite error.
 
-Every reference is independent of the code path it checks: the D- and
-F-equations and the lambda ODE are integrated by ``reference_solve``
+Every reference is independent of the code path it checks: the D-, F-
+and Q-equations and the lambda ODE are integrated by ``reference_solve``
 (DOP853 at rtol = atol = 1e-12), not by the package's RK45 solve of the
-S-equation, and the tangent solve behind the correlation derivatives is
+symmetric form, and the tangent solve behind the correlation derivatives is
 held to ``phi_diagonal``, which is built from the closed forms of Psi and
 lambda.
 """
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import block_diag
 
 from .analysis import (
     corr_sensitivity,
@@ -131,6 +132,27 @@ def d_equation(params: OUParams, prefs: Preferences):
     corr, kmat, delta = params.corr, np.diag(params.kappa), prefs.delta
     const = delta * kmat @ params.corr_inv @ kmat
     return (lambda tau, d: -d.T @ corr @ d + const), delta * params.corr_inv @ kmat
+
+
+def q_equation(true_params: OUParams, est, prefs: Preferences, epsilon: float):
+    """Right-hand side and initial value of the non-symmetric moment equation
+    Q' = S Theta S / 2 + (eps b' Theta - K) S + eps (eps - 1) b' Theta b / 2 - eps b' K,
+    S = Q + Q', on the state diag(Q, Dh, T): b = -(r r') o Dh, r = sigma / sigma-hat,
+    Dh solves the estimates' ``d_equation`` and T' = Tr(Q Theta)."""
+    n, corr, kmat = true_params.n, true_params.corr, np.diag(true_params.kappa)
+    d_rhs, d0 = d_equation(est.as_params(), prefs)
+    r = true_params.sigma / est.sigma_hat
+
+    def rhs(tau, y):
+        q, d_hat, out = y[:n, :n], y[n:-1, n:-1], np.zeros_like(y)
+        s, b = q + q.T, -np.outer(r, r) * d_hat
+        out[:n, :n] = (0.5 * s @ corr @ s + (epsilon * b.T @ corr - kmat) @ s
+                       + 0.5 * epsilon * (epsilon - 1.0) * b.T @ corr @ b - epsilon * b.T @ kmat)
+        out[n:-1, n:-1] = d_rhs(tau, d_hat)
+        out[-1, -1] = np.trace(q @ corr)
+        return out
+
+    return rhs, block_diag(np.zeros((n, n)), d0, 0.0)
 
 
 def f_equation(params: OUParams, prefs: Preferences):

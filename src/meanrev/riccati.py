@@ -4,11 +4,11 @@ One equation drives everything downstream.  Only the symmetric matrix
 S = A + A' enters the value function, the position rule and the
 correlation sensitivities, and it solves
 
-    S' = S Theta S - delta (K S + S K) + delta (delta - 1) K Theta^{-1} K,
-    S(0) = 0,
+    S' = S Theta S + M S + S M' + C,  S(0) = 0,
 
-with K = diag(kappa).  Each matrix the rest of the package reads is an
-affine view of one S solution (``s_view``):
+with K = diag(kappa), M = -delta K and C = delta (delta - 1) K Theta^{-1} K,
+a form ``symmetric_operator`` builds for any M(tau), C(tau).  Each matrix
+the rest of the package reads is an affine view of one S solution (``s_view``):
 
 * A = S/2, the symmetric value matrix;
 * D = delta Theta^{-1} K - S, the feedback matrix of the optimal position
@@ -44,16 +44,11 @@ DENSE_POINTS = 1024
 
 @dataclass(frozen=True)
 class QuadraticOperator:
-    """Right-hand side M -> M' of a matrix ODE, closed over fixed matrices.
-
-    ``trace_weight`` selects what the running trace integral accumulates:
-    Tr(M(u) @ trace_weight) du.
-    """
+    """Right-hand side S -> S' of a symmetric Riccati ODE with S(0) = 0; ``corr``
+    (Theta) weights its quadratic term and the running trace integral of Tr(S Theta)."""
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    n: int
-    initial: np.ndarray
-    trace_weight: np.ndarray
+    corr: np.ndarray
 
 
 class RiccatiSolution:
@@ -116,26 +111,24 @@ class RiccatiSolution:
         return self._matrix(np.moveaxis(flat.reshape(self.n, self.n, -1), 2, 0))
 
 
-def _symmetric(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+def symmetric_operator(corr: np.ndarray, coefficients: Callable) -> QuadraticOperator:
+    """Operator of S' = S Theta S + M S + S M' + C, (M, C) = coefficients(tau), with an
+    exactly symmetric right-hand side, so S stays symmetric to the last bit."""
+
+    def rhs(tau, s):
+        m, c = coefficients(tau)
+        q, ms = s @ corr @ s + c, m @ s
+        return 0.5 * (q + q.T) + (ms + ms.T)
+
+    return QuadraticOperator(rhs=rhs, corr=corr)
 
 
 def make_S_operator(params: OUParams, prefs: Preferences) -> QuadraticOperator:
-    """Operator of the S-equation, trace weight Theta.
-
-    The right-hand side is made exactly symmetric, so S stays symmetric to
-    the last bit along the whole solve.
-    """
-    corr, kappa, delta = params.corr, params.kappa, prefs.delta
-    kd, kr = kappa[:, None], kappa[None, :]  # K @ M == kd * M, M @ K == M * kr
-    const = _symmetric(delta * (delta - 1.0) * (kd * params.corr_inv * kr))
-
-    def rhs(tau, s):
-        return _symmetric(s @ corr @ s) - delta * (kd * s + s * kr) + const
-
-    return QuadraticOperator(
-        rhs=rhs, n=params.n, initial=np.zeros((params.n, params.n)), trace_weight=corr,
-    )
+    """Operator of the S-equation: M = -delta K, C = delta (delta - 1) K Theta^{-1} K."""
+    kappa, delta = params.kappa, prefs.delta
+    m = -delta * np.diag(kappa)
+    c = delta * (delta - 1.0) * (kappa[:, None] * params.corr_inv * kappa[None, :])
+    return symmetric_operator(params.corr, lambda tau: (m, c))
 
 
 def s_view(s: RiccatiSolution, which: str, params: OUParams, prefs: Preferences) -> RiccatiSolution:
@@ -158,7 +151,7 @@ def s_view(s: RiccatiSolution, which: str, params: OUParams, prefs: Preferences)
 
 
 def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
-    """Integrate a matrix Riccati ODE over tau in [0, horizon].
+    """Integrate a matrix Riccati ODE from S(0) = 0 over tau in [0, horizon].
 
     The running trace integral is carried as an extra state component so it
     shares the stepper's quadrature order.  Divergence raises BlowUpDetected
@@ -166,14 +159,13 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
     """
     if not 0.0 < horizon < np.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    n = op.n
-    weight = op.trace_weight
+    corr = op.corr
+    n = corr.shape[0]
 
     def rhs_flat(tau, y):
-        m = y[: n * n].reshape(n, n)
-        dm = op.rhs(tau, m)
-        dtrace = float(np.sum(m * weight.T))  # Tr(M @ W)
-        return np.append(dm.ravel(), dtrace)
+        s = y[: n * n].reshape(n, n)
+        dtrace = float(np.sum(s * corr.T))  # Tr(S @ Theta)
+        return np.append(op.rhs(tau, s).ravel(), dtrace)
 
     def blowup_event(tau, y):
         return BLOWUP_THRESHOLD - np.abs(y[: n * n]).max()
@@ -181,11 +173,10 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
     blowup_event.terminal = True
     blowup_event.direction = -1
 
-    y0 = np.append(np.asarray(op.initial, dtype=float).ravel(), 0.0)
     result = solve_ivp(
         rhs_flat,
         (0.0, horizon),
-        y0,
+        np.zeros(n * n + 1),
         method="RK45",
         dense_output=True,
         rtol=RTOL,
@@ -200,14 +191,9 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
 
     uniform = np.linspace(0.0, horizon, DENSE_POINTS)
     tau_grid = np.union1d(uniform, result.t)
-    dense = result.sol
-    stacked = dense(tau_grid)
+    stacked = result.sol(tau_grid)
     values = np.moveaxis(stacked[: n * n].reshape(n, n, -1), 2, 0)
-    # Pin the initial condition exactly; dense output can carry ~1e-16 noise.
-    values[0] = np.asarray(op.initial, dtype=float)
-    trace = stacked[-1]
-    trace[0] = 0.0
-    return RiccatiSolution(tau_grid, values, trace, dense, horizon)
+    return RiccatiSolution(tau_grid, values, stacked[-1], result.sol, horizon)
 
 
 def solve_A(params: OUParams, prefs: Preferences, horizon: float) -> RiccatiSolution:

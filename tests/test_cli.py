@@ -11,13 +11,16 @@ import pytest
 
 import meanrev
 from meanrev.cli import (
+    DEFAULT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     FAILED_FILL,
     config_hash,
     main,
+    parse_model,
 )
+from meanrev.control import solve_value, value_at_mean
 
 
 def base_config(**overrides):
@@ -178,8 +181,17 @@ def test_misspec_true_cell_zero(tmp_path):
     assert all(v <= 1e-8 for v in rows.values())
 
 
-def test_corr_sweep_requires_identity(tmp_path):
-    assert run(tmp_path, base_config(), "corr-sweep") == EXIT_VALIDATION
+def test_corr_sweep_default_config(tmp_path):
+    # The sweep varies the pair's entry of the model's own correlation
+    # matrix, so the row at the model's rho is the model's value.
+    assert main(["--output-dir", str(tmp_path / "out"), "corr-sweep"]) == EXIT_OK
+    params, prefs, horizon = parse_model(DEFAULT_CONFIG)
+    rows = np.array([[float(v) for v in ln.split(",")]
+                     for ln in read_body(tmp_path / "out" / "corr_sweep.csv")[1:]])
+    row = rows[np.argmin(np.abs(rows[:, 0] - params.corr[0, 1]))]
+    assert row[0] == pytest.approx(params.corr[0, 1], abs=1e-15)
+    j = value_at_mean(1.0, 0.0, solve_value(params, prefs, horizon), prefs)
+    assert row[1] == pytest.approx(j, rel=1e-12)
 
 
 def test_corr_sweep_outputs(tmp_path):

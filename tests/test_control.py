@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from meanrev.control import (
     log_utility_value,
@@ -9,10 +10,10 @@ from meanrev.control import (
     value_function,
 )
 from meanrev.errors import OutOfHorizon
-from meanrev.model import Preferences
+from meanrev.model import OUParams, Preferences, normalize, step_covariance
 from meanrev.oracles import d_equation, reference_solve
 
-from conftest import random_params, two_asset
+from conftest import random_corr, random_params, two_asset
 
 
 def test_position_routes_agree(rng):
@@ -121,3 +122,39 @@ def test_log_utility_value_time_consistency():
     rep_full = log_utility_value(1.0, params.theta, 0.0, params, 2.0)
     rep_late = log_utility_value(1.0, params.theta, 1.5, params, 2.0)
     assert rep_full.correction > rep_late.correction > 0.0
+
+
+def log_utility_quadrature(w, x, t, params, horizon):
+    """E[log W_T] by adaptive quadrature of E[X' K Theta^{-1} K X] / 2 over
+    the remaining horizon."""
+    norm_params, record = normalize(params)
+    x0 = record.state_to_unit_noise(x)
+    kappa = norm_params.kappa
+    m = kappa[:, None] * norm_params.corr_inv * kappa[None, :]
+
+    def integrand(s: float) -> float:
+        decayed = np.exp(-kappa * s) * x0
+        cov = step_covariance(norm_params, s) if s > 0 else np.zeros_like(m)
+        return float(decayed @ m @ decayed + np.sum(m * cov.T))
+
+    correction, _ = quad(integrand, 0.0, horizon - t, limit=200)
+    return np.log(w) + 0.5 * correction
+
+
+def test_log_utility_value_matches_quadrature(rng):
+    # Reversion rates include exact zeros and 1e-7, where k_ij vanishes or
+    # nearly does; one rate is always of order one.
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        kappa = rng.uniform(0.3, 2.0, n)
+        kappa[1:] = rng.choice(np.array([0.0, 1e-7, kappa[-1]]), n - 1)
+        kappa = rng.permutation(kappa)
+        params = OUParams(n=n, kappa=kappa, sigma=rng.uniform(0.2, 1.5, n),
+                          theta=rng.uniform(-0.5, 0.5, n), corr=random_corr(rng, n))
+        x = params.theta + rng.standard_normal(n) * 0.5
+        horizon = float(rng.uniform(0.1, 5.0))
+        t = float(rng.uniform(0.0, horizon))
+        w = float(rng.uniform(0.5, 2.0))
+        got = log_utility_value(w, x, t, params, horizon).total
+        ref = log_utility_quadrature(w, x, t, params, horizon)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)

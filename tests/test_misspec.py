@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meanrev.control import optimal_strategy, solve_value, value_function
-from meanrev.errors import NonPositiveVariance
+from meanrev.errors import BlowUpDetected, NonPositiveVariance
 from meanrev.misspec import (
     EstimatedParams,
     misspec_sweep,
@@ -13,7 +13,7 @@ from meanrev.misspec import (
     solve_Q,
 )
 from meanrev.model import Preferences
-from meanrev.oracles import d_equation, reference_solve
+from meanrev.oracles import d_equation, q_equation, reference_solve
 from meanrev.wealth import simulate
 
 from conftest import random_corr, random_params, two_asset
@@ -56,6 +56,38 @@ def test_misspecified_positions_follow_the_estimates(seed, kappa_ratio, sigma_ra
         expected = -1.5 * d @ ((x - params.theta) / est.sigma_hat) / est.sigma_hat
         got = spec.position(1.5, x, t)
         assert np.max(np.abs(got - expected)) <= 1e-8 * np.max(np.abs(expected))
+
+
+def test_moment_solve_matches_non_symmetric_q_equation():
+    # S_Q / 2 is the symmetric part of the non-symmetric Q, and its trace
+    # integral halves to that of Q Theta; Q and Dh are integrated together
+    # by the reference solver, independently of the package's solves.
+    rng = np.random.default_rng(7)
+    taus = np.linspace(0.0, 1.0, 11)
+    solved = 0
+    for gamma in (-4.0, -1.0, 0.5):
+        prefs = Preferences(gamma=gamma)
+        for _ in range(3):
+            n = int(rng.integers(2, 4))
+            params = random_params(rng, n)
+            est = EstimatedParams(kappa_hat=params.kappa * rng.uniform(0.5, 2.0, n),
+                                  sigma_hat=params.sigma * rng.uniform(0.7, 1.4, n),
+                                  corr_hat=random_corr(rng, n))
+            spec = misspecified_strategy(params, est, prefs, taus[-1])
+            for eps in (gamma, 1.0, 2.0):
+                try:
+                    sol = solve_Q(eps, params, spec)
+                except BlowUpDetected:
+                    continue
+                solved += 1
+                assert np.array_equal(sol.values, sol.values.transpose(0, 2, 1))
+                ref = reference_solve(*q_equation(params, est, prefs, eps), taus[-1], taus)
+                q_ref, trace_ref = ref[:, :n, :n], ref[:, 2 * n, 2 * n]
+                scale = max(1.0, float(np.max(np.abs(q_ref))))
+                for tau, q, trace in zip(taus, q_ref, trace_ref):
+                    assert np.max(np.abs(0.5 * sol.interpolate(tau) - 0.5 * (q + q.T))) <= 1e-8 * scale
+                    assert abs(0.5 * sol.trace_integral_at(tau) - trace) <= 1e-8 * scale
+    assert solved >= 20
 
 
 def test_p_gamma_equals_value_at_truth():
