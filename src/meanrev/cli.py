@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .analysis import corr_sensitivity, d_curve_1d, value_vs_kappa2_rho
 from .control import optimal_strategy, solve_value, value_at_mean
-from .errors import BlowUpDetected, MeanrevError, NonFinite, ValidationError
+from .errors import BlowUpDetected, MeanrevError, NonFinite, NotPositiveDefinite, ValidationError
 from .misspec import misspec_sweep
 from .model import OUParams, Preferences, normalize, validate
 from .oracles import run_verification
@@ -366,9 +366,14 @@ def cmd_corr_sweep(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     for rho in rhos:
         corr = params.corr.copy()
         corr[pair[0], pair[1]] = corr[pair[1], pair[0]] = rho
-        perturbed = validate(OUParams(
-            n=params.n, kappa=params.kappa, sigma=params.sigma, theta=params.theta, corr=corr
-        ))
+        try:
+            perturbed = validate(OUParams(
+                n=params.n, kappa=params.kappa, sigma=params.sigma, theta=params.theta, corr=corr
+            ))
+        except NotPositiveDefinite as exc:
+            print(f"row rho={rho:g} failed: {exc}", file=sys.stderr)
+            rows.append([rho, np.nan])
+            continue
         a = solve_value(perturbed, prefs, horizon)
         rows.append([rho, value_at_mean(1.0, 0.0, a, prefs)])
     report = corr_sensitivity(params, prefs, horizon, pair)

@@ -52,62 +52,49 @@ class QuadraticOperator:
 
 
 class RiccatiSolution:
-    """A time-indexed matrix function on a tau grid in [0, T].
+    """A matrix function of tau in [0, T], read only through the integrator's
+    dense output.
 
-    Built from the integrated state X and its running trace integral T at
-    the grid points (uniform points plus every adaptive accept point) and
-    the integrator's dense interpolant (order-matched, exact at grid
-    points).  The solution presents the affine view
+    ``dense(tau)`` is the integrated state X, flattened, followed by its running
+    trace integral T.  The solution presents the affine view
 
         M = offset + scale * X @ right,  trace integral scale * T + trace_rate * tau,
 
-    which is X itself with the default arguments.  ``values`` and
-    ``trace_integral`` hold the view on the grid; off-grid lookups map the
-    dense output the same way.
+    which is X itself with the default arguments.  ``tau_grid`` lists uniform
+    points and every adaptive accept point of the solve, for callers that want
+    to sample it.
     """
 
-    def __init__(self, tau_grid, values, trace_integral, dense, horizon,
+    def __init__(self, dense, n, tau_grid, horizon,
                  scale=1.0, offset=0.0, right=None, trace_rate=0.0):
-        self.tau_grid = np.asarray(tau_grid, dtype=float)
-        self.horizon = float(horizon)
-        self._dense = dense
-        self._scale, self._offset, self._right, self._trace_rate = scale, offset, right, trace_rate
-        self.values = self._matrix(np.asarray(values, dtype=float))
-        self.trace_integral = self._trace(np.asarray(trace_integral, dtype=float), self.tau_grid)
-        self.n = self.values.shape[1]
+        self.dense, self.n, self.tau_grid, self.horizon = dense, n, tau_grid, horizon
+        self.scale, self.offset, self.right, self.trace_rate = scale, offset, right, trace_rate
 
     def _matrix(self, x: np.ndarray) -> np.ndarray:
-        if self._right is not None:
-            x = x @ self._right
-        return self._offset + self._scale * x
+        if self.right is not None:
+            x = x @ self.right
+        return self.offset + self.scale * x
 
-    def _trace(self, t, tau):
-        return self._scale * t + self._trace_rate * tau
+    def _check(self, tau: float) -> None:
+        if not 0.0 <= tau <= self.horizon:
+            raise OutOfRange(f"tau={tau} outside [0, {self.horizon}]")
 
     def interpolate(self, tau: float) -> np.ndarray:
-        if tau < 0 or tau > self.horizon:
-            raise OutOfRange(f"tau={tau} outside [0, {self.horizon}]")
-        idx = np.searchsorted(self.tau_grid, tau)
-        if idx < len(self.tau_grid) and self.tau_grid[idx] == tau:
-            return self.values[idx]
-        return self._matrix(self._dense(tau)[: self.n * self.n].reshape(self.n, self.n))
+        self._check(tau)
+        return self._matrix(self.dense(tau)[: self.n * self.n].reshape(self.n, self.n))
 
     def trace_integral_at(self, tau: float) -> float:
-        if tau < 0 or tau > self.horizon:
-            raise OutOfRange(f"tau={tau} outside [0, {self.horizon}]")
-        idx = np.searchsorted(self.tau_grid, tau)
-        if idx < len(self.tau_grid) and self.tau_grid[idx] == tau:
-            return float(self.trace_integral[idx])
-        return float(self._trace(self._dense(tau)[-1], tau))
+        self._check(tau)
+        return float(self.scale * self.dense(tau)[-1] + self.trace_rate * tau)
 
     def at_many(self, taus: np.ndarray) -> np.ndarray:
         """Matrices at several tau values, shape (len(taus), n, n)."""
         taus = np.asarray(taus, dtype=float)
         if taus.size == 0:
             return np.empty((0, self.n, self.n))
-        if taus.min() < 0 or taus.max() > self.horizon:
+        if not np.all((taus >= 0.0) & (taus <= self.horizon)):
             raise OutOfRange("tau values outside solution span")
-        flat = self._dense(taus)[: self.n * self.n]
+        flat = self.dense(taus)[: self.n * self.n]
         return self._matrix(np.moveaxis(flat.reshape(self.n, self.n, -1), 2, 0))
 
 
@@ -147,7 +134,7 @@ def s_view(s: RiccatiSolution, which: str, params: OUParams, prefs: Preferences)
               "trace_rate": delta * float(kappa.sum())},
         "F": {"scale": 0.5, "right": params.corr},
     }[which]
-    return RiccatiSolution(s.tau_grid, s.values, s.trace_integral, s._dense, s.horizon, **view)
+    return RiccatiSolution(s.dense, s.n, s.tau_grid, s.horizon, **view)
 
 
 def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
@@ -184,16 +171,13 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
         first_step=FIRST_STEP_FRACTION * horizon,
         events=blowup_event,
     )
-    if result.status == 1 or (result.status == 0 and result.t[-1] < horizon):
+    if result.status == 1:
         raise BlowUpDetected(result.t[-1])
     if result.status < 0:
         raise BlowUpDetected(result.t[-1], f"integrator failed near tau = {result.t[-1]:.6g}: {result.message}")
 
-    uniform = np.linspace(0.0, horizon, DENSE_POINTS)
-    tau_grid = np.union1d(uniform, result.t)
-    stacked = result.sol(tau_grid)
-    values = np.moveaxis(stacked[: n * n].reshape(n, n, -1), 2, 0)
-    return RiccatiSolution(tau_grid, values, stacked[-1], result.sol, horizon)
+    tau_grid = np.union1d(np.linspace(0.0, horizon, DENSE_POINTS), result.t)
+    return RiccatiSolution(result.sol, n, tau_grid, float(horizon))
 
 
 def solve_A(params: OUParams, prefs: Preferences, horizon: float) -> RiccatiSolution:

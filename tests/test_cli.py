@@ -204,6 +204,33 @@ def test_corr_sweep_outputs(tmp_path):
     assert len(read_body(tmp_path / "out" / "corr_sweep.csv")) == 4
 
 
+def test_corr_sweep_records_rows_that_are_not_positive_definite(tmp_path, capsys):
+    # With Theta_01 = Theta_12 = 0.6, the matrix is positive definite only for
+    # rho_02 in (-0.28, 1): the rows below fail on their own, the rest run.
+    cfg = base_config()
+    cfg["model"].update(n=3, kappa=[1.0, 0.5, 2.0], sigma=[1.0] * 3, theta=[0.0] * 3,
+                        corr=[[1.0, 0.6, 0.0], [0.6, 1.0, 0.6], [0.0, 0.6, 1.0]])
+    cfg["corr_sweep"] = {"pair": [0, 2]}
+    assert run(tmp_path, cfg, "corr-sweep") == EXIT_OK
+    rows = np.array([[float(v) for v in ln.split(",")]
+                     for ln in read_body(tmp_path / "out" / "corr_sweep.csv")[1:]])
+    assert rows.shape == (19, 2)
+    failed = rows[:, 0] <= -0.3 + 1e-12
+    assert failed.sum() == 7
+    assert np.all(np.isnan(rows[failed, 1])) and np.all(np.isfinite(rows[~failed, 1]))
+    reasons = [ln for ln in capsys.readouterr().err.splitlines() if " failed: " in ln]
+    assert [ln.split(" failed: ")[0] for ln in reasons] == [
+        f"row rho={rho:g}" for rho in rows[failed, 0]]
+    assert all("smallest correlation eigenvalue" in ln for ln in reasons)
+
+
+def test_corr_sweep_rejects_non_finite_rho(tmp_path, capsys):
+    cfg = base_config()
+    cfg["corr_sweep"] = {"rho_grid": [0.0, math.nan]}
+    assert run(tmp_path, cfg, "corr-sweep") == EXIT_VALIDATION
+    assert "NonFinite" in capsys.readouterr().err
+
+
 def test_kappa_sweep_outputs(tmp_path):
     cfg = base_config(horizon=3.0)
     cfg["kappa_sweep"] = {

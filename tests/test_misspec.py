@@ -80,7 +80,8 @@ def test_moment_solve_matches_non_symmetric_q_equation():
                 except BlowUpDetected:
                     continue
                 solved += 1
-                assert np.array_equal(sol.values, sol.values.transpose(0, 2, 1))
+                s_q = sol.at_many(sol.tau_grid)
+                assert np.array_equal(s_q, s_q.transpose(0, 2, 1))
                 ref = reference_solve(*q_equation(params, est, prefs, eps), taus[-1], taus)
                 q_ref, trace_ref = ref[:, :n, :n], ref[:, 2 * n, 2 * n]
                 scale = max(1.0, float(np.max(np.abs(q_ref))))
@@ -108,7 +109,7 @@ def test_zeroth_moment_is_trivial():
     est = EstimatedParams(kappa_hat=params.kappa * 1.3, sigma_hat=params.sigma,
                           corr_hat=params.corr)
     q0 = solve_Q(0.0, params, misspecified_strategy(params, est, Preferences(gamma=-1.0), 1.0))
-    assert np.max(np.abs(q0.values)) == 0.0
+    assert np.max(np.abs(q0.at_many(q0.tau_grid))) == 0.0
     assert q0.trace_integral_at(1.0) == 0.0
     with pytest.raises(ValueError):
         p_epsilon(1.0, params.theta, 0.0, 0.0, q0, params)

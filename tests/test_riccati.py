@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from meanrev import oracles
+from meanrev.errors import OutOfRange
 from meanrev.model import Preferences, normalize
 from meanrev.riccati import d_scalar_closed_form, d_single_mr, single_mr_blowup_tau, solve_A, solve_D
 
@@ -80,13 +81,6 @@ def test_dij_dji_offset_time_independent(rng):
                     assert d[i, j] - d[j, i] == pytest.approx(expected, abs=1e-8)
 
 
-def test_interpolation_exact_on_grid(rng):
-    params, _ = normalize(random_params(rng, 2))
-    sol = solve_D(params, Preferences(gamma=-1.0), 2.0)
-    k = len(sol.tau_grid) // 2
-    assert np.array_equal(sol.interpolate(sol.tau_grid[k]), sol.values[k])
-
-
 def test_initial_conditions():
     params = two_asset(rho=0.3)
     prefs = Preferences(gamma=-4.0)
@@ -99,12 +93,25 @@ def test_initial_conditions():
 
 
 def test_at_many_matches_pointwise(rng):
-    params, _ = normalize(random_params(rng, 2))
-    sol = solve_D(params, Preferences(gamma=-4.0), 2.0)
-    taus = np.array([0.0, 0.37, 1.11, 2.0])
-    stacked = sol.at_many(taus)
-    for k, tau in enumerate(taus):
-        assert np.allclose(stacked[k], sol.interpolate(tau))
+    # Both lookups read the same dense output, at both ends, on a solve-grid
+    # point and between grid points alike.
+    for _ in range(5):
+        params, _ = normalize(random_params(rng, int(rng.integers(1, 5))))
+        sol = solve_D(params, Preferences(gamma=-4.0), 2.0)
+        taus = np.array([0.0, 0.37, sol.tau_grid[len(sol.tau_grid) // 2], 1.11, 2.0])
+        stacked = sol.at_many(taus)
+        for k, tau in enumerate(taus):
+            single = sol.interpolate(tau)
+            assert np.max(np.abs(stacked[k] - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("lookup", ["interpolate", "trace_integral_at", "at_many"])
+@pytest.mark.parametrize("tau", [np.nan, -0.1, 2.1])
+def test_lookups_reject_tau_outside_span(lookup, tau):
+    sol = solve_D(two_asset(), Preferences(gamma=-4.0), 2.0)
+    arg = np.array([0.5, tau]) if lookup == "at_many" else tau
+    with pytest.raises(OutOfRange):
+        getattr(sol, lookup)(arg)
 
 
 @pytest.mark.parametrize("horizon", [np.inf, np.nan, 0.0, -1.0])
