@@ -27,21 +27,13 @@ from .control import (
     StrategySpec,
     ValueReport,
     log_utility_value,
+    misspecified_strategy,
     optimal_strategy,
     solve_value,
-    value_at_mean,
     value_function,
 )
 from .wealth import SimulationEnsemble, WealthDecomposition, decompose, simulate
-from .misspec import (
-    EstimatedParams,
-    MomentReport,
-    misspec_sweep,
-    misspecified_strategy,
-    p_epsilon,
-    sharpe,
-    solve_Q,
-)
+from .misspec import misspec_sweep, p_epsilon, sharpe, solve_Q
 from .analysis import (
     CorrSensitivityReport,
     corr_sensitivity,
@@ -50,7 +42,6 @@ from .analysis import (
     phi_diagonal,
     psi_closed_form,
     psi_integral,
-    solve_F,
     value_vs_kappa2_rho,
 )
 from .grids import SensitivityGrid

@@ -1,13 +1,12 @@
 """Correlation-sensitivity machinery and zero-correlation closed forms.
 
-The value function, viewed through F = (A + A')Theta/2, is stationary in
-every pairwise correlation at Theta = I, and the curvature there carries
-the sign of the risk-aversion exponent.  This module reads F off the
-symmetric Riccati solution, implements the diagonal-limit closed forms
-(Psi, lambda, phi) used to establish those facts, and takes the exact
-correlation derivatives of the value from the tangent equations of the
-S-equation.  It also produces the sweep data behind the position-multiplier
-and value-surface figures.
+The value function, viewed through F = (A + A')Theta/2 = A Theta, is
+stationary in every pairwise correlation at Theta = I, and the curvature
+there carries the sign of the risk-aversion exponent.  This module
+implements the diagonal-limit closed forms (Psi, lambda, phi) used to
+establish those facts, and takes the exact correlation derivatives of the
+value from the tangent equations of the S-equation.  It also produces the
+sweep data behind the position-multiplier and value-surface figures.
 """
 
 from __future__ import annotations
@@ -17,30 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .control import solve_value, value_at_mean
+from .control import solve_value, value_function
 from .errors import BlowUpDetected
 from .grids import SensitivityGrid
-from .model import OUParams, Preferences, validate
+from .model import OUParams, Preferences
 from .riccati import (
     ATOL,
     FIRST_STEP_FRACTION,
     RTOL,
-    RiccatiSolution,
     d_scalar_closed_form,
     make_S_operator,
-    s_view,
-    solve,
 )
-
-
-def solve_F(params: OUParams, prefs: Preferences, horizon: float) -> RiccatiSolution:
-    """F = S Theta / 2 with trace integral of Tr(F), S = A + A'.
-
-    F solves F' = 2F^2 - delta(kappa F + F Gamma) + delta(delta-1)/2 kappa Gamma
-    with Gamma = Theta^{-1} kappa Theta and F(0) = 0.
-    """
-    params = validate(params)
-    return s_view(solve(make_S_operator(params, prefs), horizon), "F", params, prefs)
 
 
 def _omega(delta: float) -> float:
@@ -231,7 +217,8 @@ def corr_sensitivity(
     i, j = pair
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise ValueError(f"invalid pair {pair}")
-    value = value_at_mean(1.0, 0.0, solve_value(params, prefs, horizon), prefs)
+    value = value_function(1.0, params.theta, 0.0, solve_value(params, prefs, horizon), prefs,
+                           params).total
 
     key = (min(i, j), max(i, j))
     others = [(p, q) for p in range(n) for q in range(p + 1, n) if (p, q) != key]
@@ -301,7 +288,7 @@ def value_vs_kappa2_rho(
             )
             try:
                 a = solve_value(params, prefs, horizon)
-                cells[i, j] = value_at_mean(1.0, 0.0, a, prefs)
+                cells[i, j] = value_function(1.0, params.theta, 0.0, a, prefs, params).total
             except BlowUpDetected as exc:
                 cells[i, j] = np.nan
                 failures[(i, j)] = str(exc)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import corr_sensitivity, d_curve_1d, value_vs_kappa2_rho
-from .control import optimal_strategy, solve_value, value_at_mean
+from .control import optimal_strategy, solve_value, value_function
 from .errors import BlowUpDetected, MeanrevError, NonFinite, NotPositiveDefinite, ValidationError
 from .misspec import misspec_sweep
 from .model import OUParams, Preferences, normalize, validate
@@ -243,6 +243,12 @@ def plot_heatmap(path: Path, grid, title: str) -> None:
     _write_svg(path, body, title, grid.axis2_name, grid.axis1_name, xticks, yticks)
 
 
+def report_failed_cells(grid) -> None:
+    """One stderr line per failed cell of a SensitivityGrid, with its reason."""
+    for (i, j), reason in sorted(grid.failures.items()):
+        print(f"cell ({grid.axis1[i]:g}, {grid.axis2[j]:g}) failed: {reason}", file=sys.stderr)
+
+
 def cmd_validate(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     params, prefs, horizon = parse_model(config)
     print(f"ok: n={params.n} assets, gamma={prefs.gamma}, horizon={horizon}")
@@ -347,10 +353,7 @@ def cmd_misspec(config: dict, outdir: Path, seed: int, plot: bool) -> int:
                 row.append(sharpes[i, j])
             rows.append(row)
     write_csv(outdir / "misspec_sweep.csv", meta, header, rows)
-    if grid.failures:
-        for (i, j), reason in sorted(grid.failures.items()):
-            print(f"cell ({grid.axis1[i]:g}, {grid.axis2[j]:g}) failed: {reason}",
-                  file=sys.stderr)
+    report_failed_cells(grid)
     if plot:
         plot_heatmap(outdir / "misspec_sweep.svg", grid, "value shortfall")
     print(f"wrote misspec_sweep.csv to {outdir}")
@@ -370,12 +373,12 @@ def cmd_corr_sweep(config: dict, outdir: Path, seed: int, plot: bool) -> int:
             perturbed = validate(OUParams(
                 n=params.n, kappa=params.kappa, sigma=params.sigma, theta=params.theta, corr=corr
             ))
-        except NotPositiveDefinite as exc:
+            a = solve_value(perturbed, prefs, horizon)
+        except (NotPositiveDefinite, BlowUpDetected) as exc:
             print(f"row rho={rho:g} failed: {exc}", file=sys.stderr)
             rows.append([rho, np.nan])
             continue
-        a = solve_value(perturbed, prefs, horizon)
-        rows.append([rho, value_at_mean(1.0, 0.0, a, prefs)])
+        rows.append([rho, value_function(1.0, params.theta, 0.0, a, prefs, perturbed).total])
     report = corr_sensitivity(params, prefs, horizon, pair)
     meta = base_meta(config)
     meta.update({
@@ -408,6 +411,7 @@ def cmd_kappa_sweep(config: dict, outdir: Path, seed: int, plot: bool) -> int:
         outdir / "value_surface.csv", base_meta(config),
         ["kappa2", "rho", "value_at_mean"], list(grid.rows()),
     )
+    report_failed_cells(grid)
     gammas = np.asarray(section.get("gammas", [-4.0, 0.0, 0.5]), dtype=float)
     times = np.asarray(section.get("times", np.linspace(0.0, horizon, 61).tolist()), dtype=float)
     curves = d_curve_1d(float(params.kappa[0]), gammas, horizon, times)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfHorizon
-from .model import NormalizationRecord, OUParams, Preferences, normalize
+from .model import NormalizationRecord, OUParams, Preferences, normalize, validate
 from .riccati import RiccatiSolution, solve_A, solve_D
 
 
@@ -47,38 +47,48 @@ class StrategySpec:
         return self.normalization.position_from_unit_noise(alpha_norm)
 
 
-def optimal_strategy(params: OUParams, prefs: Preferences, horizon: float) -> StrategySpec:
-    """Build the optimal StrategySpec by solving the feedback-matrix ODE."""
-    norm_params, record = normalize(params)
+def misspecified_strategy(true_params: OUParams, est: OUParams, prefs: Preferences,
+                          horizon: float) -> StrategySpec:
+    """Position rule of a trader who takes the estimates ``est`` for the truth.
+
+    The feedback ODE is solved with the estimates (it reads only the
+    reversion rates and the correlation); the frame r r', r = s / sh, carries
+    that solution into the true model's unit-noise coordinates, so positions
+    come out exactly as the estimate-believing trader computes them.  The
+    estimated means ``est.theta`` are never read: positions use the true
+    means (their estimation is out of scope).
+    """
+    _, record = normalize(true_params)
+    r = true_params.sigma / est.sigma
     return StrategySpec(
-        d_solution=solve_D(norm_params, prefs, horizon), normalization=record,
-        frame=np.ones((params.n, params.n)), horizon=horizon,
+        d_solution=solve_D(validate(est), prefs, horizon), normalization=record,
+        frame=np.outer(r, r), horizon=horizon,
     )
+
+
+def optimal_strategy(params: OUParams, prefs: Preferences, horizon: float) -> StrategySpec:
+    """The optimal rule: the rule of a trader whose estimates are exact."""
+    return misspecified_strategy(params, params, prefs, horizon)
 
 
 @dataclass(frozen=True)
 class ValueReport:
-    """Value function split into its three multiplicative factors.
+    """(w^eps / eps) exp{(T(tau) + x'M(tau)x) / divisor}, split into its factors.
 
-    The time-value and intrinsic factors are stored as logs to survive long
-    horizons; `total` recombines them on demand.
+    The value function is the eps = gamma case with M = A, T its trace
+    integral and divisor delta; the wealth moment P_eps is the case M = Q,
+    divisor 1.  The trace and quadratic factors are kept as logs to survive
+    long horizons; ``total`` recombines them.
     """
 
-    wealth_utility: float
-    log_time_value: float
-    log_intrinsic_value: float
-
-    @property
-    def time_value(self) -> float:
-        return float(np.exp(self.log_time_value))
-
-    @property
-    def intrinsic_value(self) -> float:
-        return float(np.exp(self.log_intrinsic_value))
+    epsilon: float
+    wealth_factor: float
+    log_trace_factor: float
+    log_quadratic_factor: float
 
     @property
     def total(self) -> float:
-        return self.wealth_utility * float(np.exp(self.log_time_value + self.log_intrinsic_value))
+        return self.wealth_factor * float(np.exp(self.log_trace_factor + self.log_quadratic_factor))
 
 
 @dataclass(frozen=True)
@@ -93,6 +103,26 @@ class LogValueReport:
         return self.log_wealth + self.correction
 
 
+def _exp_quadratic(w: float, x, t: float, epsilon: float, solution: RiccatiSolution,
+                   params: OUParams, divisor: float) -> ValueReport:
+    """``ValueReport`` of ``solution`` (M and its trace integral T) at (w, x, t),
+    tau = T - t, with x mapped to the unit-noise coordinates of ``params``."""
+    if not w > 0:
+        raise ValueError("wealth must be positive")
+    if epsilon == 0.0:
+        raise ValueError("exponent 0 (log utility) is served by log_utility_value")
+    if not 0.0 <= t <= solution.horizon:
+        raise OutOfHorizon(f"t={t} outside [0, {solution.horizon}]")
+    tau = solution.horizon - t
+    x_norm = NormalizationRecord(params.sigma, params.theta).state_to_unit_noise(x)
+    return ValueReport(
+        epsilon=epsilon,
+        wealth_factor=w**epsilon / epsilon,
+        log_trace_factor=solution.trace_integral_at(tau) / divisor,
+        log_quadratic_factor=float(x_norm @ solution.interpolate(tau) @ x_norm) / divisor,
+    )
+
+
 def value_function(
     w: float,
     x,
@@ -104,33 +134,11 @@ def value_function(
     """Value of the optimally traded portfolio at (w, x, t).
 
     J = (w^g / g) * exp{ (1/d) int_0^tau Tr(A Theta) } * exp{ x'A(tau)x / d }
-    in unit-noise coordinates, tau = T - t.  For the log-utility trader use
+    in unit-noise coordinates, tau = T - t.  At the mean (x = theta) the
+    quadratic factor is exactly 0.0.  For the log-utility trader use
     ``log_utility_value`` instead.
     """
-    if not w > 0:
-        raise ValueError("wealth must be positive")
-    if prefs.is_log_utility:
-        raise ValueError("gamma = 0 is served by log_utility_value")
-    if not 0.0 <= t <= a_solution.horizon:
-        raise OutOfHorizon(f"t={t} outside [0, {a_solution.horizon}]")
-    tau = a_solution.horizon - t
-    delta = prefs.delta
-    x_norm = NormalizationRecord(params.sigma, params.theta).state_to_unit_noise(x)
-    a = a_solution.interpolate(tau)
-    return ValueReport(
-        wealth_utility=w**prefs.gamma / prefs.gamma,
-        log_time_value=a_solution.trace_integral_at(tau) / delta,
-        log_intrinsic_value=float(x_norm @ a @ x_norm) / delta,
-    )
-
-
-def value_at_mean(w: float, t: float, a_solution: RiccatiSolution, prefs: Preferences) -> float:
-    """Value at the long-term mean (x = 0); the intrinsic factor is 1."""
-    if not 0.0 <= t <= a_solution.horizon:
-        raise OutOfHorizon(f"t={t} outside [0, {a_solution.horizon}]")
-    tau = a_solution.horizon - t
-    wealth_utility = w**prefs.gamma / prefs.gamma
-    return wealth_utility * float(np.exp(a_solution.trace_integral_at(tau) / prefs.delta))
+    return _exp_quadratic(w, x, t, prefs.gamma, a_solution, params, prefs.delta)
 
 
 def log_utility_value(w: float, x, t: float, params: OUParams, horizon: float) -> LogValueReport:

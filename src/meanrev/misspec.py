@@ -9,65 +9,16 @@ misspecification sweeps cheap to evaluate without Monte Carlo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
-from .control import StrategySpec, solve_value, value_function
-from .errors import BlowUpDetected, NonPositiveVariance, OutOfHorizon
+from .control import (StrategySpec, ValueReport, _exp_quadratic, misspecified_strategy,
+                      solve_value, value_function)
+from .errors import BlowUpDetected, NonPositiveVariance
 from .grids import SensitivityGrid
-from .model import NormalizationRecord, OUParams, Preferences, normalize, validate
-from .riccati import QuadraticOperator, RiccatiSolution, solve, solve_D, symmetric_operator
-
-
-@dataclass(frozen=True)
-class EstimatedParams:
-    """Estimated reversion rates, volatilities, and correlation."""
-
-    kappa_hat: np.ndarray
-    sigma_hat: np.ndarray
-    corr_hat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "kappa_hat", np.asarray(self.kappa_hat, dtype=float))
-        object.__setattr__(self, "sigma_hat", np.asarray(self.sigma_hat, dtype=float))
-        object.__setattr__(self, "corr_hat", np.asarray(self.corr_hat, dtype=float))
-
-    def as_params(self) -> OUParams:
-        n = self.kappa_hat.size
-        return OUParams(
-            n=n,
-            kappa=self.kappa_hat,
-            sigma=self.sigma_hat,
-            theta=np.zeros(n),
-            corr=self.corr_hat,
-        )
-
-    @classmethod
-    def from_params(cls, params: OUParams) -> "EstimatedParams":
-        return cls(kappa_hat=params.kappa, sigma_hat=params.sigma, corr_hat=params.corr)
-
-
-def misspecified_strategy(
-    true_params: OUParams,
-    est: EstimatedParams,
-    prefs: Preferences,
-    horizon: float,
-) -> StrategySpec:
-    """Position rule a trader with the given estimates would follow.
-
-    The feedback ODE is solved with the estimated parameters (it reads only
-    the reversion rates and the correlation); the frame r r', r = s / sh,
-    carries that solution into the true model's unit-noise coordinates, so
-    positions come out exactly as the estimate-believing trader computes
-    them, with the true long-term means (their estimation is out of scope).
-    """
-    _, record = normalize(true_params)
-    r = true_params.sigma / est.sigma_hat
-    return StrategySpec(
-        d_solution=solve_D(validate(est.as_params()), prefs, horizon), normalization=record,
-        frame=np.outer(r, r), horizon=horizon,
-    )
+from .model import OUParams, Preferences
+from .riccati import QuadraticOperator, RiccatiSolution, solve, symmetric_operator
 
 
 def beta_matrix(spec: StrategySpec, tau: float) -> np.ndarray:
@@ -100,26 +51,12 @@ def make_Q_operator(
 
 
 def solve_Q(epsilon: float, true_params: OUParams, spec: StrategySpec) -> RiccatiSolution:
-    """Solve the moment system for S_Q = Q + Q' at wealth exponent epsilon under
-    the rule ``spec`` (e.g. ``misspecified_strategy(...)``) over its horizon."""
-    return solve(make_Q_operator(epsilon, true_params, spec), spec.horizon)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """P_eps = E[W_T^eps / eps] under the misspecified rule, factored.
-
-    The trace-integral and quadratic factors are kept as logs.
-    """
-
-    epsilon: float
-    wealth_factor: float
-    log_trace_factor: float
-    log_quadratic_factor: float
-
-    @property
-    def p_value(self) -> float:
-        return self.wealth_factor * float(np.exp(self.log_trace_factor + self.log_quadratic_factor))
+    """Solve the moment system at wealth exponent epsilon under the rule ``spec``
+    (e.g. ``misspecified_strategy(...)``) over its horizon.  The solution presents
+    Q = S_Q / 2, the symmetric part of the moment matrix, and the trace integral
+    of Q Theta."""
+    s_q = solve(make_Q_operator(epsilon, true_params, spec), spec.horizon)
+    return RiccatiSolution(s_q.dense, s_q.n, s_q.tau_grid, s_q.horizon, scale=0.5)
 
 
 def p_epsilon(
@@ -129,34 +66,21 @@ def p_epsilon(
     epsilon: float,
     q_solution: RiccatiSolution,
     true_params: OUParams,
-) -> MomentReport:
-    """Evaluate the moment functional at (w, x, t) from the S_Q = Q + Q' solution."""
-    if not w > 0:
-        raise ValueError("wealth must be positive")
-    if epsilon == 0.0:
-        raise ValueError("epsilon = 0 is served by the log-utility path")
-    if not 0.0 <= t <= q_solution.horizon:
-        raise OutOfHorizon(f"t={t} outside [0, {q_solution.horizon}]")
-    tau = q_solution.horizon - t
-    s_q = q_solution.interpolate(tau)
-    x_norm = NormalizationRecord(true_params.sigma, true_params.theta).state_to_unit_noise(x)
-    return MomentReport(
-        epsilon=epsilon,
-        wealth_factor=w**epsilon / epsilon,
-        log_trace_factor=0.5 * q_solution.trace_integral_at(tau),
-        log_quadratic_factor=0.5 * float(x_norm @ s_q @ x_norm),
-    )
+) -> ValueReport:
+    """P_eps = E[W_T^eps / eps] under the rule behind ``q_solution`` (from
+    ``solve_Q``) at (w, x, t): (w^eps / eps) exp{int Tr(Q Theta) + x'Q x}."""
+    return _exp_quadratic(w, x, t, epsilon, q_solution, true_params, 1.0)
 
 
-def sharpe(p1: MomentReport, p2: MomentReport) -> float:
+def sharpe(p1: ValueReport, p2: ValueReport) -> float:
     """Terminal-wealth Sharpe ratio from the first two moments.
 
     P_2 carries the 1/2 of its definition, hence the factor 2 under the root.
     """
     if p1.epsilon != 1.0 or p2.epsilon != 2.0:
         raise ValueError("sharpe needs the epsilon = 1 and epsilon = 2 moments")
-    mean = p1.p_value
-    variance = 2.0 * p2.p_value - mean**2
+    mean = p1.total
+    variance = 2.0 * p2.total - mean**2
     if variance <= 0:
         raise NonPositiveVariance(f"2 P_2 - P_1^2 = {variance:.3e} is not positive")
     return mean / float(np.sqrt(variance))
@@ -195,14 +119,12 @@ def misspec_sweep(
             kappa_hat = true_params.kappa.copy()
             kappa_hat[0] *= a
             kappa_hat[1] *= b
-            est = EstimatedParams(
-                kappa_hat=kappa_hat, sigma_hat=true_params.sigma, corr_hat=true_params.corr
-            )
+            est = replace(true_params, kappa=kappa_hat)
             try:
                 spec = misspecified_strategy(true_params, est, prefs, horizon)
                 q_g = solve_Q(prefs.gamma, true_params, spec)
                 p_g = p_epsilon(w, true_params.theta, 0.0, prefs.gamma, q_g, true_params)
-                cells[i, j] = p_g.p_value - j_true
+                cells[i, j] = p_g.total - j_true
                 if with_sharpe:
                     q1 = solve_Q(1.0, true_params, spec)
                     q2 = solve_Q(2.0, true_params, spec)

@@ -36,7 +36,6 @@ from .analysis import (
     psi_closed_form,
     psi_integral,
     psi_property,
-    solve_F,
 )
 from .errors import BlowUpDetected, TrigSingularity
 from .model import OUParams, Preferences
@@ -137,11 +136,11 @@ def d_equation(params: OUParams, prefs: Preferences):
 def q_equation(true_params: OUParams, est, prefs: Preferences, epsilon: float):
     """Right-hand side and initial value of the non-symmetric moment equation
     Q' = S Theta S / 2 + (eps b' Theta - K) S + eps (eps - 1) b' Theta b / 2 - eps b' K,
-    S = Q + Q', on the state diag(Q, Dh, T): b = -(r r') o Dh, r = sigma / sigma-hat,
+    S = Q + Q', on the state diag(Q, Dh, T): b = -(r r') o Dh, r = sigma / est.sigma,
     Dh solves the estimates' ``d_equation`` and T' = Tr(Q Theta)."""
     n, corr, kmat = true_params.n, true_params.corr, np.diag(true_params.kappa)
-    d_rhs, d0 = d_equation(est.as_params(), prefs)
-    r = true_params.sigma / est.sigma_hat
+    d_rhs, d0 = d_equation(est, prefs)
+    r = true_params.sigma / est.sigma
 
     def rhs(tau, y):
         q, d_hat, out = y[:n, :n], y[n:-1, n:-1], np.zeros_like(y)
@@ -310,12 +309,13 @@ def a_d_consistency(cases=RANDOM_CASES, taus=np.linspace(0.0, 2.0, 21)) -> Check
 
 
 def f_consistency(cases=RANDOM_CASES, taus=np.linspace(0.0, 2.0, 21)) -> Check:
-    """F against the integrated F-equation; ``cases`` as in ``a_d_consistency``."""
+    """F = A Theta against the integrated F-equation; ``cases`` as in
+    ``a_d_consistency``."""
     worst = 0.0
     for params, prefs in cases:
-        f = solve_F(params, prefs, taus[-1])
+        a = solve_A(params, prefs, taus[-1])
         for tau, ref in zip(taus, reference_solve(*f_equation(params, prefs), taus[-1], taus)):
-            worst = max(worst, np.max(np.abs(f.interpolate(tau) - ref)))
+            worst = max(worst, np.max(np.abs(a.interpolate(tau) @ params.corr - ref)))
     return Check(float(worst), SOLVER_TOL, f"max err {worst:.2e}")
 
 

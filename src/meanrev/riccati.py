@@ -12,8 +12,9 @@ the rest of the package reads is an affine view of one S solution (``s_view``):
 
 * A = S/2, the symmetric value matrix;
 * D = delta Theta^{-1} K - S, the feedback matrix of the optimal position
-  rule alpha = -w D(tau) x;
-* F = S Theta / 2, the correlation-sensitivity matrix.
+  rule alpha = -w D(tau) x.
+
+The correlation-sensitivity matrix F = S Theta / 2 is A Theta.
 
 The explicitly solvable special cases (scalar, uncorrelated, common
 reversion rate, single mean-reverting asset hedged by Brownian motions)
@@ -58,21 +59,18 @@ class RiccatiSolution:
     ``dense(tau)`` is the integrated state X, flattened, followed by its running
     trace integral T.  The solution presents the affine view
 
-        M = offset + scale * X @ right,  trace integral scale * T + trace_rate * tau,
+        M = offset + scale * X,  trace integral scale * T + trace_rate * tau,
 
     which is X itself with the default arguments.  ``tau_grid`` lists uniform
     points and every adaptive accept point of the solve, for callers that want
     to sample it.
     """
 
-    def __init__(self, dense, n, tau_grid, horizon,
-                 scale=1.0, offset=0.0, right=None, trace_rate=0.0):
+    def __init__(self, dense, n, tau_grid, horizon, scale=1.0, offset=0.0, trace_rate=0.0):
         self.dense, self.n, self.tau_grid, self.horizon = dense, n, tau_grid, horizon
-        self.scale, self.offset, self.right, self.trace_rate = scale, offset, right, trace_rate
+        self.scale, self.offset, self.trace_rate = scale, offset, trace_rate
 
     def _matrix(self, x: np.ndarray) -> np.ndarray:
-        if self.right is not None:
-            x = x @ self.right
         return self.offset + self.scale * x
 
     def _check(self, tau: float) -> None:
@@ -119,20 +117,18 @@ def make_S_operator(params: OUParams, prefs: Preferences) -> QuadraticOperator:
 
 
 def s_view(s: RiccatiSolution, which: str, params: OUParams, prefs: Preferences) -> RiccatiSolution:
-    """A, D or F (``which``) as an affine view of a solution of the S-equation.
+    """A or D (``which``) as an affine view of a solution of the S-equation.
 
     With T(tau) the trace integral of S Theta:
 
     * A = S/2, trace integral of A Theta: T/2;
-    * D = delta Theta^{-1} K - S, trace integral of D Theta: delta tr(K) tau - T;
-    * F = S Theta / 2, trace integral of F: T/2.
+    * D = delta Theta^{-1} K - S, trace integral of D Theta: delta tr(K) tau - T.
     """
     delta, kappa = prefs.delta, params.kappa
     view = {
         "A": {"scale": 0.5},
         "D": {"scale": -1.0, "offset": delta * params.corr_inv * kappa[None, :],
               "trace_rate": delta * float(kappa.sum())},
-        "F": {"scale": 0.5, "right": params.corr},
     }[which]
     return RiccatiSolution(s.dense, s.n, s.tau_grid, s.horizon, **view)
 

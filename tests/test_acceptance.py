@@ -6,14 +6,15 @@ Each test is independent and prints a single pass/fail line under -v.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from meanrev.analysis import corr_sensitivity
 from meanrev.cli import main
-from meanrev.control import optimal_strategy, solve_value, value_function
-from meanrev.misspec import EstimatedParams, misspec_sweep, misspecified_strategy, p_epsilon, solve_Q
+from meanrev.control import misspecified_strategy, optimal_strategy, solve_value, value_function
+from meanrev.misspec import misspec_sweep, p_epsilon, solve_Q
 from meanrev.model import OUParams, Preferences
 from meanrev.oracles import CHECKS
 from meanrev.riccati import solve_D
@@ -120,22 +121,19 @@ def test_criterion_07_misspecification_framework():
     horizon = 1.0
 
     # Truth reproduces the value function.
-    truth = misspecified_strategy(params, EstimatedParams.from_params(params), prefs, horizon)
+    truth = misspecified_strategy(params, params, prefs, horizon)
     q = solve_Q(prefs.gamma, params, truth)
     a = solve_value(params, prefs, horizon)
     for t, x in ((0.0, params.theta), (0.4, params.theta + 0.2)):
-        p = p_epsilon(1.5, x, t, prefs.gamma, q, params).p_value
+        p = p_epsilon(1.5, x, t, prefs.gamma, q, params).total
         j = value_function(1.5, x, t, a, prefs, params).total
         assert abs(p - j) < 1e-8 * abs(j)
 
     # First and second moments against Monte Carlo under three wrong estimates.
     estimates = (
-        EstimatedParams(kappa_hat=params.kappa * 1.5, sigma_hat=params.sigma,
-                        corr_hat=params.corr),
-        EstimatedParams(kappa_hat=params.kappa, sigma_hat=params.sigma * 1.2,
-                        corr_hat=params.corr),
-        EstimatedParams(kappa_hat=params.kappa, sigma_hat=params.sigma,
-                        corr_hat=pair_corr(-0.2)),
+        replace(params, kappa=params.kappa * 1.5),
+        replace(params, sigma=params.sigma * 1.2),
+        replace(params, corr=pair_corr(-0.2)),
     )
     x0 = params.theta + np.array([0.15, -0.1])
     for k, est in enumerate(estimates):
@@ -144,7 +142,7 @@ def test_criterion_07_misspecification_framework():
                        x0=x0, store_paths=False)
         for eps in (1.0, 2.0):
             qe = solve_Q(eps, params, spec)
-            analytic = p_epsilon(1.0, x0, 0.0, eps, qe, params).p_value
+            analytic = p_epsilon(1.0, x0, 0.0, eps, qe, params).total
             mc, se = ens.utility_estimate(eps)
             assert abs(mc - analytic) < 3.0 * se
 

@@ -10,10 +10,9 @@ from meanrev.analysis import (
     phi_diagonal,
     psi_closed_form,
     psi_integral,
-    solve_F,
     value_vs_kappa2_rho,
 )
-from meanrev.control import solve_value, value_at_mean
+from meanrev.control import solve_value, value_function
 from meanrev.errors import BlowUpDetected
 from meanrev.model import OUParams, Preferences
 
@@ -23,9 +22,9 @@ from conftest import assert_passes, random_corr, two_asset
 def test_f_diagonal_is_psi_at_zero_correlation():
     params = two_asset(rho=0.0, kappa=(1.0, 0.5))
     prefs = Preferences(gamma=-4.0)
-    f = solve_F(params, prefs, 3.0)
+    a = solve_value(params, prefs, 3.0)
     for tau in np.linspace(0.0, 3.0, 13):
-        m = f.interpolate(tau)
+        m = a.interpolate(tau) @ params.corr  # F = A Theta
         assert m[0, 0] == pytest.approx(psi_closed_form(1.0, prefs.delta, tau), abs=1e-8)
         assert m[1, 1] == pytest.approx(psi_closed_form(0.5, prefs.delta, tau), abs=1e-8)
         assert abs(m[0, 1]) < 1e-10 and abs(m[1, 0]) < 1e-10
@@ -127,7 +126,8 @@ def log_value_fd(params, prefs, horizon, a, b, h=2e-3):
         corr[b] = corr[b[::-1]] = params.corr[b] + db
         moved = OUParams(n=params.n, kappa=params.kappa, sigma=params.sigma,
                          theta=params.theta, corr=corr)
-        return np.log(abs(value_at_mean(1.0, 0.0, solve_value(moved, prefs, horizon), prefs)))
+        sol = solve_value(moved, prefs, horizon)
+        return np.log(abs(value_function(1.0, moved.theta, 0.0, sol, prefs, moved).total))
 
     def stencil(s):
         l0 = log_j(0.0, 0.0)

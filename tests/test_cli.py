@@ -20,7 +20,8 @@ from meanrev.cli import (
     main,
     parse_model,
 )
-from meanrev.control import solve_value, value_at_mean
+from meanrev.control import solve_value, value_function
+from meanrev.riccati import single_mr_blowup_tau
 
 
 def base_config(**overrides):
@@ -190,7 +191,8 @@ def test_corr_sweep_default_config(tmp_path):
                      for ln in read_body(tmp_path / "out" / "corr_sweep.csv")[1:]])
     row = rows[np.argmin(np.abs(rows[:, 0] - params.corr[0, 1]))]
     assert row[0] == pytest.approx(params.corr[0, 1], abs=1e-15)
-    j = value_at_mean(1.0, 0.0, solve_value(params, prefs, horizon), prefs)
+    j = value_function(1.0, params.theta, 0.0, solve_value(params, prefs, horizon), prefs,
+                       params).total
     assert row[1] == pytest.approx(j, rel=1e-12)
 
 
@@ -204,24 +206,43 @@ def test_corr_sweep_outputs(tmp_path):
     assert len(read_body(tmp_path / "out" / "corr_sweep.csv")) == 4
 
 
-def test_corr_sweep_records_rows_that_are_not_positive_definite(tmp_path, capsys):
+def pole_before(horizon):
+    """Rows of the single-mean-reverting model (kappa = (1, 0), gamma = 0.5)
+    whose value equation has its pole before ``horizon``."""
+    def fails(rho):
+        tau_star = single_mr_blowup_tau(1.0, np.array([[1.0, rho], [rho, 1.0]]), 0.5)
+        return tau_star is not None and tau_star < horizon
+    return fails
+
+
+@pytest.mark.parametrize("model, gamma, horizon, pair, fails, n_failed, reason", [
     # With Theta_01 = Theta_12 = 0.6, the matrix is positive definite only for
     # rho_02 in (-0.28, 1): the rows below fail on their own, the rest run.
-    cfg = base_config()
-    cfg["model"].update(n=3, kappa=[1.0, 0.5, 2.0], sigma=[1.0] * 3, theta=[0.0] * 3,
-                        corr=[[1.0, 0.6, 0.0], [0.6, 1.0, 0.6], [0.0, 0.6, 1.0]])
-    cfg["corr_sweep"] = {"pair": [0, 2]}
+    pytest.param(dict(n=3, kappa=[1.0, 0.5, 2.0], sigma=[1.0] * 3, theta=[0.0] * 3,
+                      corr=[[1.0, 0.6, 0.0], [0.6, 1.0, 0.6], [0.0, 0.6, 1.0]]),
+                 -4.0, 1.0, [0, 2], lambda rho: rho <= -0.3 + 1e-12, 7,
+                 "smallest correlation eigenvalue", id="not-positive-definite"),
+    # The value equation blows up before T = 3 at |rho| >= 0.8.
+    pytest.param(dict(n=2, kappa=[1.0, 0.0], sigma=[1.0] * 2, theta=[0.0] * 2,
+                      corr=[[1.0, 0.0], [0.0, 1.0]]),
+                 0.5, 3.0, [0, 1], pole_before(3.0), 4, "blew up", id="blow-up"),
+])
+def test_corr_sweep_records_failed_rows(tmp_path, capsys, model, gamma, horizon, pair, fails,
+                                        n_failed, reason):
+    cfg = base_config(gamma=gamma, horizon=horizon)
+    cfg["model"] = model
+    cfg["corr_sweep"] = {"pair": pair}
     assert run(tmp_path, cfg, "corr-sweep") == EXIT_OK
     rows = np.array([[float(v) for v in ln.split(",")]
                      for ln in read_body(tmp_path / "out" / "corr_sweep.csv")[1:]])
     assert rows.shape == (19, 2)
-    failed = rows[:, 0] <= -0.3 + 1e-12
-    assert failed.sum() == 7
+    failed = np.array([fails(rho) for rho in rows[:, 0]])
+    assert failed.sum() == n_failed
     assert np.all(np.isnan(rows[failed, 1])) and np.all(np.isfinite(rows[~failed, 1]))
     reasons = [ln for ln in capsys.readouterr().err.splitlines() if " failed: " in ln]
     assert [ln.split(" failed: ")[0] for ln in reasons] == [
         f"row rho={rho:g}" for rho in rows[failed, 0]]
-    assert all("smallest correlation eigenvalue" in ln for ln in reasons)
+    assert all(reason in ln for ln in reasons)
 
 
 def test_corr_sweep_rejects_non_finite_rho(tmp_path, capsys):
@@ -231,7 +252,7 @@ def test_corr_sweep_rejects_non_finite_rho(tmp_path, capsys):
     assert "NonFinite" in capsys.readouterr().err
 
 
-def test_kappa_sweep_outputs(tmp_path):
+def test_kappa_sweep_outputs(tmp_path, capsys):
     cfg = base_config(horizon=3.0)
     cfg["kappa_sweep"] = {
         "kappa2_grid": [0.3, 1.0, 2.0],
@@ -242,6 +263,19 @@ def test_kappa_sweep_outputs(tmp_path):
     assert run(tmp_path, cfg, "kappa-sweep") == EXIT_OK
     assert len(read_body(tmp_path / "out" / "value_surface.csv")) == 1 + 6
     assert len(read_body(tmp_path / "out" / "d_curves.csv")) == 1 + 21
+    assert " failed: " not in capsys.readouterr().err
+
+    # kappa = (1, 0) at rho = 0.9 is the single-mean-reverting model with its
+    # pole before T = 3; that cell alone fails, with its reason on stderr.
+    cfg = base_config(gamma=0.5, horizon=3.0)
+    cfg["model"].update(kappa=[1.0, 0.0], corr=[[1.0, 0.0], [0.0, 1.0]])
+    cfg["kappa_sweep"] = {"kappa2_grid": [0.0, 0.5], "rho_grid": [0.0, 0.9]}
+    assert run(tmp_path, cfg, "kappa-sweep") == EXIT_OK
+    rows = [ln.split(",") for ln in read_body(tmp_path / "out" / "value_surface.csv")[1:]]
+    assert [r[2] == "nan" for r in rows] == [False, True, False, False]
+    reasons = [ln for ln in capsys.readouterr().err.splitlines() if " failed: " in ln]
+    assert len(reasons) == 1
+    assert reasons[0].startswith("cell (0, 0.9) failed: Riccati solution blew up near tau = ")
 
 
 def test_positions_output(tmp_path):

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from meanrev.control import (
-    log_utility_value,
-    optimal_strategy,
-    solve_value,
-    value_at_mean,
-    value_function,
-)
+from meanrev.control import log_utility_value, optimal_strategy, solve_value, value_function
 from meanrev.errors import OutOfHorizon
 from meanrev.model import OUParams, Preferences, normalize, step_covariance
 from meanrev.oracles import d_equation, reference_solve
@@ -80,9 +74,10 @@ def test_value_function_factors():
     prefs = Preferences(gamma=-1.0)
     a = solve_value(params, prefs, 2.0)
     rep = value_function(1.0, params.theta, 0.0, a, prefs, params)
-    # At the mean the intrinsic factor is 1.
-    assert rep.intrinsic_value == pytest.approx(1.0)
-    assert rep.total == pytest.approx(value_at_mean(1.0, 0.0, a, prefs))
+    # At the mean the quadratic factor vanishes exactly, leaving the wealth
+    # utility times the trace factor exp(int Tr(A Theta) / delta).
+    assert rep.log_quadratic_factor == 0.0
+    assert rep.total == (1.0 / prefs.gamma) * float(np.exp(a.trace_integral_at(2.0) / prefs.delta))
 
 
 def test_value_function_rejects_log_utility():
@@ -97,7 +92,8 @@ def test_value_monotone_in_horizon():
     params = two_asset()
     prefs = Preferences(gamma=-4.0)
     a = solve_value(params, prefs, 3.0)
-    values = [value_at_mean(1.0, t, a, prefs) for t in (0.0, 1.0, 2.0, 3.0)]
+    values = [value_function(1.0, params.theta, t, a, prefs, params).total
+              for t in (0.0, 1.0, 2.0, 3.0)]
     assert all(values[k] > values[k + 1] - 1e-12 for k in range(3))
     assert all(v < 0 for v in values)
 

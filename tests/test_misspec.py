@@ -1,18 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from meanrev.control import optimal_strategy, solve_value, value_function
-from meanrev.errors import BlowUpDetected, NonPositiveVariance
-from meanrev.misspec import (
-    EstimatedParams,
-    misspec_sweep,
+from meanrev.control import (
+    ValueReport,
     misspecified_strategy,
-    p_epsilon,
-    sharpe,
-    solve_Q,
+    optimal_strategy,
+    solve_value,
+    value_function,
 )
-from meanrev.model import Preferences
+from meanrev.errors import BlowUpDetected, NonPositiveVariance
+from meanrev.misspec import misspec_sweep, p_epsilon, sharpe, solve_Q
+from meanrev.model import OUParams, Preferences
 from meanrev.oracles import d_equation, q_equation, reference_solve
 from meanrev.wealth import simulate
 
@@ -26,12 +27,14 @@ def correlated_pair():
 def test_true_estimates_reproduce_optimal_positions(rng):
     params = correlated_pair()
     prefs = Preferences(gamma=-1.0)
-    est = EstimatedParams.from_params(params)
+    # Estimates equal to the truth, rebuilt from plain lists: the rules agree
+    # to the last bit.
+    est = OUParams.from_dict(params.to_dict())
     s_opt = optimal_strategy(params, prefs, 1.5)
     s_mis = misspecified_strategy(params, est, prefs, 1.5)
     for t in (0.0, 0.7, 1.4):
         x = params.theta + rng.standard_normal(2) * 0.2
-        assert np.allclose(s_opt.position(2.0, x, t), s_mis.position(2.0, x, t), atol=1e-10)
+        assert np.array_equal(s_opt.position(2.0, x, t), s_mis.position(2.0, x, t))
 
 
 ratios = st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3).map(np.array)
@@ -45,22 +48,23 @@ def test_misspecified_positions_follow_the_estimates(seed, kappa_ratio, sigma_ra
     # Dh from the estimated model's D-equation integrated independently.
     rng = np.random.default_rng(seed)
     params = random_params(rng, 3)
-    est = EstimatedParams(kappa_hat=params.kappa * kappa_ratio,
-                          sigma_hat=params.sigma * sigma_ratio, corr_hat=random_corr(rng, 3))
+    # The estimated means are never read: positions use the true ones.
+    est = OUParams(n=3, kappa=params.kappa * kappa_ratio, sigma=params.sigma * sigma_ratio,
+                   theta=rng.uniform(-1.0, 1.0, 3), corr=random_corr(rng, 3))
     prefs = Preferences(gamma=gamma)
     spec = misspecified_strategy(params, est, prefs, 1.0)
     x = params.theta + rng.standard_normal(3) * 0.3
     ts = (0.0, 0.4, 1.0)
-    d_hat = reference_solve(*d_equation(est.as_params(), prefs), 1.0, [1.0 - t for t in ts])
+    d_hat = reference_solve(*d_equation(est, prefs), 1.0, [1.0 - t for t in ts])
     for t, d in zip(ts, d_hat):
-        expected = -1.5 * d @ ((x - params.theta) / est.sigma_hat) / est.sigma_hat
+        expected = -1.5 * d @ ((x - params.theta) / est.sigma) / est.sigma
         got = spec.position(1.5, x, t)
         assert np.max(np.abs(got - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
 def test_moment_solve_matches_non_symmetric_q_equation():
-    # S_Q / 2 is the symmetric part of the non-symmetric Q, and its trace
-    # integral halves to that of Q Theta; Q and Dh are integrated together
+    # solve_Q presents S_Q / 2, the symmetric part of the non-symmetric Q,
+    # with the trace integral of Q Theta; Q and Dh are integrated together
     # by the reference solver, independently of the package's solves.
     rng = np.random.default_rng(7)
     taus = np.linspace(0.0, 1.0, 11)
@@ -70,9 +74,9 @@ def test_moment_solve_matches_non_symmetric_q_equation():
         for _ in range(3):
             n = int(rng.integers(2, 4))
             params = random_params(rng, n)
-            est = EstimatedParams(kappa_hat=params.kappa * rng.uniform(0.5, 2.0, n),
-                                  sigma_hat=params.sigma * rng.uniform(0.7, 1.4, n),
-                                  corr_hat=random_corr(rng, n))
+            est = replace(params, kappa=params.kappa * rng.uniform(0.5, 2.0, n),
+                          sigma=params.sigma * rng.uniform(0.7, 1.4, n),
+                          corr=random_corr(rng, n))
             spec = misspecified_strategy(params, est, prefs, taus[-1])
             for eps in (gamma, 1.0, 2.0):
                 try:
@@ -80,34 +84,41 @@ def test_moment_solve_matches_non_symmetric_q_equation():
                 except BlowUpDetected:
                     continue
                 solved += 1
-                s_q = sol.at_many(sol.tau_grid)
-                assert np.array_equal(s_q, s_q.transpose(0, 2, 1))
+                q_sym = sol.at_many(sol.tau_grid)
+                assert np.array_equal(q_sym, q_sym.transpose(0, 2, 1))
                 ref = reference_solve(*q_equation(params, est, prefs, eps), taus[-1], taus)
                 q_ref, trace_ref = ref[:, :n, :n], ref[:, 2 * n, 2 * n]
                 scale = max(1.0, float(np.max(np.abs(q_ref))))
                 for tau, q, trace in zip(taus, q_ref, trace_ref):
-                    assert np.max(np.abs(0.5 * sol.interpolate(tau) - 0.5 * (q + q.T))) <= 1e-8 * scale
-                    assert abs(0.5 * sol.trace_integral_at(tau) - trace) <= 1e-8 * scale
+                    assert np.max(np.abs(sol.interpolate(tau) - 0.5 * (q + q.T))) <= 1e-8 * scale
+                    assert abs(sol.trace_integral_at(tau) - trace) <= 1e-8 * scale
     assert solved >= 20
 
 
-def test_p_gamma_equals_value_at_truth():
-    params = correlated_pair()
-    prefs = Preferences(gamma=-1.0)
-    est = EstimatedParams.from_params(params)
-    horizon = 1.5
-    q = solve_Q(prefs.gamma, params, misspecified_strategy(params, est, prefs, horizon))
-    a = solve_value(params, prefs, horizon)
-    for t, x in ((0.0, params.theta), (0.0, params.theta + 0.25), (0.8, params.theta - 0.1)):
-        p = p_epsilon(1.7, x, t, prefs.gamma, q, params).p_value
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       gamma=st.sampled_from([-4.0, -1.0, 0.5]), horizon=st.floats(0.2, 2.0))
+def test_p_gamma_equals_value_at_truth(seed, n, gamma, horizon):
+    # The value J is the gamma-th wealth moment of the rule with exact
+    # estimates; the two come from different Riccati solves.
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, n)
+    prefs = Preferences(gamma=gamma)
+    try:
+        q = solve_Q(gamma, params, optimal_strategy(params, prefs, horizon))
+        a = solve_value(params, prefs, horizon)
+    except BlowUpDetected:
+        assume(False)
+    for t in (0.0, *rng.uniform(0.0, horizon, 2)):
+        x = params.theta + rng.standard_normal(n) * 0.3
+        p = p_epsilon(1.7, x, t, gamma, q, params).total
         j = value_function(1.7, x, t, a, prefs, params).total
-        assert abs(p - j) < 1e-8 * abs(j)
+        assert abs(p - j) <= 1e-8 * abs(j)
 
 
 def test_zeroth_moment_is_trivial():
     params = correlated_pair()
-    est = EstimatedParams(kappa_hat=params.kappa * 1.3, sigma_hat=params.sigma,
-                          corr_hat=params.corr)
+    est = replace(params, kappa=params.kappa * 1.3)
     q0 = solve_Q(0.0, params, misspecified_strategy(params, est, Preferences(gamma=-1.0), 1.0))
     assert np.max(np.abs(q0.at_many(q0.tau_grid))) == 0.0
     assert q0.trace_integral_at(1.0) == 0.0
@@ -119,18 +130,15 @@ def test_moments_match_monte_carlo():
     params = correlated_pair()
     prefs = Preferences(gamma=-1.0)
     horizon = 1.0
-    est = EstimatedParams(
-        kappa_hat=np.array([1.4, 1.5]),
-        sigma_hat=np.array([0.36, 0.44]),
-        corr_hat=np.array([[1.0, 0.25], [0.25, 1.0]]),
-    )
+    est = replace(params, kappa=[1.4, 1.5], sigma=[0.36, 0.44],
+                  corr=np.array([[1.0, 0.25], [0.25, 1.0]]))
     spec = misspecified_strategy(params, est, prefs, horizon)
     x0 = params.theta + np.array([0.15, -0.1])
     ens = simulate(params, prefs, spec, horizon, 512, 8000, 42, x0=x0, store_paths=False)
     assert ens.n_excluded == 0
     for eps in (prefs.gamma, 1.0, 2.0):
         q = solve_Q(eps, params, spec)
-        analytic = p_epsilon(1.0, x0, 0.0, eps, q, params).p_value
+        analytic = p_epsilon(1.0, x0, 0.0, eps, q, params).total
         mc, se = ens.utility_estimate(eps)
         assert abs(mc - analytic) < 3.0 * se
 
@@ -138,8 +146,7 @@ def test_moments_match_monte_carlo():
 def test_sharpe_positive_at_truth():
     params = correlated_pair()
     prefs = Preferences(gamma=-1.0)
-    est = EstimatedParams.from_params(params)
-    spec = misspecified_strategy(params, est, prefs, 1.5)
+    spec = misspecified_strategy(params, params, prefs, 1.5)
     q1 = solve_Q(1.0, params, spec)
     q2 = solve_Q(2.0, params, spec)
     sr = sharpe(
@@ -152,8 +159,7 @@ def test_sharpe_positive_at_truth():
 def test_sharpe_rejects_wrong_exponents():
     params = correlated_pair()
     prefs = Preferences(gamma=-1.0)
-    est = EstimatedParams.from_params(params)
-    q1 = solve_Q(1.0, params, misspecified_strategy(params, est, prefs, 1.0))
+    q1 = solve_Q(1.0, params, misspecified_strategy(params, params, prefs, 1.0))
     p1 = p_epsilon(1.0, params.theta, 0.0, 1.0, q1, params)
     with pytest.raises(ValueError):
         sharpe(p1, p1)
@@ -161,12 +167,10 @@ def test_sharpe_rejects_wrong_exponents():
 
 def test_sharpe_variance_guard():
     with pytest.raises(NonPositiveVariance):
-        from meanrev.misspec import MomentReport
-
-        p1 = MomentReport(epsilon=1.0, wealth_factor=1.0,
-                          log_trace_factor=0.0, log_quadratic_factor=0.0)
-        p2 = MomentReport(epsilon=2.0, wealth_factor=0.5,
-                          log_trace_factor=0.0, log_quadratic_factor=0.0)
+        p1 = ValueReport(epsilon=1.0, wealth_factor=1.0,
+                         log_trace_factor=0.0, log_quadratic_factor=0.0)
+        p2 = ValueReport(epsilon=2.0, wealth_factor=0.5,
+                         log_trace_factor=0.0, log_quadratic_factor=0.0)
         # 2 P_2 - P_1^2 = 2*0.5 - 1 = 0, not positive.
         sharpe(p1, p2)
 
