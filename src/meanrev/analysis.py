@@ -106,7 +106,7 @@ def lambda_closed_form(kappa_i: float, kappa_j: float, delta: float, tau) -> np.
 
 
 def phi_diagonal(kappa_i: float, kappa_j: float, delta: float, horizon: float):
-    """Diagonal pure-second-derivative limits phi_ii, phi_jj and their sum's integral.
+    """Integral over [0, T] of the diagonal pure-second-derivative limits phi_ii + phi_jj.
 
     Each solves the linear ODE
       phi' = phi [4 Psi(kappa, .) - 2 delta kappa] + 4 lambda_ij lambda_ji
@@ -115,8 +115,7 @@ def phi_diagonal(kappa_i: float, kappa_j: float, delta: float, horizon: float):
     with (kappa, kappa_other) = (kappa_i, kappa_j) for the ii entry and
     swapped for jj; lambda is lambda(kappa, kappa_other) and
     lambda_ij lambda_ji is the diagonal of the squared first derivative of F
-    that the 2F^2 term contributes.  Returns (phi_ii, phi_jj,
-    int_0^T (phi_ii + phi_jj)), the first two as callables of tau.
+    that the 2F^2 term contributes.
     """
     if min(kappa_i, kappa_j, delta, horizon) <= 0:
         raise ValueError("kappa_i, kappa_j, delta, horizon must be positive")
@@ -139,15 +138,7 @@ def phi_diagonal(kappa_i: float, kappa_j: float, delta: float, horizon: float):
     )
     if not res.success:
         raise RuntimeError(f"phi integration failed: {res.message}")
-    sol = res.sol
-
-    def phi_ii(tau: float) -> float:
-        return float(sol(tau)[0])
-
-    def phi_jj(tau: float) -> float:
-        return float(sol(tau)[1])
-
-    return phi_ii, phi_jj, float(sol(horizon)[2])
+    return float(res.sol(horizon)[2])
 
 
 @dataclass(frozen=True)

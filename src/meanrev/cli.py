@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,8 @@ def cmd_positions(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     wealth = float(section.get("wealth", 1.0))
     states = np.atleast_2d(np.asarray(section.get("states", [params.theta.tolist()]), dtype=float))
     times = np.asarray(section.get("times", [0.0]), dtype=float)
+    if not np.all(np.isfinite(states)):
+        raise NonFinite("positions.states has a non-finite entry")
     spec = optimal_strategy(params, prefs, horizon)
     rows = []
     for t in times:
@@ -370,9 +373,7 @@ def cmd_corr_sweep(config: dict, outdir: Path, seed: int, plot: bool) -> int:
         corr = params.corr.copy()
         corr[pair[0], pair[1]] = corr[pair[1], pair[0]] = rho
         try:
-            perturbed = validate(OUParams(
-                n=params.n, kappa=params.kappa, sigma=params.sigma, theta=params.theta, corr=corr
-            ))
+            perturbed = validate(replace(params, corr=corr))
             a = solve_value(perturbed, prefs, horizon)
         except (NotPositiveDefinite, BlowUpDetected) as exc:
             print(f"row rho={rho:g} failed: {exc}", file=sys.stderr)

@@ -27,7 +27,10 @@ class StrategySpec:
     d_solution: RiccatiSolution
     normalization: NormalizationRecord
     frame: np.ndarray
-    horizon: float
+
+    @property
+    def horizon(self) -> float:
+        return self.d_solution.horizon
 
     def feedback(self, tau: float) -> np.ndarray:
         return self.frame * self.d_solution.interpolate(tau)
@@ -62,7 +65,7 @@ def misspecified_strategy(true_params: OUParams, est: OUParams, prefs: Preferenc
     r = true_params.sigma / est.sigma
     return StrategySpec(
         d_solution=solve_D(validate(est), prefs, horizon), normalization=record,
-        frame=np.outer(r, r), horizon=horizon,
+        frame=np.outer(r, r),
     )
 
 

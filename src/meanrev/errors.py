@@ -6,7 +6,7 @@ class MeanrevError(Exception):
 
 
 class ValidationError(MeanrevError):
-    """A model parameter set violates one of its invariants."""
+    """An input (model parameters, a state or a time) violates one of its invariants."""
 
 
 class NotSymmetric(ValidationError):
@@ -59,7 +59,7 @@ class TrigSingularity(BlowUpDetected):
     """The risk-seeking closed-form branch hit its trigonometric pole."""
 
 
-class OutOfHorizon(MeanrevError):
+class OutOfHorizon(ValidationError):
     """A time query lies outside the horizon covered by a solution."""
 
 

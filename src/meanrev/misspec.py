@@ -92,12 +92,11 @@ def misspec_sweep(
     horizon: float,
     multipliers1,
     multipliers2,
-    w: float = 1.0,
     with_sharpe: bool = False,
 ) -> SensitivityGrid:
     """Value lost to reversion-rate misspecification over a multiplier grid.
 
-    Each cell holds P_gamma(w, 0, 0; kappa-hat) - J(w, 0, 0) for the
+    Each cell holds P_gamma(1, theta, 0; kappa-hat) - J(1, theta, 0) for the
     estimate kappa-hat = (m1 k1, m2 k2, ...) with all other estimates exact.
     The true point (1, 1) anchors the grid at zero; blow-ups become NaN
     cells with a recorded reason.
@@ -109,7 +108,7 @@ def misspec_sweep(
     if np.any(m1 <= 0) or np.any(m2 <= 0):
         raise ValueError("multipliers must be positive")
     a_true = solve_value(true_params, prefs, horizon)
-    j_true = value_function(w, true_params.theta, 0.0, a_true, prefs, true_params).total
+    j_true = value_function(1.0, true_params.theta, 0.0, a_true, prefs, true_params).total
 
     cells = np.empty((m1.size, m2.size))
     sharpes = np.full((m1.size, m2.size), np.nan)
@@ -123,14 +122,14 @@ def misspec_sweep(
             try:
                 spec = misspecified_strategy(true_params, est, prefs, horizon)
                 q_g = solve_Q(prefs.gamma, true_params, spec)
-                p_g = p_epsilon(w, true_params.theta, 0.0, prefs.gamma, q_g, true_params)
+                p_g = p_epsilon(1.0, true_params.theta, 0.0, prefs.gamma, q_g, true_params)
                 cells[i, j] = p_g.total - j_true
                 if with_sharpe:
                     q1 = solve_Q(1.0, true_params, spec)
                     q2 = solve_Q(2.0, true_params, spec)
                     sharpes[i, j] = sharpe(
-                        p_epsilon(w, true_params.theta, 0.0, 1.0, q1, true_params),
-                        p_epsilon(w, true_params.theta, 0.0, 2.0, q2, true_params),
+                        p_epsilon(1.0, true_params.theta, 0.0, 1.0, q1, true_params),
+                        p_epsilon(1.0, true_params.theta, 0.0, 2.0, q2, true_params),
                     )
             except BlowUpDetected as exc:
                 cells[i, j] = np.nan
@@ -147,7 +146,6 @@ def misspec_sweep(
             "j_true": j_true,
             "gamma": prefs.gamma,
             "horizon": horizon,
-            "wealth": w,
         },
         failures=failures,
     )

@@ -67,9 +67,6 @@ class OUParams:
     def corr_inv(self) -> np.ndarray:
         return np.linalg.inv(self.corr)
 
-    def is_normalized(self) -> bool:
-        return bool(np.all(self.sigma == 1.0) and np.all(self.theta == 0.0))
-
     @classmethod
     def from_dict(cls, doc: dict) -> "OUParams":
         n = int(doc["n"])
@@ -80,15 +77,6 @@ class OUParams:
             theta=doc.get("theta", np.zeros(n)),
             corr=doc["corr"],
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "kappa": self.kappa.tolist(),
-            "sigma": self.sigma.tolist(),
-            "theta": self.theta.tolist(),
-            "corr": self.corr.tolist(),
-        }
 
 
 @dataclass(frozen=True)
@@ -111,10 +99,6 @@ class Preferences:
     def delta(self) -> float:
         return 1.0 / (1.0 - self.gamma)
 
-    @property
-    def is_log_utility(self) -> bool:
-        return self.gamma == 0.0
-
     @classmethod
     def from_delta(cls, delta: float) -> "Preferences":
         if not 0 < delta < np.inf:
@@ -124,10 +108,10 @@ class Preferences:
 
 @dataclass(frozen=True)
 class NormalizationRecord:
-    """Maps states and positions between original and unit-noise coordinates.
+    """Maps states into, and positions out of, unit-noise coordinates.
 
-    Normalized state is sigma^{-1}(x - theta); normalized position is
-    sigma * alpha.  Round-tripping is the identity.
+    The normalized state is sigma^{-1}(x - theta); a normalized position
+    sigma * alpha maps back to alpha.
     """
 
     original_sigma: np.ndarray
@@ -143,12 +127,6 @@ class NormalizationRecord:
 
     def state_to_unit_noise(self, x) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.original_theta) / self.original_sigma
-
-    def state_from_unit_noise(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float) * self.original_sigma + self.original_theta
-
-    def position_to_unit_noise(self, alpha) -> np.ndarray:
-        return np.asarray(alpha, dtype=float) * self.original_sigma
 
     def position_from_unit_noise(self, alpha) -> np.ndarray:
         return np.asarray(alpha, dtype=float) / self.original_sigma
@@ -231,7 +209,8 @@ class ExactStepper:
     """Precomputed exact one-step transition for a fixed step size.
 
     The step is exact in distribution: x' = decay * x + L z with decay the
-    componentwise exp(-kappa dt) and L L^T the exact step covariance.
+    componentwise exp(-kappa dt) and L L^T the exact step covariance.  It
+    reads only kappa and the correlation, so it steps unit-noise states.
     """
 
     params: OUParams
@@ -240,8 +219,6 @@ class ExactStepper:
     noise_factor: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.params.is_normalized():
-            raise ValueError("exact stepping requires normalized parameters")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         decay = np.exp(-self.params.kappa * self.dt)

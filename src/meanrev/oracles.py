@@ -373,10 +373,10 @@ def phi_integral_signs(kappas=(1.0, 0.5), horizon: float = 3.0) -> Check:
     """The integral of phi_ii + phi_jj is positive for delta > 1, negative for
     delta < 1, and zero at delta = 1 or equal reversion rates."""
     ki, kj = kappas
-    pos = phi_diagonal(ki, kj, 4.0, horizon)[2]
-    neg = phi_diagonal(ki, kj, 0.2, horizon)[2]
-    zero_d = phi_diagonal(ki, kj, 1.0, horizon)[2]
-    zero_k = phi_diagonal(0.8, 0.8, 4.0, horizon)[2]
+    pos = phi_diagonal(ki, kj, 4.0, horizon)
+    neg = phi_diagonal(ki, kj, 0.2, horizon)
+    zero_d = phi_diagonal(ki, kj, 1.0, horizon)
+    zero_k = phi_diagonal(0.8, 0.8, 4.0, horizon)
     error = max(abs(zero_d), abs(zero_k)) if pos > 0 and neg < 0 else np.inf
     return Check(error, 1e-10, f"pos {pos:.3e}, neg {neg:.3e}, zeros {zero_d:.1e}/{zero_k:.1e}")
 
@@ -461,7 +461,7 @@ def corr_curvature_phi(gammas=(-4.0, 0.5), kappa_pairs=((1.0, 0.5), (2.0, 0.5)),
         for kpair in kappa_pairs:
             r = corr_sensitivity(unit_noise(kpair, np.eye(2)), prefs, horizon, (0, 1))
             worst = max(worst, abs(prefs.delta * r.log_second_derivative
-                                   - phi_diagonal(*kpair, prefs.delta, horizon)[2]))
+                                   - phi_diagonal(*kpair, prefs.delta, horizon)))
     return Check(worst, SOLVER_TOL, f"max err {worst:.2e}")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import StrategySpec
-from .errors import OutOfRange
+from .errors import NonFinite, OutOfRange
 from .model import ExactStepper, OUParams, Preferences, normalize
 
 # |log W| beyond this is treated as a diverged path and excluded.
@@ -111,6 +111,8 @@ def simulate(
     norm_params, record = normalize(params)
     n = params.n
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    if not np.all(np.isfinite(x0)):
+        raise NonFinite("x0 has a non-finite entry")
     x0_norm = record.state_to_unit_noise(x0)
     dt = horizon / n_steps
     stepper = ExactStepper(params=norm_params, dt=dt)
@@ -178,8 +180,8 @@ class WealthDecomposition:
 
     term_a: running time-integral (trace gain minus quadratic cost);
     term_b: profit on the positions open at the endpoints;
-    term_c: hedging-efficiency stochastic integral (zero when the feedback
-    matrix is symmetric at all times).
+    term_c: hedging-efficiency stochastic integral (exactly zero when the
+    correlation commutes with the reversion rates).
     """
 
     term_a: float
@@ -207,10 +209,11 @@ def decompose(
 ) -> WealthDecomposition:
     """Decompose one stored path's log return between grid times s < t.
 
-    Terms follow the stochastic-exponential solution of the wealth SDE,
-    discretized with the same left-point convention as the simulation and
-    the ensemble's ``delta``; ``total`` is read from the stored log-wealth
-    and is exact.
+    The split is that of the optimal rule's log wealth: ``term_a`` uses the
+    true model's delta K Theta^{-1} K.  Terms follow the stochastic-exponential
+    solution of the wealth SDE, discretized with the same left-point
+    convention as the simulation and the ensemble's ``delta``; ``total`` is
+    read from the stored log-wealth and is exact.
     """
     if ensemble.states is None or ensemble.log_wealth is None:
         raise ValueError("ensemble was simulated without stored paths")
@@ -242,13 +245,13 @@ def decompose(
     d_t = spec.feedback(horizon - ensemble.times[i1])
     term_b = float(0.5 * (xs[i0] @ d_s @ xs[i0] - xs[i1] @ d_t @ xs[i1]))
 
-    asym = d_k - np.swapaxes(d_k, 1, 2)
-    # Symmetric feedback (uncorrelated or common-kappa models) makes this
-    # term vanish structurally; roundoff-level asymmetry from the ODE solve
-    # must not leak into it.
-    if np.max(np.abs(asym)) <= 1e-10 * max(1.0, np.max(np.abs(d_k))):
+    # D - D' = delta (Theta^{-1} K - K Theta^{-1}) is constant in tau and
+    # vanishes exactly when Theta commutes with K, where the sum would still
+    # carry the roundoff of the computed inverse.
+    if np.all(ensemble.params.corr * (kappa[:, None] - kappa[None, :]) == 0.0):
         term_c = 0.0
     else:
+        asym = d_k - np.swapaxes(d_k, 1, 2)
         term_c = float(0.5 * np.einsum("pi,pij,pj->", x_left, asym, dx))
 
     total = float(ensemble.log_wealth[path, i1] - ensemble.log_wealth[path, i0])

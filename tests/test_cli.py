@@ -290,6 +290,18 @@ def test_positions_reject_zero_wealth(tmp_path):
     assert not (tmp_path / "out" / "positions.csv").exists()
 
 
+@pytest.mark.parametrize("command, section, error", [
+    ("positions", {"positions": {"states": [[math.nan, 0.1]]}}, "NonFinite"),
+    ("positions", {"positions": {"times": [5.0]}}, "OutOfHorizon"),
+    ("positions", {"positions": {"times": [math.nan]}}, "OutOfHorizon"),
+    ("simulate", {"simulate": {"n_paths": 4, "n_steps": 8, "x0": [math.nan, 0.0]}}, "NonFinite"),
+], ids=["nan-state", "time-past-horizon", "nan-time", "nan-x0"])
+def test_invalid_states_and_times_are_validation_errors(tmp_path, capsys, command, section, error):
+    assert run(tmp_path, base_config(**section), command) == EXIT_VALIDATION
+    assert f"validation error: {error}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 @pytest.mark.parametrize("command", ["validate", "positions", "simulate", "verify"])
 def test_plot_on_a_command_without_figure_says_so(tmp_path, capsys, command):
     cfg = base_config(simulate={"n_paths": 8, "n_steps": 16})

@@ -29,7 +29,8 @@ def test_true_estimates_reproduce_optimal_positions(rng):
     prefs = Preferences(gamma=-1.0)
     # Estimates equal to the truth, rebuilt from plain lists: the rules agree
     # to the last bit.
-    est = OUParams.from_dict(params.to_dict())
+    est = OUParams.from_dict({"n": 2, "kappa": [1.0, 2.0], "sigma": [0.3, 0.5],
+                              "theta": [0.1, -0.2], "corr": [[1.0, 0.4], [0.4, 1.0]]})
     s_opt = optimal_strategy(params, prefs, 1.5)
     s_mis = misspecified_strategy(params, est, prefs, 1.5)
     for t in (0.0, 0.7, 1.4):

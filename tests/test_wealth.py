@@ -4,7 +4,7 @@ import pytest
 import meanrev.wealth as wealth_mod
 from meanrev.control import optimal_strategy, solve_value, value_function
 from meanrev.errors import OutOfRange
-from meanrev.model import Preferences
+from meanrev.model import OUParams, Preferences
 from meanrev.wealth import decompose, default_steps, path_rng, simulate
 
 from conftest import two_asset
@@ -70,24 +70,6 @@ def test_mc_matches_analytic_value_small():
     assert ens.n_excluded == 0
 
 
-def test_decomposition_identity_and_order():
-    params = two_asset(rho=0.6, kappa=(1.0, 0.4))
-    prefs = Preferences(gamma=-4.0)
-    horizon = 1.0
-    spec = optimal_strategy(params, prefs, horizon)
-    residuals = []
-    for n_steps in (128, 256, 512):
-        ens = simulate(params, prefs, spec, horizon, n_steps, 4, 23,
-                       x0=np.array([0.5, -0.3]), store_paths=True)
-        res = [abs(decompose(ens, p, 0.0, horizon).residual)
-               for p in range(4)]
-        residuals.append(max(res))
-    # Halving the step should at least halve the residual (order >= 1),
-    # modulo a small safety factor for noise.
-    assert residuals[1] < 0.7 * residuals[0]
-    assert residuals[2] < 0.7 * residuals[1]
-
-
 def test_decomposition_subinterval():
     params = two_asset(rho=0.4)
     prefs = Preferences(gamma=-1.0)
@@ -101,24 +83,31 @@ def test_decomposition_subinterval():
         ens.log_wealth[0, 192] - ens.log_wealth[0, 64])
 
 
-def test_term_c_zero_uncorrelated():
-    params = two_asset(rho=0.0, kappa=(1.0, 0.4))
-    prefs = Preferences(gamma=-4.0)
+@pytest.mark.parametrize("params, gamma, zero", [
+    (two_asset(rho=0.5, kappa=(1.0, 1.0 + 1e-11)), -4.0, False),
+    (OUParams(n=3, kappa=[0.8, 0.8, 0.8], sigma=np.ones(3), theta=np.zeros(3),
+              corr=[[1.0, 0.6, 0.3], [0.6, 1.0, 0.2], [0.3, 0.2, 1.0]]), -4.0, True),
+    (two_asset(rho=0.7, kappa=(0.8, 0.8)), -1.0, True),
+], ids=["nearly-common-kappa", "common-kappa-3-assets", "common-kappa-2-assets"])
+def test_term_c_is_zero_exactly_when_corr_commutes_with_kappa(params, gamma, zero):
+    # A common kappa makes term_c exactly 0.0, although the computed inverse
+    # of a correlated Theta leaves roundoff in D - D'; kappa apart by 1e-11
+    # keeps the (tiny) sum.
+    prefs = Preferences(gamma=gamma)
     spec = optimal_strategy(params, prefs, 1.0)
     ens = simulate(params, prefs, spec, 1.0, 64, 3, 7,
-                   x0=np.array([0.5, -0.3]), store_paths=True)
+                   x0=np.linspace(0.5, -0.3, params.n), store_paths=True)
+    d = spec.feedback_many(1.0 - ens.times[:-1])
     for p in range(3):
-        assert decompose(ens, p, 0.0, 1.0).term_c == 0.0
-
-
-def test_term_c_zero_common_kappa():
-    params = two_asset(rho=0.7, kappa=(0.8, 0.8))
-    prefs = Preferences(gamma=-1.0)
-    spec = optimal_strategy(params, prefs, 1.0)
-    ens = simulate(params, prefs, spec, 1.0, 64, 3, 7,
-                   x0=np.array([0.5, -0.3]), store_paths=True)
-    for p in range(3):
-        assert decompose(ens, p, 0.0, 1.0).term_c == 0.0
+        term_c = decompose(ens, p, 0.0, 1.0).term_c
+        if zero:
+            assert term_c == 0.0
+        else:
+            xs = ens.states[p]
+            direct = 0.5 * sum(x @ (dk - dk.T) @ dx
+                               for x, dk, dx in zip(xs[:-1], d, np.diff(xs, axis=0)))
+            assert term_c != 0.0
+            assert term_c == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
 def test_decompose_requires_grid_times():
