@@ -47,11 +47,16 @@ class BlowUpDetected(MeanrevError):
     Attributes
     ----------
     tau_star : float
-        Inverse time at which divergence was detected.
+        The root of det P (the pole), P the solve's shifted inverse of S; for
+        a failed integration, the last time it reached.
+    switch_tau : float or None
+        Inverse time at which the solve switched from S to P, None if it never
+        did.
     """
 
-    def __init__(self, tau_star, message=None):
+    def __init__(self, tau_star, message=None, switch_tau=None):
         self.tau_star = float(tau_star)
+        self.switch_tau = switch_tau
         super().__init__(message or f"Riccati solution blew up near tau = {tau_star:.6g}")
 
 

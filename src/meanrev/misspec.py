@@ -56,7 +56,7 @@ def solve_Q(epsilon: float, true_params: OUParams, spec: StrategySpec) -> Riccat
     Q = S_Q / 2, the symmetric part of the moment matrix, and the trace integral
     of Q Theta."""
     s_q = solve(make_Q_operator(epsilon, true_params, spec), spec.horizon)
-    return RiccatiSolution(s_q.dense, s_q.n, s_q.tau_grid, s_q.horizon, scale=0.5)
+    return s_q.view(scale=0.5)
 
 
 def p_epsilon(

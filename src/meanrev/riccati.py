@@ -16,6 +16,17 @@ the rest of the package reads is an affine view of one S solution (``s_view``):
 
 The correlation-sensitivity matrix F = S Theta / 2 is A Theta.
 
+``solve`` integrates in two charts (Schiff and Shnider, SIAM J. Numer.
+Anal. 36(5), 1999).  It follows S until max|S| reaches a switch level L set
+by the coefficients' scale, and from there the shifted inverse
+P = (S - Z)^{-1} with Z = -L I, which stays smooth where S has a pole.
+U = S - Z solves the same symmetric form with M + Z Theta in place of M and
+C + M Z + Z M' + Z Theta Z, the S right-hand side at Z, in place of C, so P
+solves it again with weight -C-tilde.  The smallest eigenvalue of S never
+falls below minus twice that scale, so U stays positive definite and P
+meets no pole of its own.  A pole of S is the first zero of det P, found as
+a root, not as a threshold crossing.
+
 The explicitly solvable special cases (scalar, uncorrelated, common
 reversion rate, single mean-reverting asset hedged by Brownian motions)
 are provided as independent closed forms so the integrator can always be
@@ -24,8 +35,9 @@ cross-checked.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -34,41 +46,74 @@ from .errors import BlowUpDetected, OutOfRange, TrigSingularity
 from .model import OUParams, Preferences
 
 # Settings of every solve: relative and absolute tolerance, first step as a
-# fraction of the horizon, the entry size taken as blow-up, and the number of
-# uniform points added to the solution grid.
+# fraction of the horizon, the switch level to the inverse chart as a multiple
+# of the coefficients' scale, and the number of uniform points added to the
+# solution grid.
 RTOL = 1e-10
 ATOL = 1e-10
 FIRST_STEP_FRACTION = 1e-3
-BLOWUP_THRESHOLD = 1e12
+SWITCH_SCALE = 10.0
 DENSE_POINTS = 1024
 
 
 @dataclass(frozen=True)
 class QuadraticOperator:
     """Right-hand side S -> S' of a symmetric Riccati ODE with S(0) = 0; ``corr``
-    (Theta) weights its quadratic term and the running trace integral of Tr(S Theta)."""
+    (Theta) weights its quadratic term and the running trace integral of Tr(S Theta),
+    and ``coefficients(tau)`` returns the (M, C) that ``rhs`` is built from."""
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
     corr: np.ndarray
+    coefficients: Callable[[float], tuple]
+
+
+class _InverseChart(NamedTuple):
+    """The part of a solve past the switch time ``start``: ``dense(tau)`` is
+    W = L (S + L I)^{-1}, flattened, followed by R, where the trace integral
+    of S Theta is R - log|det W|."""
+
+    start: float
+    dense: Callable
+    level: float
+
+    def matrices(self, w: np.ndarray) -> np.ndarray:
+        """S = L (W^{-1} - I), symmetrized, from one W or a stack of them."""
+        u = np.linalg.inv(w)
+        return self.level * (0.5 * (u + np.swapaxes(u, -1, -2)) - np.eye(w.shape[-1]))
+
+    def trace(self, y: np.ndarray, n: int) -> float:
+        return float(y[-1] - np.linalg.slogdet(y[: n * n].reshape(n, n))[1])
 
 
 class RiccatiSolution:
     """A matrix function of tau in [0, T], read only through the integrator's
     dense output.
 
-    ``dense(tau)`` is the integrated state X, flattened, followed by its running
-    trace integral T.  The solution presents the affine view
+    ``dense(tau)`` is the integrated state S, flattened, followed by its running
+    trace integral T, up to the switch time; past it, the inverse chart gives S
+    and T.  The solution presents the affine view
 
-        M = offset + scale * X,  trace integral scale * T + trace_rate * tau,
+        M = offset + scale * S,  trace integral scale * T + trace_rate * tau,
 
-    which is X itself with the default arguments.  ``tau_grid`` lists uniform
+    which is S itself with the default arguments.  ``tau_grid`` lists uniform
     points and every adaptive accept point of the solve, for callers that want
-    to sample it.
+    to sample it.  ``diagnostics`` holds the right-hand-side evaluations of
+    each chart (``s_evals``, ``p_evals``) and ``switch_tau``, None when the
+    solve never left the S chart.
     """
 
-    def __init__(self, dense, n, tau_grid, horizon, scale=1.0, offset=0.0, trace_rate=0.0):
+    def __init__(self, dense, n, tau_grid, horizon, diagnostics, inverse=None):
         self.dense, self.n, self.tau_grid, self.horizon = dense, n, tau_grid, horizon
-        self.scale, self.offset, self.trace_rate = scale, offset, trace_rate
+        self.diagnostics, self._inverse = diagnostics, inverse
+        self._switch = np.inf if inverse is None else inverse.start
+        self.scale, self.offset, self.trace_rate = 1.0, 0.0, 0.0
+
+    def view(self, scale=1.0, offset=0.0, trace_rate=0.0) -> "RiccatiSolution":
+        """offset + scale * S with trace integral scale * T + trace_rate * tau,
+        over the same solve."""
+        out = copy.copy(self)
+        out.scale, out.offset, out.trace_rate = scale, offset, trace_rate
+        return out
 
     def _matrix(self, x: np.ndarray) -> np.ndarray:
         return self.offset + self.scale * x
@@ -79,21 +124,41 @@ class RiccatiSolution:
 
     def interpolate(self, tau: float) -> np.ndarray:
         self._check(tau)
-        return self._matrix(self.dense(tau)[: self.n * self.n].reshape(self.n, self.n))
+        n = self.n
+        if tau <= self._switch:
+            return self._matrix(self.dense(tau)[: n * n].reshape(n, n))
+        return self._matrix(self._inverse.matrices(self._inverse.dense(tau)[: n * n].reshape(n, n)))
 
     def trace_integral_at(self, tau: float) -> float:
         self._check(tau)
-        return float(self.scale * self.dense(tau)[-1] + self.trace_rate * tau)
+        if tau <= self._switch:
+            trace = self.dense(tau)[-1]
+        else:
+            trace = self._inverse.trace(self._inverse.dense(tau), self.n)
+        return float(self.scale * trace + self.trace_rate * tau)
 
     def at_many(self, taus: np.ndarray) -> np.ndarray:
         """Matrices at several tau values, shape (len(taus), n, n)."""
         taus = np.asarray(taus, dtype=float)
+        n = self.n
         if taus.size == 0:
-            return np.empty((0, self.n, self.n))
+            return np.empty((0, n, n))
         if not np.all((taus >= 0.0) & (taus <= self.horizon)):
             raise OutOfRange("tau values outside solution span")
-        flat = self.dense(taus)[: self.n * self.n]
-        return self._matrix(np.moveaxis(flat.reshape(self.n, self.n, -1), 2, 0))
+        left = taus <= self._switch
+        if left.all():
+            return self._matrix(np.moveaxis(self.dense(taus)[: n * n].reshape(n, n, -1), 2, 0))
+        out = np.empty((taus.size, n, n))
+        out[left] = np.moveaxis(self.dense(taus[left])[: n * n].reshape(n, n, -1), 2, 0)
+        w = np.moveaxis(self._inverse.dense(taus[~left])[: n * n].reshape(n, n, -1), 2, 0)
+        out[~left] = self._inverse.matrices(w)
+        return self._matrix(out)
+
+
+def _symmetric_rhs(s: np.ndarray, weight: np.ndarray, m: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(s W s + c) symmetrized plus m s + (m s)': exactly symmetric."""
+    q, ms = s @ weight @ s + c, m @ s
+    return 0.5 * (q + q.T) + (ms + ms.T)
 
 
 def symmetric_operator(corr: np.ndarray, coefficients: Callable) -> QuadraticOperator:
@@ -101,11 +166,9 @@ def symmetric_operator(corr: np.ndarray, coefficients: Callable) -> QuadraticOpe
     exactly symmetric right-hand side, so S stays symmetric to the last bit."""
 
     def rhs(tau, s):
-        m, c = coefficients(tau)
-        q, ms = s @ corr @ s + c, m @ s
-        return 0.5 * (q + q.T) + (ms + ms.T)
+        return _symmetric_rhs(s, corr, *coefficients(tau))
 
-    return QuadraticOperator(rhs=rhs, corr=corr)
+    return QuadraticOperator(rhs=rhs, corr=corr, coefficients=coefficients)
 
 
 def make_S_operator(params: OUParams, prefs: Preferences) -> QuadraticOperator:
@@ -130,31 +193,61 @@ def s_view(s: RiccatiSolution, which: str, params: OUParams, prefs: Preferences)
         "D": {"scale": -1.0, "offset": delta * params.corr_inv * kappa[None, :],
               "trace_rate": delta * float(kappa.sum())},
     }[which]
-    return RiccatiSolution(s.dense, s.n, s.tau_grid, s.horizon, **view)
+    return s.view(**view)
+
+
+def switch_level(op: QuadraticOperator, horizon: float) -> float:
+    """The max|S| at which ``solve`` leaves the S chart: SWITCH_SCALE times the
+    scale s = |M| / l + sqrt(|C| / l) (spectral norms, l the smallest eigenvalue
+    of Theta), the larger at tau = 0 and at the horizon.
+
+    Along an eigenvalue mu of S at either end of its spectrum,
+    mu' >= l mu^2 - 2 |mu| |M| - |C|, which is positive once |mu| > 2 s.  So the
+    smallest eigenvalue never falls below -2 s, and a largest one past 2 s
+    grows into a pole: S reaches the level only on its way to one, and
+    S + L I stays positive definite.
+    """
+    low = float(np.linalg.eigvalsh(op.corr)[0])
+    scale = 0.0
+    for tau in (0.0, horizon):
+        m, c = op.coefficients(tau)
+        scale = max(scale, np.linalg.norm(m, 2) / low + np.sqrt(np.linalg.norm(c, 2) / low))
+    return SWITCH_SCALE * scale if scale > 0.0 else np.inf
 
 
 def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
     """Integrate a matrix Riccati ODE from S(0) = 0 over tau in [0, horizon].
 
     The running trace integral is carried as an extra state component so it
-    shares the stepper's quadrature order.  Divergence raises BlowUpDetected
-    with the inverse time at which it was observed.
+    shares the stepper's quadrature order.  S is integrated until max|S|
+    reaches L = ``switch_level``; from that time tau_s on, the solve integrates
+    W = L P, P = (S - Z)^{-1} the shifted inverse with Z = -L I, so the
+    tolerances act on entries of order one.  With Z substituted, W solves
+
+        W' = -(W C~ W / L + L Theta + M~' W + W M~),
+        M~ = M - L Theta,  C~ = op.rhs(tau, -L I) = C - L (M + M') + L^2 Theta,
+
+    and its trace state R' = L Tr Theta - 2 Tr M - Tr(C~ W) / L gives the
+    trace integral R - log|det W|.  A pole of S is where det W first vanishes,
+    the root of W's smallest eigenvalue (a sign change even where eigenvalues
+    vanish together); BlowUpDetected carries it and the switch time.
     """
     if not 0.0 < horizon < np.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     corr = op.corr
     n = corr.shape[0]
+    level = switch_level(op, horizon)
 
     def rhs_flat(tau, y):
         s = y[: n * n].reshape(n, n)
         dtrace = float(np.sum(s * corr.T))  # Tr(S @ Theta)
         return np.append(op.rhs(tau, s).ravel(), dtrace)
 
-    def blowup_event(tau, y):
-        return BLOWUP_THRESHOLD - np.abs(y[: n * n]).max()
+    def switch_event(tau, y):
+        return level - np.abs(y[: n * n]).max()
 
-    blowup_event.terminal = True
-    blowup_event.direction = -1
+    switch_event.terminal = True
+    switch_event.direction = -1
 
     result = solve_ivp(
         rhs_flat,
@@ -165,15 +258,54 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
         rtol=RTOL,
         atol=ATOL,
         first_step=FIRST_STEP_FRACTION * horizon,
-        events=blowup_event,
+        events=switch_event,
     )
-    if result.status == 1:
-        raise BlowUpDetected(result.t[-1])
+    diagnostics = {"s_evals": int(result.nfev), "p_evals": 0, "switch_tau": None}
     if result.status < 0:
         raise BlowUpDetected(result.t[-1], f"integrator failed near tau = {result.t[-1]:.6g}: {result.message}")
+    dense, taus, tau_s = result.sol, result.t, float(result.t[-1])
+    if result.status == 0:
+        return RiccatiSolution(dense, n, np.union1d(np.linspace(0.0, horizon, DENSE_POINTS), taus),
+                               float(horizon), diagnostics)
 
-    tau_grid = np.union1d(np.linspace(0.0, horizon, DENSE_POINTS), result.t)
-    return RiccatiSolution(result.sol, n, tau_grid, float(horizon))
+    diagnostics["switch_tau"] = tau_s
+    shift = -level * np.eye(n)
+    corr_trace = level * float(np.trace(corr))
+    w0 = level * np.linalg.inv(result.y[: n * n, -1].reshape(n, n) - shift)
+
+    def inverse_flat(tau, y):
+        w = y[: n * n].reshape(n, n)
+        m, _ = op.coefficients(tau)
+        c_shift = op.rhs(tau, shift)  # C~: the S right-hand side at Z
+        dw = _symmetric_rhs(w, c_shift / level, (m - level * corr).T, level * corr)
+        dtrace = corr_trace - 2.0 * np.trace(m) - float(np.sum(c_shift * w)) / level
+        return np.append(-dw.ravel(), dtrace)
+
+    def pole_event(tau, y):
+        return np.linalg.eigvalsh(y[: n * n].reshape(n, n))[0]
+
+    pole_event.terminal = True
+    pole_event.direction = -1
+
+    inverse = solve_ivp(
+        inverse_flat,
+        (tau_s, horizon),
+        np.append(w0.ravel(), result.y[-1, -1] + np.linalg.slogdet(w0)[1]),
+        method="RK45",
+        dense_output=True,
+        rtol=RTOL,
+        atol=ATOL,
+        events=pole_event,
+    )
+    diagnostics["p_evals"] = int(inverse.nfev)
+    if inverse.status == 1:
+        raise BlowUpDetected(inverse.t[-1], switch_tau=tau_s)
+    if inverse.status < 0:
+        raise BlowUpDetected(inverse.t[-1], f"integrator failed near tau = {inverse.t[-1]:.6g}: "
+                             f"{inverse.message}", switch_tau=tau_s)
+    tau_grid = np.union1d(np.linspace(0.0, horizon, DENSE_POINTS), np.union1d(taus, inverse.t))
+    return RiccatiSolution(dense, n, tau_grid, float(horizon), diagnostics,
+                           _InverseChart(tau_s, inverse.sol, level))
 
 
 def solve_A(params: OUParams, prefs: Preferences, horizon: float) -> RiccatiSolution:

@@ -210,10 +210,12 @@ def decompose(
     """Decompose one stored path's log return between grid times s < t.
 
     The split is that of the optimal rule's log wealth: ``term_a`` uses the
-    true model's delta K Theta^{-1} K.  Terms follow the stochastic-exponential
-    solution of the wealth SDE, discretized with the same left-point
-    convention as the simulation and the ensemble's ``delta``; ``total`` is
-    read from the stored log-wealth and is exact.
+    true model's delta K Theta^{-1} K, so an ensemble of any other rule is
+    rejected with ValueError.  The rule is the optimal one when its frame is
+    all ones and its feedback starts at the true delta Theta^{-1} K.  Terms
+    follow the stochastic-exponential solution of the wealth SDE, discretized
+    with the same left-point convention as the simulation and the ensemble's
+    ``delta``; ``total`` is read from the stored log-wealth and is exact.
     """
     if ensemble.states is None or ensemble.log_wealth is None:
         raise ValueError("ensemble was simulated without stored paths")
@@ -223,6 +225,11 @@ def decompose(
     i1 = _time_index(ensemble.times, t)
     spec = ensemble.spec
     kappa = ensemble.params.kappa
+    # Both sides come from the same corr_inv, so the optimal rule matches exactly.
+    if not (np.all(spec.frame == 1.0) and np.array_equal(
+            spec.feedback(0.0), ensemble.delta * ensemble.params.corr_inv * kappa[None, :])):
+        raise ValueError("decompose splits the log wealth of the true model's optimal rule; "
+                         "the ensemble traded another rule")
 
     xs = ensemble.states[path]  # (n_steps + 1, n)
     dt = ensemble.dt

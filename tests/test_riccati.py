@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from meanrev import oracles
-from meanrev.errors import OutOfRange
+from meanrev import oracles, riccati
+from meanrev.control import misspecified_strategy
+from meanrev.errors import BlowUpDetected, OutOfRange
+from meanrev.misspec import make_Q_operator, solve_Q
 from meanrev.model import Preferences, normalize
 from meanrev.riccati import d_scalar_closed_form, d_single_mr, single_mr_blowup_tau, solve_A, solve_D
 
@@ -118,3 +122,90 @@ def test_lookups_reject_tau_outside_span(lookup, tau):
 def test_solve_rejects_bad_horizon(horizon):
     with pytest.raises(ValueError):
         solve_D(two_asset(), Preferences(gamma=-4.0), horizon)
+
+
+def test_poles_match_the_radon_embedding():
+    # Equal correlations near one and gamma in (0.5, 0.9) put a pole of the
+    # S-equation inside the horizon for some draws and not for others.  The
+    # linear embedding [U; V] = expm(tau H) [I; 0] solves no Riccati equation;
+    # the solve must agree with it on whether a pole exists and where.
+    rng = np.random.default_rng(20261018)
+    seen = {True: 0, False: 0}
+    for _ in range(12):
+        n = int(rng.integers(2, 4))
+        corr = np.full((n, n), rng.uniform(0.85, 0.97))
+        np.fill_diagonal(corr, 1.0)
+        params = oracles.unit_noise(rng.uniform(0.3, 2.0, n), corr)
+        prefs = Preferences(gamma=float(rng.uniform(0.5, 0.9)))
+        pole = oracles.radon_pole(params, prefs, 3.0)
+        try:
+            solve_A(params, prefs, 3.0)
+            tau_star = None
+        except BlowUpDetected as exc:
+            tau_star = exc.tau_star
+            assert 0.0 < exc.switch_tau < tau_star
+        assert (pole is None) == (tau_star is None)
+        if pole is not None:
+            assert abs(tau_star - pole) <= 1e-9 * pole
+        seen[pole is not None] += 1
+    assert seen[True] >= 5 and seen[False] >= 3
+
+
+def _force_switch(monkeypatch, op, horizon):
+    """Lower the switch level to half the largest |S| of the unswitched solve."""
+    sol = riccati.solve(op, horizon)
+    top = float(np.max(np.abs(sol.at_many(sol.tau_grid))))
+    monkeypatch.setattr(riccati, "SWITCH_SCALE",
+                        0.5 * top * riccati.SWITCH_SCALE / riccati.switch_level(op, horizon))
+
+
+def _assert_matches(sol, matrices, traces, taus, scale):
+    assert np.max(np.abs(sol.at_many(taus) - matrices)) <= 1e-8 * scale
+    for tau, m, trace in zip(taus, matrices, traces):
+        assert np.max(np.abs(sol.interpolate(tau) - m)) <= 1e-8 * scale
+        assert abs(sol.trace_integral_at(tau) - trace) <= 1e-8 * scale
+    for lookup, arg in (("interpolate", np.nan), ("trace_integral_at", np.nan),
+                        ("at_many", np.array([0.5, np.nan]))):
+        with pytest.raises(OutOfRange):
+            getattr(sol, lookup)(arg)
+
+
+def test_inverse_chart_is_a_full_chart(monkeypatch):
+    # With the switch level forced below the largest |S|, converging S and Q
+    # solves finish in the inverse chart; lookups on both sides of the
+    # switch hold to reference solves of the D- and Q-equations.
+    params = oracles.unit_noise([1.0, 2.0], oracles.pair_corr(0.4))
+    prefs, horizon, n = Preferences(gamma=0.5), 1.0, 2
+    est = replace(params, kappa=params.kappa * np.array([1.5, 0.8]))
+    spec = misspecified_strategy(params, est, prefs, horizon)
+
+    def taus_around(sol):
+        switch = sol.diagnostics["switch_tau"]
+        assert 0.0 < switch < horizon and sol.diagnostics["p_evals"] > 0
+        return np.union1d(np.linspace(0.0, horizon, 11), switch + np.array([-1e-3, 0.0, 1e-3]))
+
+    with monkeypatch.context() as patch:
+        _force_switch(patch, riccati.make_S_operator(params, prefs), horizon)
+        d = solve_D(params, prefs, horizon)
+    d_rhs, d0 = oracles.d_equation(params, prefs)
+
+    def with_trace(tau, y):
+        out = np.zeros_like(y)
+        out[:n, :n], out[n, n] = d_rhs(tau, y[:n, :n]), np.trace(y[:n, :n] @ params.corr)
+        return out
+
+    taus = taus_around(d)
+    ref = oracles.reference_solve(with_trace, np.pad(d0, (0, 1)), horizon, taus)
+    _assert_matches(d, ref[:, :n, :n], ref[:, n, n], taus, max(1.0, float(np.max(np.abs(ref)))))
+
+    for eps in (prefs.gamma, 1.0, 2.0):
+        with monkeypatch.context() as patch:
+            _force_switch(patch, make_Q_operator(eps, params, spec), horizon)
+            q = solve_Q(eps, params, spec)
+        taus = taus_around(q)
+        on_grid = q.at_many(q.tau_grid)
+        assert np.array_equal(on_grid, on_grid.transpose(0, 2, 1))
+        ref = oracles.reference_solve(*oracles.q_equation(params, est, prefs, eps), horizon, taus)
+        q_ref = ref[:, :n, :n]
+        _assert_matches(q, 0.5 * (q_ref + q_ref.transpose(0, 2, 1)), ref[:, 2 * n, 2 * n], taus,
+                        max(1.0, float(np.max(np.abs(q_ref)))))

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import meanrev.wealth as wealth_mod
-from meanrev.control import optimal_strategy, solve_value, value_function
+from meanrev.control import misspecified_strategy, optimal_strategy, solve_value, value_function
 from meanrev.errors import OutOfRange
 from meanrev.model import OUParams, Preferences
 from meanrev.wealth import decompose, default_steps, path_rng, simulate
@@ -125,4 +127,19 @@ def test_decompose_needs_stored_paths():
     spec = optimal_strategy(params, prefs, 1.0)
     ens = simulate(params, prefs, spec, 1.0, 8, 1, 1, store_paths=False)
     with pytest.raises(ValueError):
+        decompose(ens, 0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("estimate", [{"kappa": np.array([2.0, 0.4])},
+                                      {"sigma": np.array([1.0, 1.3])}], ids=["kappa", "sigma"])
+def test_decompose_rejects_a_misspecified_rule(estimate):
+    # term_a is the optimal rule's running term; on the rule of a trader who
+    # believes kappa-hat_1 = 2 the residuals reach 0.04-0.11 (against 1e-5 for
+    # the optimal rule), so such an ensemble is refused, as is a rule whose
+    # frame is not all ones.
+    params = two_asset(rho=0.6, kappa=(1.0, 0.4))
+    prefs = Preferences(gamma=-4.0)
+    spec = misspecified_strategy(params, replace(params, **estimate), prefs, 1.0)
+    ens = simulate(params, prefs, spec, 1.0, 512, 4, 23, store_paths=True)
+    with pytest.raises(ValueError, match="optimal rule"):
         decompose(ens, 0, 0.0, 1.0)
