@@ -211,6 +211,9 @@ class ExactStepper:
     The step is exact in distribution: x' = decay * x + L z with decay the
     componentwise exp(-kappa dt) and L L^T the exact step covariance.  It
     reads only kappa and the correlation, so it steps unit-noise states.
+    States and normals are asset-major, (n, c) with one column per path, so
+    a step is one small matrix product; ``decay`` is held as an (n, 1)
+    column.
     """
 
     params: OUParams
@@ -221,7 +224,7 @@ class ExactStepper:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        decay = np.exp(-self.params.kappa * self.dt)
+        decay = np.exp(-self.params.kappa * self.dt)[:, None]
         factor = covariance_factor(step_covariance(self.params, self.dt))
         object.__setattr__(self, "decay", decay)
         object.__setattr__(self, "noise_factor", factor)
@@ -229,5 +232,5 @@ class ExactStepper:
         factor.setflags(write=False)
 
     def step(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Advance states one step; x and z may carry leading batch axes."""
-        return self.decay * x + z @ self.noise_factor.T
+        """Advance (n, c) states one step with (n, c) standard normals."""
+        return self.decay * x + self.noise_factor @ z

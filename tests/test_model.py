@@ -168,9 +168,9 @@ def test_exact_stepper_moments():
     stepper = ExactStepper(params=params, dt=dt)
     rng = np.random.default_rng(5)
     x0 = np.array([1.0, -0.5])
-    z = rng.standard_normal((200000, 2))
-    xs = stepper.step(np.broadcast_to(x0, (200000, 2)).copy(), z)
-    mean = xs.mean(axis=0)
+    z = rng.standard_normal((2, 200000))
+    xs = stepper.step(np.repeat(x0[:, None], 200000, axis=1), z)
+    mean = xs.mean(axis=1)
     assert np.allclose(mean, np.exp(-params.kappa * dt) * x0, atol=5e-3)
-    cov = np.cov(xs.T)
+    cov = np.cov(xs)
     assert np.allclose(cov, step_covariance(params, dt), atol=5e-3)

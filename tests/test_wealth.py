@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -5,8 +8,9 @@ import pytest
 
 import meanrev.wealth as wealth_mod
 from meanrev.control import misspecified_strategy, optimal_strategy, solve_value, value_function
-from meanrev.errors import OutOfRange
-from meanrev.model import OUParams, Preferences
+from meanrev.errors import NonFinite, OutOfRange
+from meanrev.model import (OUParams, Preferences, covariance_factor, normalize,
+                           step_covariance)
 from meanrev.wealth import decompose, default_steps, path_rng, simulate
 
 from conftest import two_asset
@@ -143,3 +147,182 @@ def test_decompose_rejects_a_misspecified_rule(estimate):
     ens = simulate(params, prefs, spec, 1.0, 512, 4, 23, store_paths=True)
     with pytest.raises(ValueError, match="optimal rule"):
         decompose(ens, 0, 0.0, 1.0)
+
+
+# Forked workers need fork and a CPU-affinity query; elsewhere simulate
+# runs every chunk in-process.
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"),
+    reason="needs the fork start method and os.sched_getaffinity")
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _reference_simulate(params, spec, horizon, n_steps, n_paths, seed, x0):
+    """The path-major loop simulate replaced: one-shot normals per path,
+    batch-major states, einsum drift and stochastic terms."""
+    norm_params, record = normalize(params)
+    dt = horizon / n_steps
+    decay = np.exp(-norm_params.kappa * dt)
+    factor = covariance_factor(step_covariance(norm_params, dt))
+    times = np.linspace(0.0, horizon, n_steps + 1)
+    d_left = spec.feedback_many(spec.horizon - times[:-1])
+    quad_left = np.einsum("kji,jl,klm->kim", d_left, norm_params.corr, d_left)
+    z = np.stack([path_rng(seed, i).standard_normal((n_steps, params.n)) for i in range(n_paths)])
+    x = np.broadcast_to(record.state_to_unit_noise(x0), (n_paths, params.n)).copy()
+    logw = np.zeros(n_paths)
+    alive = np.ones(n_paths, dtype=bool)
+    states, logws = [x], [logw]
+    for k in range(n_steps):
+        x_next = decay * x + z[:, k, :] @ factor.T
+        dx = x_next - x
+        drift = -0.5 * np.einsum("pi,ij,pj->p", x, quad_left[k], x) * dt
+        stoch = -np.einsum("pi,ij,pj->p", x, d_left[k].T, dx)
+        logw = np.where(alive, logw + drift + stoch, logw)
+        alive &= np.abs(logw) <= wealth_mod.LOG_WEALTH_GUARD
+        alive &= np.isfinite(logw)
+        x = x_next
+        states.append(x)
+        logws.append(logw)
+    return np.stack(states, axis=1), np.stack(logws, axis=1), ~alive
+
+
+THREE = OUParams(n=3, kappa=[1.2, 0.5, 0.8], sigma=[0.7, 1.3, 1.1], theta=[0.2, -0.1, 0.4],
+                 corr=[[1.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 1.0]])
+THREE_X0 = np.array([0.5, -0.4, 0.9])
+
+
+@needs_fork
+def test_simulation_matches_the_path_major_reference(monkeypatch):
+    # Several chunks on two forked workers, each chunk in several slabs and
+    # step blocks with a short last one; a misspecified rule (D is not
+    # symmetric) and an unnormalized correlated 3-asset model.
+    prefs = Preferences(gamma=-2.0)
+    est = replace(THREE, kappa=np.array([1.5, 0.4, 0.8]))
+    spec = misspecified_strategy(THREE, est, prefs, 1.0)
+    monkeypatch.setattr(wealth_mod, "_CHUNK", 9)
+    monkeypatch.setattr(wealth_mod, "_SLAB", 4)
+    monkeypatch.setattr(wealth_mod, "_BLOCK", 128)
+    _cpus(monkeypatch, 2)
+    ens = simulate(THREE, prefs, spec, 1.0, 300, 40, 11, x0=THREE_X0, store_paths=True)
+    assert ens.diagnostics["chunks"] == 5 and ens.diagnostics["workers"] == 2
+    states, logw, excluded = _reference_simulate(THREE, spec, 1.0, 300, 40, 11, THREE_X0)
+    assert np.allclose(ens.states, states, rtol=0.0, atol=1e-12)
+    assert np.allclose(ens.log_wealth, logw, rtol=0.0, atol=1e-12)
+    assert np.allclose(ens.terminal_log_wealth, logw[:, -1], rtol=0.0, atol=1e-12)
+    assert np.array_equal(ens.excluded, excluded)
+
+
+def test_block_draws_repeat_the_one_shot_stream():
+    # Sequential draws of step blocks continue one path's stream exactly.
+    for i in range(50):
+        whole = path_rng(3, i).standard_normal((700, 2))
+        gen, parts = path_rng(3, i), np.empty((700, 2))
+        for k0 in range(0, 700, 256):
+            gen.standard_normal(out=parts[k0:k0 + 256])
+        assert np.array_equal(parts, whole)
+
+
+@needs_fork
+@pytest.mark.parametrize("guard", [wealth_mod.LOG_WEALTH_GUARD, 0.35], ids=["default", "low-guard"])
+def test_results_do_not_depend_on_the_worker_count(monkeypatch, guard):
+    monkeypatch.setattr(wealth_mod, "LOG_WEALTH_GUARD", guard)
+    monkeypatch.setattr(wealth_mod, "_CHUNK", 16)
+    prefs = Preferences(gamma=-4.0)
+    spec = optimal_strategy(THREE, prefs, 1.0)
+    runs = []
+    for cpus in (1, 2, 4):  # in-process, two workers, and more workers than most CPUs
+        _cpus(monkeypatch, cpus)
+        runs.append(simulate(THREE, prefs, spec, 1.0, 64, 60, 5, x0=THREE_X0, store_paths=False))
+    one, two, four = runs
+    assert [r.diagnostics["workers"] for r in runs] == [1, 2, 4]
+    for other in (two, four):
+        assert np.array_equal(one.terminal_log_wealth, other.terminal_log_wealth)
+        assert np.array_equal(one.excluded, other.excluded)
+    if guard < 1.0:
+        assert 0 < two.n_excluded < two.n_paths
+        assert two.diagnostics["guard_hits"] == two.n_excluded
+        assert two.diagnostics["non_finite"] == 0
+        # An excluded path keeps the log-wealth that crossed the guard.
+        assert np.all(np.abs(two.terminal_log_wealth[two.excluded]) > guard)
+    else:
+        assert two.n_excluded == 0
+
+
+def test_overflowing_paths_count_as_non_finite():
+    # x0 = 1e160 overflows x'D'ThetaDx on the first step; the guards catch it
+    # without a floating-point warning.
+    prefs = Preferences(gamma=-1.0)
+    params = two_asset()
+    spec = optimal_strategy(params, prefs, 1.0)
+    ens = simulate(params, prefs, spec, 1.0, 8, 5, 2, x0=np.array([1e160, 0.0]),
+                   store_paths=False)
+    assert ens.n_excluded == 5
+    assert ens.diagnostics == {"guard_hits": 0, "non_finite": 5, "chunks": 1, "workers": 1}
+
+
+@needs_fork
+def test_forked_workers_start_without_warnings(monkeypatch):
+    monkeypatch.setattr(wealth_mod, "_CHUNK", 8)
+    _cpus(monkeypatch, 2)
+    params = two_asset()
+    prefs = Preferences(gamma=-1.0)
+    spec = optimal_strategy(params, prefs, 0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ens = simulate(params, prefs, spec, 0.5, 16, 20, 3, store_paths=False)
+    assert ens.diagnostics["workers"] == 2
+    assert caught == []
+    assert multiprocessing.active_children() == []
+
+
+class _DaemonProcess:
+    daemon = True
+
+
+@pytest.mark.parametrize("attr, value", [
+    ("get_all_start_methods", lambda: ["spawn"]),
+    ("current_process", _DaemonProcess),  # a daemonic process may not start children
+], ids=["no-fork", "daemonic-caller"])
+def test_without_fork_the_chunks_run_in_process(monkeypatch, attr, value):
+    monkeypatch.setattr(wealth_mod, "_CHUNK", 8)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(multiprocessing, attr, value)
+    params = two_asset()
+    prefs = Preferences(gamma=-1.0)
+    spec = optimal_strategy(params, prefs, 0.5)
+    ens = simulate(params, prefs, spec, 0.5, 16, 20, 3, store_paths=False)
+    assert ens.diagnostics["workers"] == 1 and ens.diagnostics["chunks"] == 3
+
+
+def _failing_rng(fail):
+    real = wealth_mod.path_rng
+
+    def path_rng(seed, index):
+        if index == 8:  # the first path of chunk 1, which worker 1 runs
+            fail()
+        return real(seed, index)
+    return path_rng
+
+
+def _raise_non_finite():
+    raise NonFinite("seeded failure")
+
+
+@needs_fork
+@pytest.mark.parametrize("fail, error, match", [
+    (_raise_non_finite, NonFinite, "seeded failure"),
+    (lambda: os._exit(3), RuntimeError, "exited with code 3"),
+], ids=["typed-error", "worker-dies"])
+def test_a_failing_worker_reaches_the_caller(monkeypatch, fail, error, match):
+    monkeypatch.setattr(wealth_mod, "_CHUNK", 8)
+    monkeypatch.setattr(wealth_mod, "path_rng", _failing_rng(fail))
+    _cpus(monkeypatch, 2)
+    params = two_asset()
+    prefs = Preferences(gamma=-1.0)
+    spec = optimal_strategy(params, prefs, 0.5)
+    with pytest.raises(error, match=match):
+        simulate(params, prefs, spec, 0.5, 16, 20, 3, store_paths=False)
+    assert multiprocessing.active_children() == []
