@@ -266,20 +266,18 @@ def cmd_solve(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     n = params.n
     meta = base_meta(config)
     entry_names = [f"{i}{j}" for i in range(n) for j in range(n)]
+    matrices = {}
     for name, sol in (("a_solution", a), ("d_solution", d)):
-        rows = []
-        for tau in taus:
-            m = sol.interpolate(tau)
-            rows.append([tau, *m.ravel(), sol.trace_integral_at(tau)])
+        matrices[name] = [sol.interpolate(tau) for tau in taus]
+        rows = [[tau, *m.ravel(), sol.trace_integral_at(tau)] for tau, m in zip(taus, matrices[name])]
         write_csv(
             outdir / f"{name}.csv", meta,
             ["tau", *(f"{name[0]}_{e}" for e in entry_names), "trace_integral"], rows,
         )
     if plot:
-        d_diag = np.array([[d.interpolate(tau)[i, i] for tau in taus] for i in range(n)])
         plot_lines(
             outdir / "d_solution.svg", taus,
-            {f"D_{i}{i}": d_diag[i] for i in range(n)}, "tau", "feedback",
+            {f"D_{i}{i}": [m[i, i] for m in matrices["d_solution"]] for i in range(n)}, "tau", "feedback",
         )
     print(f"wrote a_solution.csv, d_solution.csv to {outdir}")
     return EXIT_OK

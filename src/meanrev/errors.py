@@ -59,6 +59,10 @@ class BlowUpDetected(MeanrevError):
         self.switch_tau = switch_tau
         super().__init__(message or f"Riccati solution blew up near tau = {tau_star:.6g}")
 
+    def __reduce__(self):
+        # Exception's own reduce rebuilds from ``args``, the message alone.
+        return type(self), (self.tau_star, str(self), self.switch_tau)
+
 
 class TrigSingularity(BlowUpDetected):
     """The risk-seeking closed-form branch hit its trigonometric pole."""

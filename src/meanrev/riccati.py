@@ -16,16 +16,17 @@ the rest of the package reads is an affine view of one S solution (``s_view``):
 
 The correlation-sensitivity matrix F = S Theta / 2 is A Theta.
 
-``solve`` integrates in two charts (Schiff and Shnider, SIAM J. Numer.
-Anal. 36(5), 1999).  It follows S until max|S| reaches a switch level L set
-by the coefficients' scale, and from there the shifted inverse
-P = (S - Z)^{-1} with Z = -L I, which stays smooth where S has a pole.
-U = S - Z solves the same symmetric form with M + Z Theta in place of M and
+``solve`` reads every solution in the S chart.  It follows S until max|S|
+reaches a switch level L set by the coefficients' scale, and from there the
+shifted inverse P = (S - Z)^{-1} with Z = -L I (Schiff and Shnider, SIAM J.
+Numer. Anal. 36(5), 1999), which stays smooth where S has a pole.  U = S - Z
+solves the same symmetric form with M + Z Theta in place of M and
 C + M Z + Z M' + Z Theta Z, the S right-hand side at Z, in place of C, so P
 solves it again with weight -C-tilde.  The smallest eigenvalue of S never
 falls below minus twice that scale, so U stays positive definite and P
 meets no pole of its own.  A pole of S is the first zero of det P, found as
-a root, not as a threshold crossing.
+a root, not as a threshold crossing.  When P reaches the horizon instead,
+S is finite on the whole span and is integrated again without the switch.
 
 The explicitly solvable special cases (scalar, uncorrelated, common
 reversion rate, single mean-reverting asset hedged by Brownian motions)
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -67,45 +68,26 @@ class QuadraticOperator:
     coefficients: Callable[[float], tuple]
 
 
-class _InverseChart(NamedTuple):
-    """The part of a solve past the switch time ``start``: ``dense(tau)`` is
-    W = L (S + L I)^{-1}, flattened, followed by R, where the trace integral
-    of S Theta is R - log|det W|."""
-
-    start: float
-    dense: Callable
-    level: float
-
-    def matrices(self, w: np.ndarray) -> np.ndarray:
-        """S = L (W^{-1} - I), symmetrized, from one W or a stack of them."""
-        u = np.linalg.inv(w)
-        return self.level * (0.5 * (u + np.swapaxes(u, -1, -2)) - np.eye(w.shape[-1]))
-
-    def trace(self, y: np.ndarray, n: int) -> float:
-        return float(y[-1] - np.linalg.slogdet(y[: n * n].reshape(n, n))[1])
-
-
 class RiccatiSolution:
     """A matrix function of tau in [0, T], read only through the integrator's
     dense output.
 
     ``dense(tau)`` is the integrated state S, flattened, followed by its running
-    trace integral T, up to the switch time; past it, the inverse chart gives S
-    and T.  The solution presents the affine view
+    trace integral T, over the whole span.  The solution presents the affine view
 
         M = offset + scale * S,  trace integral scale * T + trace_rate * tau,
 
     which is S itself with the default arguments.  ``tau_grid`` lists uniform
-    points and every adaptive accept point of the solve, for callers that want
-    to sample it.  ``diagnostics`` holds the right-hand-side evaluations of
-    each chart (``s_evals``, ``p_evals``) and ``switch_tau``, None when the
-    solve never left the S chart.
+    points and every adaptive accept point of the S solve, for callers that
+    want to sample it.  ``diagnostics`` holds the right-hand-side evaluations
+    of the S passes (``s_evals``, summed over both when a pole was sought) and
+    of the inverse pass (``p_evals``), and ``switch_tau``: where max|S| reached
+    the switch level, None when it never did.
     """
 
-    def __init__(self, dense, n, tau_grid, horizon, diagnostics, inverse=None):
+    def __init__(self, dense, n, tau_grid, horizon, diagnostics):
         self.dense, self.n, self.tau_grid, self.horizon = dense, n, tau_grid, horizon
-        self.diagnostics, self._inverse = diagnostics, inverse
-        self._switch = np.inf if inverse is None else inverse.start
+        self.diagnostics = diagnostics
         self.scale, self.offset, self.trace_rate = 1.0, 0.0, 0.0
 
     def view(self, scale=1.0, offset=0.0, trace_rate=0.0) -> "RiccatiSolution":
@@ -125,17 +107,11 @@ class RiccatiSolution:
     def interpolate(self, tau: float) -> np.ndarray:
         self._check(tau)
         n = self.n
-        if tau <= self._switch:
-            return self._matrix(self.dense(tau)[: n * n].reshape(n, n))
-        return self._matrix(self._inverse.matrices(self._inverse.dense(tau)[: n * n].reshape(n, n)))
+        return self._matrix(self.dense(tau)[: n * n].reshape(n, n))
 
     def trace_integral_at(self, tau: float) -> float:
         self._check(tau)
-        if tau <= self._switch:
-            trace = self.dense(tau)[-1]
-        else:
-            trace = self._inverse.trace(self._inverse.dense(tau), self.n)
-        return float(self.scale * trace + self.trace_rate * tau)
+        return float(self.scale * self.dense(tau)[-1] + self.trace_rate * tau)
 
     def at_many(self, taus: np.ndarray) -> np.ndarray:
         """Matrices at several tau values, shape (len(taus), n, n)."""
@@ -145,14 +121,7 @@ class RiccatiSolution:
             return np.empty((0, n, n))
         if not np.all((taus >= 0.0) & (taus <= self.horizon)):
             raise OutOfRange("tau values outside solution span")
-        left = taus <= self._switch
-        if left.all():
-            return self._matrix(np.moveaxis(self.dense(taus)[: n * n].reshape(n, n, -1), 2, 0))
-        out = np.empty((taus.size, n, n))
-        out[left] = np.moveaxis(self.dense(taus[left])[: n * n].reshape(n, n, -1), 2, 0)
-        w = np.moveaxis(self._inverse.dense(taus[~left])[: n * n].reshape(n, n, -1), 2, 0)
-        out[~left] = self._inverse.matrices(w)
-        return self._matrix(out)
+        return self._matrix(np.moveaxis(self.dense(taus)[: n * n].reshape(n, n, -1), 2, 0))
 
 
 def _symmetric_rhs(s: np.ndarray, weight: np.ndarray, m: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -225,12 +194,14 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
     tolerances act on entries of order one.  With Z substituted, W solves
 
         W' = -(W C~ W / L + L Theta + M~' W + W M~),
-        M~ = M - L Theta,  C~ = op.rhs(tau, -L I) = C - L (M + M') + L^2 Theta,
+        M~ = M - L Theta,  C~ = op.rhs(tau, -L I) = C - L (M + M') + L^2 Theta.
 
-    and its trace state R' = L Tr Theta - 2 Tr M - Tr(C~ W) / L gives the
-    trace integral R - log|det W|.  A pole of S is where det W first vanishes,
-    the root of W's smallest eigenvalue (a sign change even where eigenvalues
-    vanish together); BlowUpDetected carries it and the switch time.
+    A pole of S is where det W first vanishes, the root of W's smallest
+    eigenvalue (a sign change even where eigenvalues vanish together);
+    BlowUpDetected carries it and the switch time.  W only looks for a pole:
+    if it reaches the horizon, S is integrated again from 0 without the
+    switch, in the steps of the first pass, so every solution returned is
+    the one a solve that never switches gives.
     """
     if not 0.0 < horizon < np.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -243,69 +214,44 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
         dtrace = float(np.sum(s * corr.T))  # Tr(S @ Theta)
         return np.append(op.rhs(tau, s).ravel(), dtrace)
 
+    def inverse_flat(tau, y):
+        m, _ = op.coefficients(tau)
+        c_shift = op.rhs(tau, shift)  # C~: the S right-hand side at Z
+        dw = _symmetric_rhs(y.reshape(n, n), c_shift / level, (m - level * corr).T, level * corr)
+        return -dw.ravel()
+
     def switch_event(tau, y):
         return level - np.abs(y[: n * n]).max()
 
-    switch_event.terminal = True
-    switch_event.direction = -1
-
-    result = solve_ivp(
-        rhs_flat,
-        (0.0, horizon),
-        np.zeros(n * n + 1),
-        method="RK45",
-        dense_output=True,
-        rtol=RTOL,
-        atol=ATOL,
-        first_step=FIRST_STEP_FRACTION * horizon,
-        events=switch_event,
-    )
-    diagnostics = {"s_evals": int(result.nfev), "p_evals": 0, "switch_tau": None}
-    if result.status < 0:
-        raise BlowUpDetected(result.t[-1], f"integrator failed near tau = {result.t[-1]:.6g}: {result.message}")
-    dense, taus, tau_s = result.sol, result.t, float(result.t[-1])
-    if result.status == 0:
-        return RiccatiSolution(dense, n, np.union1d(np.linspace(0.0, horizon, DENSE_POINTS), taus),
-                               float(horizon), diagnostics)
-
-    diagnostics["switch_tau"] = tau_s
-    shift = -level * np.eye(n)
-    corr_trace = level * float(np.trace(corr))
-    w0 = level * np.linalg.inv(result.y[: n * n, -1].reshape(n, n) - shift)
-
-    def inverse_flat(tau, y):
-        w = y[: n * n].reshape(n, n)
-        m, _ = op.coefficients(tau)
-        c_shift = op.rhs(tau, shift)  # C~: the S right-hand side at Z
-        dw = _symmetric_rhs(w, c_shift / level, (m - level * corr).T, level * corr)
-        dtrace = corr_trace - 2.0 * np.trace(m) - float(np.sum(c_shift * w)) / level
-        return np.append(-dw.ravel(), dtrace)
-
     def pole_event(tau, y):
-        return np.linalg.eigvalsh(y[: n * n].reshape(n, n))[0]
+        return np.linalg.eigvalsh(y.reshape(n, n))[0]
 
-    pole_event.terminal = True
-    pole_event.direction = -1
+    for event in (switch_event, pole_event):
+        event.terminal, event.direction = True, -1
 
-    inverse = solve_ivp(
-        inverse_flat,
-        (tau_s, horizon),
-        np.append(w0.ravel(), result.y[-1, -1] + np.linalg.slogdet(w0)[1]),
-        method="RK45",
-        dense_output=True,
-        rtol=RTOL,
-        atol=ATOL,
-        events=pole_event,
-    )
-    diagnostics["p_evals"] = int(inverse.nfev)
-    if inverse.status == 1:
-        raise BlowUpDetected(inverse.t[-1], switch_tau=tau_s)
-    if inverse.status < 0:
-        raise BlowUpDetected(inverse.t[-1], f"integrator failed near tau = {inverse.t[-1]:.6g}: "
-                             f"{inverse.message}", switch_tau=tau_s)
-    tau_grid = np.union1d(np.linspace(0.0, horizon, DENSE_POINTS), np.union1d(taus, inverse.t))
-    return RiccatiSolution(dense, n, tau_grid, float(horizon), diagnostics,
-                           _InverseChart(tau_s, inverse.sol, level))
+    def integrate(fun, start, y0, events, switch_tau=None, **options):
+        out = solve_ivp(fun, (start, horizon), y0, method="RK45", rtol=RTOL, atol=ATOL, events=events,
+                        **options)
+        if out.status < 0:
+            raise BlowUpDetected(out.t[-1], f"integrator failed near tau = {out.t[-1]:.6g}: {out.message}",
+                                 switch_tau=switch_tau)
+        return out
+
+    s_pass = {"dense_output": True, "first_step": FIRST_STEP_FRACTION * horizon}
+    result = integrate(rhs_flat, 0.0, np.zeros(n * n + 1), switch_event, **s_pass)
+    diagnostics = {"s_evals": int(result.nfev), "p_evals": 0, "switch_tau": None}
+    if result.status == 1:
+        tau_s = diagnostics["switch_tau"] = float(result.t[-1])
+        shift = -level * np.eye(n)
+        w0 = level * np.linalg.inv(result.y[: n * n, -1].reshape(n, n) - shift)
+        inverse = integrate(inverse_flat, tau_s, w0.ravel(), pole_event, switch_tau=tau_s)
+        diagnostics["p_evals"] = int(inverse.nfev)
+        if inverse.status == 1:
+            raise BlowUpDetected(inverse.t[-1], switch_tau=tau_s)
+        result = integrate(rhs_flat, 0.0, np.zeros(n * n + 1), None, switch_tau=tau_s, **s_pass)
+        diagnostics["s_evals"] += int(result.nfev)
+    return RiccatiSolution(result.sol, n, np.union1d(np.linspace(0.0, horizon, DENSE_POINTS), result.t),
+                           float(horizon), diagnostics)
 
 
 def solve_A(params: OUParams, prefs: Preferences, horizon: float) -> RiccatiSolution:

@@ -1,12 +1,13 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from meanrev import oracles, riccati
-from meanrev.control import misspecified_strategy
-from meanrev.errors import BlowUpDetected, OutOfRange
-from meanrev.misspec import make_Q_operator, solve_Q
+from meanrev import misspec, oracles, riccati
+from meanrev.control import misspecified_strategy, optimal_strategy
+from meanrev.errors import BlowUpDetected, OutOfRange, TrigSingularity
+from meanrev.misspec import make_Q_operator, misspec_sweep, solve_Q
 from meanrev.model import Preferences, normalize
 from meanrev.riccati import d_scalar_closed_form, d_single_mr, single_mr_blowup_tau, solve_A, solve_D
 
@@ -170,10 +171,20 @@ def _assert_matches(sol, matrices, traces, taus, scale):
             getattr(sol, lookup)(arg)
 
 
-def test_inverse_chart_is_a_full_chart(monkeypatch):
+def _assert_reads_alike(sol, base):
+    """Every lookup of ``sol`` returns bit for bit what ``base`` returns."""
+    assert np.array_equal(sol.tau_grid, base.tau_grid)
+    assert np.array_equal(sol.at_many(base.tau_grid), base.at_many(base.tau_grid))
+    for tau in base.tau_grid[::7]:
+        assert np.array_equal(sol.interpolate(tau), base.interpolate(tau))
+        assert sol.trace_integral_at(tau) == base.trace_integral_at(tau)
+
+
+def test_pole_search_returns_the_s_chart_solution(monkeypatch):
     # With the switch level forced below the largest |S|, converging S and Q
-    # solves finish in the inverse chart; lookups on both sides of the
-    # switch hold to reference solves of the D- and Q-equations.
+    # solves search the inverse chart for a pole, find none, and return the S
+    # solve: bitwise the unforced one, and held to reference solves of the D-
+    # and Q-equations on both sides of the switch.
     params = oracles.unit_noise([1.0, 2.0], oracles.pair_corr(0.4))
     prefs, horizon, n = Preferences(gamma=0.5), 1.0, 2
     est = replace(params, kappa=params.kappa * np.array([1.5, 0.8]))
@@ -187,6 +198,7 @@ def test_inverse_chart_is_a_full_chart(monkeypatch):
     with monkeypatch.context() as patch:
         _force_switch(patch, riccati.make_S_operator(params, prefs), horizon)
         d = solve_D(params, prefs, horizon)
+    _assert_reads_alike(d, solve_D(params, prefs, horizon))
     d_rhs, d0 = oracles.d_equation(params, prefs)
 
     def with_trace(tau, y):
@@ -202,6 +214,7 @@ def test_inverse_chart_is_a_full_chart(monkeypatch):
         with monkeypatch.context() as patch:
             _force_switch(patch, make_Q_operator(eps, params, spec), horizon)
             q = solve_Q(eps, params, spec)
+        _assert_reads_alike(q, solve_Q(eps, params, spec))
         taus = taus_around(q)
         on_grid = q.at_many(q.tau_grid)
         assert np.array_equal(on_grid, on_grid.transpose(0, 2, 1))
@@ -209,3 +222,47 @@ def test_inverse_chart_is_a_full_chart(monkeypatch):
         q_ref = ref[:, :n, :n]
         _assert_matches(q, 0.5 * (q_ref + q_ref.transpose(0, 2, 1)), ref[:, 2 * n, 2 * n], taus,
                         max(1.0, float(np.max(np.abs(q_ref)))))
+
+
+def test_horizon_just_short_of_a_pole(monkeypatch):
+    # At T = 0.999 tau* the single-MR solve reaches the switch level, finds no
+    # pole before T, and reads like a solve that never switches.
+    corr, prefs = oracles.pair_corr(0.9), Preferences(gamma=0.5)
+    params = oracles.unit_noise([1.0, 0.0], corr)
+    horizon = 0.999 * single_mr_blowup_tau(1.0, corr, prefs.gamma)
+    d = solve_D(params, prefs, horizon)
+    assert 0.0 < d.diagnostics["switch_tau"] < horizon and d.diagnostics["p_evals"] > 0
+    monkeypatch.setattr(riccati, "SWITCH_SCALE", np.inf)
+    unswitched = solve_D(params, prefs, horizon)
+    assert unswitched.diagnostics["switch_tau"] is None
+    _assert_reads_alike(d, unswitched)
+
+
+def test_sweeps_and_strategies_never_switch(monkeypatch):
+    # A solve that reaches the switch level without a pole pays for a second S
+    # pass; no solve on the misspecification sweep or the optimal rule of the
+    # default model may take that path.
+    returned = []
+
+    def recording(solve):
+        def wrapped(op, horizon):
+            returned.append(solve(op, horizon))
+            return returned[-1]
+        return wrapped
+
+    monkeypatch.setattr(riccati, "solve", recording(riccati.solve))
+    monkeypatch.setattr(misspec, "solve", recording(misspec.solve))
+    params, prefs = two_asset(), Preferences(gamma=-4.0)
+    misspec_sweep(params, prefs, 3.0, [0.5, 1.0, 2.0], [0.5, 1.0, 2.0], with_sharpe=True)
+    optimal_strategy(params, prefs, 3.0)
+    assert len(returned) > 9
+    assert all(sol.diagnostics["switch_tau"] is None for sol in returned)
+
+
+@pytest.mark.parametrize("cls", [BlowUpDetected, TrigSingularity])
+@pytest.mark.parametrize("switch_tau", [None, 0.5])
+def test_blow_up_errors_pickle(cls, switch_tau):
+    exc = cls(0.87, switch_tau=switch_tau)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert (back.tau_star, back.switch_tau, str(back)) == (0.87, switch_tau, str(exc))
