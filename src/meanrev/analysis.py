@@ -5,8 +5,9 @@ stationary in every pairwise correlation at Theta = I, and the curvature
 there carries the sign of the risk-aversion exponent.  This module
 implements the diagonal-limit closed forms (Psi, lambda, phi) used to
 establish those facts, and takes the exact correlation derivatives of the
-value from the tangent equations of the S-equation.  It also produces the
-sweep data behind the position-multiplier and value-surface figures.
+value from the linear embedding of the S-equation, stepped with matrix
+exponentials.  It also produces the sweep data behind the position-multiplier
+and value-surface figures.
 """
 
 from __future__ import annotations
@@ -15,18 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .control import solve_value, value_function
-from .errors import BlowUpDetected
+from .errors import BlowUpDetected, OutOfDomain
 from .grids import SensitivityGrid
 from .model import OUParams, Preferences
-from .riccati import (
-    ATOL,
-    FIRST_STEP_FRACTION,
-    RTOL,
-    d_scalar_closed_form,
-    make_S_operator,
-)
+from .riccati import d_scalar_closed_form, make_S_operator
 
 
 def _omega(delta: float) -> float:
@@ -167,6 +163,15 @@ def pair_matrix(n: int, pair: tuple[int, int]) -> np.ndarray:
     return m
 
 
+def check_pair(n: int, pair) -> tuple[int, int]:
+    """``pair`` as two distinct asset indices in [0, n); ``OutOfDomain`` otherwise."""
+    p = np.asarray(pair)
+    if not (p.shape == (2,) and np.issubdtype(p.dtype, np.integer)
+            and p.min() >= 0 and p.max() < n and p[0] != p[1]):
+        raise OutOfDomain(f"pair {pair} is not two distinct asset indices in [0, {n})")
+    return int(p[0]), int(p[1])
+
+
 def corr_sensitivity(
     params: OUParams,
     prefs: Preferences,
@@ -175,26 +180,22 @@ def corr_sensitivity(
 ) -> CorrSensitivityReport:
     """Correlation derivatives of J(1, theta, 0) at the model's correlation matrix.
 
-    J comes from the value solve, which raises ``BlowUpDetected`` at a pole.
-    Its derivatives come from one solve of the S-equation together with its
-    tangents.  With E_a = I^{pq} for every index pair a, the requested pair
-    first (a = 0), and c = delta(delta - 1):
+    J comes from the value solve, which raises ``BlowUpDetected`` at a pole,
+    so S is finite on [0, T].  Its derivatives come from the linear embedding
+    [U; V]' = H [U; V], U(0) = I, V(0) = 0, H = [[-M', -Theta], [C, M]], of the
+    S-equation: S = V U^{-1} and log|J| = -log|gamma| + (delta T tr K -
+    log det U(T)) / (2 delta), where only H depends on the correlations.  With
+    E_a = I^{pq} for every index pair a, the requested pair first (a = 0), and
+    c = delta(delta - 1), dH/drho_a has -E_a top right and
+    -c K Theta^{-1} E_a Theta^{-1} K bottom left; d2H/drho_0 drho_a has
+    c K Theta^{-1} (E_0 Theta^{-1} E_a + E_a Theta^{-1} E_0) Theta^{-1} K bottom left.
 
-      S_a'  = S_a Theta S + S Theta S_a + S E_a S - delta(K S_a + S_a K)
-              - c K Theta^{-1} E_a Theta^{-1} K,
-      S_0a' = S_0a Theta S + S Theta S_0a + S_0 Theta S_a + S_a Theta S_0
-              + S_0 E_a S + S E_a S_0 + S_a E_0 S + S E_0 S_a
-              - delta(K S_0a + S_0a K)
-              + c K (Theta^{-1} E_0 Theta^{-1} E_a Theta^{-1}
-                     + Theta^{-1} E_a Theta^{-1} E_0 Theta^{-1}) K,
-
-    all zero at tau = 0.  With L = log|J| = -log|gamma| + int Tr(S Theta)/(2 delta),
-
-      dL/drho_a          = int Tr(S_a Theta + S E_a) / (2 delta),
-      d2L/drho_0 drho_a  = int Tr(S_0a Theta + S_0 E_a + S_a E_0) / (2 delta).
-
-    S is finite on [0, T] once the value solve has returned, so the linear
-    tangent equations cannot blow up.
+    One block-triangular ``expm`` per pair (Van Loan, 1978) gives the propagator
+    Phi of a step h = T / ceil(T rho(H)) and its derivatives Phi_a, Phi_0, Phi_0a.
+    A step maps S to (Phi_21 + Phi_22 S) G^{-1}, G = Phi_11 + Phi_12 S, and
+    carries S_a and S_0a by the derivatives of that map, restarting from the S
+    chart; log det U gains log det G, so d log det U gains tr(G^{-1} G_a) and
+    d2 log det U gains tr(G^{-1} G_0a) - tr(G^{-1} G_0 G^{-1} G_a).
 
     Two curvatures are reported.  ``second_derivative`` is the curvature of
     J itself, positive on both sides of gamma = 0 at Theta = I (the
@@ -205,47 +206,45 @@ def corr_sensitivity(
     coincide.
     """
     n = params.n
-    i, j = pair
-    if not (0 <= i < n and 0 <= j < n and i != j):
-        raise ValueError(f"invalid pair {pair}")
+    key = tuple(sorted(check_pair(n, pair)))
     value = value_function(1.0, params.theta, 0.0, solve_value(params, prefs, horizon), prefs,
                            params).total
 
-    key = (min(i, j), max(i, j))
     others = [(p, q) for p in range(n) for q in range(p + 1, n) if (p, q) != key]
     e = np.array([pair_matrix(n, a) for a in [key, *others]])  # (m, n, n)
-    m, size = len(e), n * n
-    corr, ci, delta = params.corr, params.corr_inv, prefs.delta
-    kd, kr = params.kappa[:, None], params.kappa[None, :]
-    c = delta * (delta - 1.0)
-    # Each tangent right-hand side is G + G' with G below; the S E_a S and
-    # constant terms are halved in G because they are symmetric already.
-    src1 = -0.5 * c * (kd * (ci @ e @ ci) * kr)
-    src2 = c * (kd * (ci @ e[0] @ ci @ e @ ci) * kr)
-    s_rhs = make_S_operator(params, prefs).rhs
+    ci, kk, c = params.corr_inv, np.outer(params.kappa, params.kappa), prefs.delta * (prefs.delta - 1.0)
+    m_s, c_s = make_S_operator(params, prefs).coefficients(0.0)
+    h = np.block([[-m_s.T, -params.corr], [c_s, m_s]])
+    h1, h2 = np.zeros((2, len(e), 2 * n, 2 * n))
+    h1[:, :n, n:] = -e
+    h1[:, n:, :n] = -c * kk * (ci @ e @ ci)
+    h2[:, n:, :n] = c * kk * (ci @ e[0] @ ci @ e @ ci + ci @ e @ ci @ e[0] @ ci)
+    steps = max(1, int(np.ceil(horizon * np.abs(np.linalg.eigvals(h)).max())))
+    z = np.zeros_like(h)
+    # Top block row of each pair's exponential: Phi, Phi_a, Phi_0, Phi_0a.
+    tops = np.array([
+        expm(horizon / steps * np.block([[h, ha, h1[0], h0a], [z, h, z, h1[0]],
+                                         [z, z, h, ha], [z, z, z, h]]))[:2 * n]
+        for ha, h0a in zip(h1, h2)
+    ]).reshape(len(e), 2 * n, 4, 2 * n).swapaxes(1, 2)
+    (phi, _, phi0, _), phi1, phi2 = tops[0], tops[:, 1], tops[:, 3]
 
-    def rhs(tau, y):
-        s = y[:size].reshape(n, n)
-        s1 = y[size:(1 + m) * size].reshape(m, n, n)
-        s2 = y[(1 + m) * size:(1 + 2 * m) * size].reshape(m, n, n)
-        cs = corr @ s
-        g1 = s1 @ cs + 0.5 * (s @ e @ s) - delta * kd * s1 + src1
-        g2 = (s2 @ cs + s1[0] @ corr @ s1 + s1[0] @ e @ s + s1 @ e[0] @ s
-              - delta * kd * s2 + src2)
-        t1 = np.einsum("aij,ij->a", s1, corr) + np.einsum("ij,aij->a", s, e)
-        t2 = (np.einsum("aij,ij->a", s2, corr) + np.einsum("ij,aij->a", s1[0], e)
-              + np.einsum("aij,ij->a", s1, e[0]))
-        return np.concatenate([
-            s_rhs(tau, s).ravel(), (g1 + g1.transpose(0, 2, 1)).ravel(),
-            (g2 + g2.transpose(0, 2, 1)).ravel(), t1, t2,
-        ])
-
-    res = solve_ivp(rhs, (0.0, horizon), np.zeros((1 + 2 * m) * size + 2 * m), method="RK45",
-                    rtol=RTOL, atol=ATOL, first_step=FIRST_STEP_FRACTION * horizon)
-    if not res.success:
-        raise RuntimeError(f"tangent integration failed: {res.message}")
-    traces = (res.y[-2 * m:, -1] / (2.0 * delta)).tolist()
-    l1, l2 = traces[:m], traces[m:]
+    s, s1, s2 = np.zeros((n, n)), np.zeros_like(e), np.zeros_like(e)
+    d1, d2 = np.zeros(len(e)), np.zeros(len(e))
+    for _ in range(steps):
+        y = np.vstack([np.eye(n), s])
+        p = phi @ y  # [G; Phi_21 + Phi_22 S]
+        p1 = phi1 @ y + phi[:, n:] @ s1
+        p2 = phi2 @ y + phi0[:, n:] @ s1 + phi1[..., n:] @ s1[0] + phi[:, n:] @ s2
+        g_inv = np.linalg.inv(p[:n])
+        x1 = g_inv @ p1[:, :n]
+        d1 += np.trace(x1, axis1=1, axis2=2)
+        d2 += np.einsum("ij,aji->a", g_inv, p2[:, :n]) - np.einsum("ij,aji->a", x1[0], x1)
+        s = p[n:] @ g_inv
+        s1_next = (p1[:, n:] - s @ p1[:, :n]) @ g_inv
+        s2 = (p2[:, n:] - s @ p2[:, :n] - s1_next @ p1[0, :n] - s1_next[0] @ p1[:, :n]) @ g_inv
+        s1 = s1_next
+    l1, l2 = (-d1 / (2.0 * prefs.delta)).tolist(), (-d2 / (2.0 * prefs.delta)).tolist()
     return CorrSensitivityReport(
         pair=pair, value=value,
         # + 0.0 turns the signed zero of a vanishing derivative into 0.0.

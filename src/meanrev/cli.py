@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import corr_sensitivity, d_curve_1d, value_vs_kappa2_rho
+from .analysis import check_pair, corr_sensitivity, d_curve_1d, value_vs_kappa2_rho
 from .control import optimal_strategy, solve_value, value_function
 from .errors import BlowUpDetected, MeanrevError, NonFinite, NotPositiveDefinite, ValidationError
 from .misspec import misspec_sweep
@@ -355,6 +355,8 @@ def cmd_misspec(config: dict, outdir: Path, seed: int, plot: bool) -> int:
             rows.append(row)
     write_csv(outdir / "misspec_sweep.csv", meta, header, rows)
     report_failed_cells(grid)
+    for (i, j), reason in sorted(grid.metadata.get("sharpe_failures", {}).items()):
+        print(f"sharpe ({grid.axis1[i]:g}, {grid.axis2[j]:g}) failed: {reason}", file=sys.stderr)
     if plot:
         plot_heatmap(outdir / "misspec_sweep.svg", grid, "value shortfall")
     print(f"wrote misspec_sweep.csv to {outdir}")
@@ -364,7 +366,7 @@ def cmd_misspec(config: dict, outdir: Path, seed: int, plot: bool) -> int:
 def cmd_corr_sweep(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     params, prefs, horizon = parse_model(config)
     section = config.get("corr_sweep", {})
-    pair = tuple(section.get("pair", [0, 1]))
+    pair = check_pair(params.n, section.get("pair", [0, 1]))
     rhos = np.asarray(section.get("rho_grid", np.linspace(-0.9, 0.9, 19).tolist()), dtype=float)
     rows = []
     for rho in rhos:

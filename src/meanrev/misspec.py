@@ -99,7 +99,11 @@ def misspec_sweep(
     Each cell holds P_gamma(1, theta, 0; kappa-hat) - J(1, theta, 0) for the
     estimate kappa-hat = (m1 k1, m2 k2, ...) with all other estimates exact.
     The true point (1, 1) anchors the grid at zero; blow-ups become NaN
-    cells with a recorded reason.
+    cells with a recorded reason.  With ``with_sharpe``, every finite cell
+    also gets the Sharpe ratio of its terminal wealth in
+    ``metadata["sharpe"]``; a Q_1 or Q_2 blow-up leaves the cell's value
+    standing, sets only its Sharpe ratio to NaN and records the reason in
+    ``metadata["sharpe_failures"]``.
     """
     if true_params.n < 2:
         raise ValueError("the sweep varies two per-asset multipliers; need n >= 2")
@@ -113,6 +117,7 @@ def misspec_sweep(
     cells = np.empty((m1.size, m2.size))
     sharpes = np.full((m1.size, m2.size), np.nan)
     failures: dict = {}
+    sharpe_failures: dict = {}
     for i, a in enumerate(m1):
         for j, b in enumerate(m2):
             kappa_hat = true_params.kappa.copy()
@@ -124,16 +129,20 @@ def misspec_sweep(
                 q_g = solve_Q(prefs.gamma, true_params, spec)
                 p_g = p_epsilon(1.0, true_params.theta, 0.0, prefs.gamma, q_g, true_params)
                 cells[i, j] = p_g.total - j_true
-                if with_sharpe:
+            except BlowUpDetected as exc:
+                cells[i, j] = np.nan
+                failures[(i, j)] = str(exc)
+                continue
+            if with_sharpe:
+                try:
                     q1 = solve_Q(1.0, true_params, spec)
                     q2 = solve_Q(2.0, true_params, spec)
                     sharpes[i, j] = sharpe(
                         p_epsilon(1.0, true_params.theta, 0.0, 1.0, q1, true_params),
                         p_epsilon(1.0, true_params.theta, 0.0, 2.0, q2, true_params),
                     )
-            except BlowUpDetected as exc:
-                cells[i, j] = np.nan
-                failures[(i, j)] = str(exc)
+                except BlowUpDetected as exc:
+                    sharpe_failures[(i, j)] = str(exc)
 
     grid = SensitivityGrid(
         axis1_name="kappa1_multiplier",
@@ -151,4 +160,5 @@ def misspec_sweep(
     )
     if with_sharpe:
         grid.metadata["sharpe"] = sharpes
+        grid.metadata["sharpe_failures"] = sharpe_failures
     return grid

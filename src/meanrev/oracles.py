@@ -15,10 +15,10 @@ infinite error.
 Every reference is independent of the code path it checks: the D-, F-
 and Q-equations and the lambda ODE are integrated by ``reference_solve``
 (DOP853 at rtol = atol = 1e-12), not by the package's RK45 solve of the
-symmetric form, the tangent solve behind the correlation derivatives is
-held to ``phi_diagonal``, which is built from the closed forms of Psi and
-lambda, and ``radon_pole`` finds poles from a matrix exponential, not from a
-Riccati solve.
+symmetric form, the matrix-exponential propagator behind the correlation
+derivatives is held to ``phi_diagonal``, which is built from the closed forms
+of Psi and lambda and integrated by RK45, and ``radon_pole`` finds poles from
+a matrix exponential, not from a Riccati solve.
 """
 
 from __future__ import annotations
@@ -477,9 +477,10 @@ def correlation_minimum_trio(gammas=(-4.0, 0.5), kappa_pairs=((1.0, 0.5), (1.0, 
 
 def corr_curvature_phi(gammas=(-4.0, 0.5), kappa_pairs=((1.0, 0.5), (2.0, 0.5)),
                        horizon: float = 2.0) -> Check:
-    """At the uncorrelated point, delta times the curvature of log|J| from the
-    tangent solve equals the integral of phi_ii + phi_jj, which ``phi_diagonal``
-    builds from the closed forms of Psi and lambda."""
+    """At the uncorrelated point, delta times the curvature of log|J| that
+    ``corr_sensitivity`` steps through matrix exponentials equals the integral
+    of phi_ii + phi_jj, which ``phi_diagonal`` builds from the closed forms of
+    Psi and lambda."""
     worst = 0.0
     for gamma in gammas:
         prefs = Preferences(gamma=gamma)

@@ -126,7 +126,8 @@ def log_value_fd(params, prefs, horizon, a, b, h=2e-3):
         moved = OUParams(n=params.n, kappa=params.kappa, sigma=params.sigma,
                          theta=params.theta, corr=corr)
         sol = solve_value(moved, prefs, horizon)
-        return np.log(abs(value_function(1.0, moved.theta, 0.0, sol, prefs, moved).total))
+        # log|J| less the constant log|1/gamma|; J itself underflows at long horizons.
+        return value_function(1.0, moved.theta, 0.0, sol, prefs, moved).log_trace_factor
 
     def stencil(s):
         l0 = log_j(0.0, 0.0)
@@ -142,8 +143,8 @@ def log_value_fd(params, prefs, horizon, a, b, h=2e-3):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([-4.0, -1.0, 0.5]))
 def test_corr_sensitivity_matches_finite_differences(seed, gamma):
-    # Away from Theta = I nothing vanishes, so every term of the tangent
-    # equations is exercised.  Near-singular Theta is skipped: its large
+    # Away from Theta = I nothing vanishes, so every block of the
+    # propagator's correlation derivatives is exercised.  Near-singular Theta is skipped: its large
     # higher derivatives put the reference's truncation error near the bound.
     rng = np.random.default_rng(seed)
     corr = random_corr(rng, 3)
@@ -159,6 +160,24 @@ def test_corr_sensitivity_matches_finite_differences(seed, gamma):
     # 1e-6 relative to max(|x|, 1): the solver's tolerance over h^2 leaves
     # the reference about 1e-7 of absolute noise on small derivatives.
     assert got == pytest.approx(expected, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("kappa, rho, gamma, horizon", [
+    ((20.0, 5.0, 1.0), 0.3, -4.0, 50.0),
+    ((2.0, 0.5, 1.0), 0.4, -1.0, 200.0),
+])
+def test_corr_curvature_at_long_horizons(kappa, rho, gamma, horizon):
+    # At these horizons one exponential over [0, T] loses the derivatives to
+    # cancellation, and derivatives of U carried from step to step grow like
+    # e^{(lambda_i - lambda_j) T} in H's eigenvalues: only derivatives that
+    # restart from the S chart at every step stay accurate.
+    corr = np.full((3, 3), rho)
+    np.fill_diagonal(corr, 1.0)
+    params = OUParams(n=3, kappa=np.array(kappa), sigma=np.ones(3), theta=np.zeros(3), corr=corr)
+    prefs = Preferences(gamma=gamma)
+    r = corr_sensitivity(params, prefs, horizon, (0, 1))
+    l_aa = log_value_fd(params, prefs, horizon, (0, 1), (1, 2))[2]
+    assert r.log_second_derivative == pytest.approx(l_aa, rel=1e-5)
 
 
 def test_value_surface_shapes():

@@ -252,6 +252,36 @@ def test_corr_sweep_rejects_non_finite_rho(tmp_path, capsys):
     assert "NonFinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pair", [[0, 5], [0.5, 1], [1, 1], [-1, 0]],
+                         ids=["index-past-n", "non-integer", "same-index", "negative"])
+def test_corr_sweep_rejects_a_bad_pair_before_solving(tmp_path, capsys, pair):
+    cfg = base_config()
+    cfg["corr_sweep"] = {"pair": pair}
+    assert run(tmp_path, cfg, "corr-sweep") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: OutOfDomain:")
+    assert "Traceback" not in err and " failed: " not in err
+    assert not (tmp_path / "out" / "corr_sweep.csv").exists()
+
+
+def test_misspec_reports_sharpe_failures_apart_from_cells(tmp_path, capsys):
+    # At gamma = 0.5 and rho = 0.9 the Q_1 or Q_2 solve blows up on cells
+    # whose value converges: the value stays, the Sharpe ratio is nan, and
+    # the reason gets its own stderr line, which is not a failed-cell line.
+    cfg = base_config(gamma=0.5, horizon=3.0,
+                      misspec={"multipliers1": [0.5, 1.0], "multipliers2": [0.5, 1.0],
+                               "sharpe": True})
+    cfg["model"]["corr"] = [[1.0, 0.9], [0.9, 1.0]]
+    assert run(tmp_path, cfg, "misspec") == EXIT_OK
+    rows = [ln.split(",") for ln in read_body(tmp_path / "out" / "misspec_sweep.csv")[1:]]
+    lost = [(a, b) for a, b, cell, sharpe in rows if cell != "nan" and sharpe == "nan"]
+    err = capsys.readouterr().err.splitlines()
+    assert lost and not [ln for ln in err if ln.startswith("cell (")]
+    reasons = [ln for ln in err if ln.startswith("sharpe (")]
+    assert [ln.split(" failed: ")[0] for ln in reasons] == [f"sharpe ({a}, {b})" for a, b in lost]
+    assert all("blew up" in ln for ln in reasons)
+
+
 def test_kappa_sweep_outputs(tmp_path, capsys):
     cfg = base_config(horizon=3.0)
     cfg["kappa_sweep"] = {

@@ -198,6 +198,25 @@ def test_sweep_records_blowups():
         assert np.isnan(grid.cells[i, j])
 
 
+def test_sharpe_failures_leave_the_value_cells():
+    # At gamma = 0.5 and rho = 0.9 the Q_1 or Q_2 solve blows up on cells
+    # whose Q_gamma converges, the true point (1, 1) among them.
+    params = two_asset(rho=0.9)
+    prefs = Preferences(gamma=0.5)
+    mult = [0.5, 0.75, 1.0, 1.5, 2.0]
+    plain = misspec_sweep(params, prefs, 3.0, mult, mult)
+    grid = misspec_sweep(params, prefs, 3.0, mult, mult, with_sharpe=True)
+    np.testing.assert_array_equal(grid.cells, plain.cells)
+    assert grid.failures == plain.failures
+    lost = grid.metadata["sharpe_failures"]
+    assert (2, 2) in lost and all("blew up" in reason for reason in lost.values())
+    finite = np.isfinite(grid.cells)
+    sharpes = grid.metadata["sharpe"]
+    assert all(finite[c] for c in lost)
+    for (i, j), ok in np.ndenumerate(finite):
+        assert np.isfinite(sharpes[i, j]) == (ok and (i, j) not in lost)
+
+
 def test_sweep_requires_two_assets():
     import meanrev.model as mm
 
