@@ -4,10 +4,10 @@ The value function, viewed through F = (A + A')Theta/2 = A Theta, is
 stationary in every pairwise correlation at Theta = I, and the curvature
 there carries the sign of the risk-aversion exponent.  This module
 implements the diagonal-limit closed forms (Psi, lambda, phi) used to
-establish those facts, and takes the exact correlation derivatives of the
-value from the linear embedding of the S-equation, stepped with matrix
-exponentials.  It also produces the sweep data behind the position-multiplier
-and value-surface figures.
+establish those facts, and takes the value at the mean and its exact
+correlation derivatives from the linear embedding of the S-equation,
+stepped with matrix exponentials.  It also produces the sweep data behind
+the position-multiplier and value-surface figures.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .control import solve_value, value_function
 from .errors import BlowUpDetected, OutOfDomain
 from .grids import SensitivityGrid
-from .model import OUParams, Preferences
-from .riccati import d_scalar_closed_form, make_S_operator
+from .model import OUParams, Preferences, validate
+from .riccati import d_scalar_closed_form, make_S_operator, solve
 
 
 def _omega(delta: float) -> float:
@@ -142,17 +141,21 @@ class CorrSensitivityReport:
     """Correlation derivatives of the value at the mean, J = J(1, theta, 0).
 
     ``first_derivative`` and ``second_derivative`` are derivatives of J in
-    the correlation of ``pair``, ``log_second_derivative`` is the curvature
-    of log|J| there, and ``mixed_derivatives`` maps every other index pair
-    (p, q), p < q, to the mixed second partial of J.
+    the correlation of ``pair``, and ``mixed_derivatives`` maps every other
+    index pair (p, q), p < q, to the mixed second partial of J.  The ``log_``
+    fields are the same quantities for log|J|; they stay finite at horizons
+    where J underflows and its own derivatives read 0.
     """
 
     pair: tuple[int, int]
     value: float
+    log_value: float
     first_derivative: float
+    log_first_derivative: float
     second_derivative: float
     log_second_derivative: float
     mixed_derivatives: dict = field(default_factory=dict)  # (p, q) -> value
+    log_mixed_derivatives: dict = field(default_factory=dict)  # (p, q) -> value
 
 
 def pair_matrix(n: int, pair: tuple[int, int]) -> np.ndarray:
@@ -180,11 +183,14 @@ def corr_sensitivity(
 ) -> CorrSensitivityReport:
     """Correlation derivatives of J(1, theta, 0) at the model's correlation matrix.
 
-    J comes from the value solve, which raises ``BlowUpDetected`` at a pole,
-    so S is finite on [0, T].  Its derivatives come from the linear embedding
-    [U; V]' = H [U; V], U(0) = I, V(0) = 0, H = [[-M', -Theta], [C, M]], of the
-    S-equation: S = V U^{-1} and log|J| = -log|gamma| + (delta T tr K -
-    log det U(T)) / (2 delta), where only H depends on the correlations.  With
+    J and its derivatives come from the linear embedding [U; V]' = H [U; V],
+    U(0) = I, V(0) = 0, H = [[-M', -Theta], [C, M]], of the S-equation:
+    S = V U^{-1} and log|J| = -log|gamma| + (delta T tr K - log det U(T)) /
+    (2 delta), where only H depends on the correlations.  S' = R C R' with
+    R' = (M + S Theta) R, R(0) = I, so S' keeps the sign of C = delta(delta - 1)
+    K Theta^{-1} K: for gamma < 0 S only decreases from 0, ``switch_level``'s
+    bound keeps it finite, and no pole exists.  For 0 < gamma < 1 the S solve
+    runs first and raises ``BlowUpDetected`` at a pole before T.  With
     E_a = I^{pq} for every index pair a, the requested pair first (a = 0), and
     c = delta(delta - 1), dH/drho_a has -E_a top right and
     -c K Theta^{-1} E_a Theta^{-1} K bottom left; d2H/drho_0 drho_a has
@@ -194,7 +200,7 @@ def corr_sensitivity(
     Phi of a step h = T / ceil(T rho(H)) and its derivatives Phi_a, Phi_0, Phi_0a.
     A step maps S to (Phi_21 + Phi_22 S) G^{-1}, G = Phi_11 + Phi_12 S, and
     carries S_a and S_0a by the derivatives of that map, restarting from the S
-    chart; log det U gains log det G, so d log det U gains tr(G^{-1} G_a) and
+    chart; log det U gains log det G, d log det U gains tr(G^{-1} G_a) and
     d2 log det U gains tr(G^{-1} G_0a) - tr(G^{-1} G_0 G^{-1} G_a).
 
     Two curvatures are reported.  ``second_derivative`` is the curvature of
@@ -207,8 +213,11 @@ def corr_sensitivity(
     """
     n = params.n
     key = tuple(sorted(check_pair(n, pair)))
-    value = value_function(1.0, params.theta, 0.0, solve_value(params, prefs, horizon), prefs,
-                           params).total
+    validate(params)
+    if prefs.gamma == 0.0:
+        raise ValueError("exponent 0 (log utility) is served by log_utility_value")
+    if prefs.gamma > 0.0:
+        solve(make_S_operator(params, prefs), horizon)
 
     others = [(p, q) for p in range(n) for q in range(p + 1, n) if (p, q) != key]
     e = np.array([pair_matrix(n, a) for a in [key, *others]])  # (m, n, n)
@@ -230,12 +239,13 @@ def corr_sensitivity(
     (phi, _, phi0, _), phi1, phi2 = tops[0], tops[:, 1], tops[:, 3]
 
     s, s1, s2 = np.zeros((n, n)), np.zeros_like(e), np.zeros_like(e)
-    d1, d2 = np.zeros(len(e)), np.zeros(len(e))
+    d0, d1, d2 = 0.0, np.zeros(len(e)), np.zeros(len(e))
     for _ in range(steps):
         y = np.vstack([np.eye(n), s])
         p = phi @ y  # [G; Phi_21 + Phi_22 S]
         p1 = phi1 @ y + phi[:, n:] @ s1
         p2 = phi2 @ y + phi0[:, n:] @ s1 + phi1[..., n:] @ s1[0] + phi[:, n:] @ s2
+        d0 += np.linalg.slogdet(p[:n])[1]
         g_inv = np.linalg.inv(p[:n])
         x1 = g_inv @ p1[:, :n]
         d1 += np.trace(x1, axis1=1, axis2=2)
@@ -244,14 +254,18 @@ def corr_sensitivity(
         s1_next = (p1[:, n:] - s @ p1[:, :n]) @ g_inv
         s2 = (p2[:, n:] - s @ p2[:, :n] - s1_next @ p1[0, :n] - s1_next[0] @ p1[:, :n]) @ g_inv
         s1 = s1_next
+    log_trace = float(-horizon * np.trace(m_s) - d0) / (2.0 * prefs.delta)  # log|gamma J|
+    value = float(np.exp(log_trace)) / prefs.gamma
     l1, l2 = (-d1 / (2.0 * prefs.delta)).tolist(), (-d2 / (2.0 * prefs.delta)).tolist()
     return CorrSensitivityReport(
-        pair=pair, value=value,
+        pair=pair, value=value, log_value=log_trace - float(np.log(abs(prefs.gamma))),
         # + 0.0 turns the signed zero of a vanishing derivative into 0.0.
         first_derivative=value * l1[0] + 0.0,
+        log_first_derivative=l1[0] + 0.0,
         second_derivative=value * (l2[0] + l1[0] ** 2),
         log_second_derivative=l2[0],
         mixed_derivatives={a: value * (l2[k] + l1[0] * l1[k]) for k, a in enumerate(others, 1)},
+        log_mixed_derivatives={a: l2[k] for k, a in enumerate(others, 1)},
     )
 
 
@@ -277,8 +291,7 @@ def value_vs_kappa2_rho(
                 corr=np.array([[1.0, r], [r, 1.0]]),
             )
             try:
-                a = solve_value(params, prefs, horizon)
-                cells[i, j] = value_function(1.0, params.theta, 0.0, a, prefs, params).total
+                cells[i, j] = corr_sensitivity(params, prefs, horizon, (0, 1)).value
             except BlowUpDetected as exc:
                 cells[i, j] = np.nan
                 failures[(i, j)] = str(exc)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import block_diag
 
-from meanrev import oracles
+from meanrev import analysis, oracles, riccati
 from meanrev.analysis import (
     corr_sensitivity,
     d_curve_1d,
@@ -13,8 +14,9 @@ from meanrev.analysis import (
     value_vs_kappa2_rho,
 )
 from meanrev.control import solve_value, value_function
-from meanrev.errors import BlowUpDetected
+from meanrev.errors import AllKappaZero, BlowUpDetected, NonFinite, NotPositiveDefinite
 from meanrev.model import OUParams, Preferences
+from meanrev.riccati import single_mr_blowup_tau
 
 from conftest import assert_passes, random_corr, two_asset
 
@@ -115,6 +117,51 @@ def test_corr_sensitivity_raises_at_pole():
         corr_sensitivity(params, Preferences(gamma=0.5), 3.0, (0, 1))
 
 
+def test_corr_sensitivity_finds_the_first_of_two_poles_in_one_step():
+    # Two independent single-mean-reverting pairs whose poles, 0.8749 and
+    # 0.8757, fall inside one of the embedding's eight 0.375-long steps: det G
+    # is positive at both ends of that step, so only a solve that follows S
+    # sees the poles.
+    block = np.array([[1.0, 0.9], [0.9, 1.0]])
+    params = OUParams(n=4, kappa=np.array([1.0, 0.0, 1.0 / 1.001, 0.0]), sigma=np.ones(4),
+                      theta=np.zeros(4), corr=block_diag(block, block))
+    with pytest.raises(BlowUpDetected) as info:
+        corr_sensitivity(params, Preferences(gamma=0.5), 3.0, (0, 1))
+    assert info.value.tau_star == pytest.approx(single_mr_blowup_tau(1.0, block, 0.5), rel=1e-9)
+
+
+def test_corr_sensitivity_solves_s_only_where_a_pole_can_exist(monkeypatch):
+    # For gamma < 0, C is negative semidefinite and S has no pole, so the
+    # embedding alone gives the value; for 0 < gamma < 1 one S solve guards it.
+    calls = []
+
+    def recording(op, horizon, solve=riccati.solve):
+        calls.append(horizon)
+        return solve(op, horizon)
+
+    monkeypatch.setattr(riccati, "solve", recording)
+    monkeypatch.setattr(analysis, "solve", recording)
+    counts = []
+    for gamma in (-4.0, -1.0, 0.5):
+        calls.clear()
+        corr_sensitivity(two_asset(), Preferences(gamma=gamma), 3.0, (0, 1))
+        counts.append(len(calls))
+    assert counts == [0, 0, 1]
+
+
+@pytest.mark.parametrize("params, gamma, error", [
+    (two_asset(kappa=(0.0, 0.0)), -4.0, AllKappaZero),
+    (two_asset(rho=1.0), -4.0, NotPositiveDefinite),
+    (two_asset(kappa=(np.nan, 0.5)), -4.0, NonFinite),
+    (two_asset(), 0.0, ValueError),
+], ids=["all-kappa-zero", "singular-corr", "nan-kappa", "log-utility"])
+def test_corr_sensitivity_rejects_invalid_models(params, gamma, error):
+    with pytest.raises(error) as info:
+        corr_sensitivity(params, Preferences(gamma=gamma), 3.0, (0, 1))
+    if error is ValueError:
+        assert str(info.value) == "exponent 0 (log utility) is served by log_utility_value"
+
+
 def log_value_fd(params, prefs, horizon, a, b, h=2e-3):
     """d/drho_a, d2/drho_a^2 and d2/drho_a drho_b of log|J| at the model's
     correlation, by central differences of steps h and h/2 and Richardson
@@ -176,8 +223,14 @@ def test_corr_curvature_at_long_horizons(kappa, rho, gamma, horizon):
     params = OUParams(n=3, kappa=np.array(kappa), sigma=np.ones(3), theta=np.zeros(3), corr=corr)
     prefs = Preferences(gamma=gamma)
     r = corr_sensitivity(params, prefs, horizon, (0, 1))
-    l_aa = log_value_fd(params, prefs, horizon, (0, 1), (1, 2))[2]
+    l_a, _, l_aa, l_ab = log_value_fd(params, prefs, horizon, (0, 1), (1, 2))
     assert r.log_second_derivative == pytest.approx(l_aa, rel=1e-5)
+    # J and its own derivatives underflow here; the log-space ones do not.
+    assert r.log_first_derivative == pytest.approx(l_a, rel=1e-5)
+    assert r.log_mixed_derivatives[(1, 2)] == pytest.approx(l_ab, rel=1e-5)
+    log_trace = value_function(1.0, params.theta, 0.0, solve_value(params, prefs, horizon), prefs,
+                               params).log_trace_factor
+    assert r.log_value == pytest.approx(-np.log(abs(gamma)) + log_trace, rel=1e-9)
 
 
 def test_value_surface_shapes():
@@ -188,6 +241,12 @@ def test_value_surface_shapes():
     # High correlation: interior desirability minimum in kappa2.
     hi = grid.cells[:, 2]
     assert np.any((hi[1:-1] < hi[:-2]) & (hi[1:-1] < hi[2:]))
+
+
+def test_value_surface_rejects_all_kappa_zero():
+    # kappa1 = 0 is a valid model until the kappa2 = 0 cell.
+    with pytest.raises(AllKappaZero):
+        value_vs_kappa2_rho(np.array([0.5, 0.0]), np.array([0.0]), kappa1=0.0)
 
 
 def test_value_surface_common_kappa_rho_independent():

@@ -264,6 +264,14 @@ def test_corr_sweep_rejects_a_bad_pair_before_solving(tmp_path, capsys, pair):
     assert not (tmp_path / "out" / "corr_sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["corr-sweep", "kappa-sweep"])
+def test_sweeps_refuse_log_utility_before_writing(tmp_path, capsys, command):
+    assert run(tmp_path, base_config(gamma=0.0), command) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "config error: exponent 0 (log utility) is served by log_utility_value\n")
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 def test_misspec_reports_sharpe_failures_apart_from_cells(tmp_path, capsys):
     # At gamma = 0.5 and rho = 0.9 the Q_1 or Q_2 solve blows up on cells
     # whose value converges: the value stays, the Sharpe ratio is nan, and
