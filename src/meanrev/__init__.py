@@ -42,6 +42,7 @@ from .analysis import (
     phi_diagonal,
     psi_closed_form,
     psi_integral,
+    value_at_mean,
     value_vs_kappa2_rho,
 )
 from .grids import SensitivityGrid

@@ -12,13 +12,13 @@ the position-multiplier and value-surface figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .errors import BlowUpDetected, OutOfDomain
+from .errors import BlowUpDetected, NotPositiveDefinite, OutOfDomain, OutOfHorizon
 from .grids import SensitivityGrid
 from .model import OUParams, Preferences, validate
 from .riccati import d_scalar_closed_form, make_S_operator, solve
@@ -175,6 +175,79 @@ def check_pair(n: int, pair) -> tuple[int, int]:
     return int(p[0]), int(p[1])
 
 
+def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs: list):
+    """log|gamma J(1, theta, 0)| and, per index pair a in ``pairs``, d log|J| / drho_a
+    and d2 log|J| / drho_0 drho_a, from the linear embedding [U; V]' = H [U; V],
+    U(0) = I, V(0) = 0, H = [[-M', -Theta], [C, M]], of the S-equation: S = V U^{-1}
+    and log|gamma J| = (delta T tr K - log det U(T)) / (2 delta), where only H
+    depends on the correlations.  S' = R C R' with R' = (M + S Theta) R,
+    R(0) = I, so S' keeps the sign of C = delta(delta - 1) K Theta^{-1} K: for
+    gamma < 0 S only decreases from 0, ``switch_level``'s bound keeps it
+    finite, and no pole exists.  For 0 < gamma < 1 the S solve runs first and
+    raises ``BlowUpDetected`` at a pole before T.
+
+    With E_a = I^{pq} for pair a and c = delta(delta - 1),
+    dH/drho_a has -E_a top right and -c K Theta^{-1} E_a Theta^{-1} K bottom left;
+    d2H/drho_0 drho_a has c K Theta^{-1} (E_0 Theta^{-1} E_a + E_a Theta^{-1} E_0)
+    Theta^{-1} K bottom left.  The propagator of a step h = T / ceil(T rho(H)) is
+    Phi = expm(hH), and one block-triangular ``expm`` per pair (Van Loan, 1978)
+    gives its derivatives Phi_a, Phi_0, Phi_0a.  A step maps S to
+    (Phi_21 + Phi_22 S) G^{-1}, G = Phi_11 + Phi_12 S, and carries S_a and S_0a
+    by the derivatives of that map, restarting from the S chart; log det U
+    gains log det G, d log det U gains tr(G^{-1} G_a) and d2 log det U gains
+    tr(G^{-1} G_0a) - tr(G^{-1} G_0 G^{-1} G_a).  With no pairs only Phi is stepped.
+    """
+    validate(params)
+    if prefs.gamma == 0.0:
+        raise ValueError("exponent 0 (log utility) is served by log_utility_value")
+    if prefs.gamma > 0.0:
+        solve(make_S_operator(params, prefs), horizon)
+
+    n = params.n
+    e = np.array([pair_matrix(n, a) for a in pairs]).reshape(-1, n, n)  # (m, n, n)
+    ci, kk, c = params.corr_inv, np.outer(params.kappa, params.kappa), prefs.delta * (prefs.delta - 1.0)
+    m_s, c_s = make_S_operator(params, prefs).coefficients(0.0)
+    h = np.block([[-m_s.T, -params.corr], [c_s, m_s]])
+    h1, h2 = np.zeros((2, len(e), 2 * n, 2 * n))
+    h1[:, :n, n:] = -e
+    h1[:, n:, :n] = -c * kk * (ci @ e @ ci)
+    h2[:, n:, :n] = c * kk * (ci @ e[:1] @ ci @ e @ ci + ci @ e @ ci @ e[:1] @ ci)
+    steps = max(1, int(np.ceil(horizon * np.abs(np.linalg.eigvals(h)).max())))
+    phi = expm(horizon / steps * h)
+    z = np.zeros_like(h)
+    # Top block row of each pair's exponential: Phi, Phi_a, Phi_0, Phi_0a.
+    tops = np.array([
+        expm(horizon / steps * np.block([[h, ha, h1[0], h0a], [z, h, z, h1[0]],
+                                         [z, z, h, ha], [z, z, z, h]]))[:2 * n]
+        for ha, h0a in zip(h1, h2)
+    ]).reshape(len(e), 2 * n, 4, 2 * n).swapaxes(1, 2)
+    phi1, phi0, phi2 = tops[:, 1], tops[:1, 2], tops[:, 3]
+
+    s, s1, s2 = np.zeros((n, n)), np.zeros_like(e), np.zeros_like(e)
+    d0, d1, d2 = 0.0, np.zeros(len(e)), np.zeros(len(e))
+    for _ in range(steps):
+        y = np.vstack([np.eye(n), s])
+        p = phi @ y  # [G; Phi_21 + Phi_22 S]
+        p1 = phi1 @ y + phi[:, n:] @ s1
+        p2 = phi2 @ y + phi0[..., n:] @ s1 + phi1[..., n:] @ s1[:1] + phi[:, n:] @ s2
+        d0 += np.linalg.slogdet(p[:n])[1]
+        g_inv = np.linalg.inv(p[:n])
+        x1 = g_inv @ p1[:, :n]
+        d1 += np.trace(x1, axis1=1, axis2=2)
+        d2 += np.einsum("ij,aji->a", g_inv, p2[:, :n]) - np.einsum("bij,aji->a", x1[:1], x1)
+        s = p[n:] @ g_inv
+        s1_next = (p1[:, n:] - s @ p1[:, :n]) @ g_inv
+        s2 = (p2[:, n:] - s @ p2[:, :n] - s1_next @ p1[:1, :n] - s1_next[:1] @ p1[:, :n]) @ g_inv
+        s1 = s1_next
+    log_trace = float(-horizon * np.trace(m_s) - d0) / (2.0 * prefs.delta)
+    return log_trace, (-d1 / (2.0 * prefs.delta)).tolist(), (-d2 / (2.0 * prefs.delta)).tolist()
+
+
+def value_at_mean(params: OUParams, prefs: Preferences, horizon: float) -> float:
+    """J(1, theta, 0), the value at the mean, from the embedding pass with no pairs."""
+    return float(np.exp(_embedding_pass(params, prefs, horizon, [])[0])) / prefs.gamma
+
+
 def corr_sensitivity(
     params: OUParams,
     prefs: Preferences,
@@ -183,25 +256,8 @@ def corr_sensitivity(
 ) -> CorrSensitivityReport:
     """Correlation derivatives of J(1, theta, 0) at the model's correlation matrix.
 
-    J and its derivatives come from the linear embedding [U; V]' = H [U; V],
-    U(0) = I, V(0) = 0, H = [[-M', -Theta], [C, M]], of the S-equation:
-    S = V U^{-1} and log|J| = -log|gamma| + (delta T tr K - log det U(T)) /
-    (2 delta), where only H depends on the correlations.  S' = R C R' with
-    R' = (M + S Theta) R, R(0) = I, so S' keeps the sign of C = delta(delta - 1)
-    K Theta^{-1} K: for gamma < 0 S only decreases from 0, ``switch_level``'s
-    bound keeps it finite, and no pole exists.  For 0 < gamma < 1 the S solve
-    runs first and raises ``BlowUpDetected`` at a pole before T.  With
-    E_a = I^{pq} for every index pair a, the requested pair first (a = 0), and
-    c = delta(delta - 1), dH/drho_a has -E_a top right and
-    -c K Theta^{-1} E_a Theta^{-1} K bottom left; d2H/drho_0 drho_a has
-    c K Theta^{-1} (E_0 Theta^{-1} E_a + E_a Theta^{-1} E_0) Theta^{-1} K bottom left.
-
-    One block-triangular ``expm`` per pair (Van Loan, 1978) gives the propagator
-    Phi of a step h = T / ceil(T rho(H)) and its derivatives Phi_a, Phi_0, Phi_0a.
-    A step maps S to (Phi_21 + Phi_22 S) G^{-1}, G = Phi_11 + Phi_12 S, and
-    carries S_a and S_0a by the derivatives of that map, restarting from the S
-    chart; log det U gains log det G, d log det U gains tr(G^{-1} G_a) and
-    d2 log det U gains tr(G^{-1} G_0a) - tr(G^{-1} G_0 G^{-1} G_a).
+    J and its derivatives in every pair's correlation, ``pair`` first, come from
+    one ``_embedding_pass``, which raises ``BlowUpDetected`` at a pole before T.
 
     Two curvatures are reported.  ``second_derivative`` is the curvature of
     J itself, positive on both sides of gamma = 0 at Theta = I (the
@@ -213,50 +269,9 @@ def corr_sensitivity(
     """
     n = params.n
     key = tuple(sorted(check_pair(n, pair)))
-    validate(params)
-    if prefs.gamma == 0.0:
-        raise ValueError("exponent 0 (log utility) is served by log_utility_value")
-    if prefs.gamma > 0.0:
-        solve(make_S_operator(params, prefs), horizon)
-
     others = [(p, q) for p in range(n) for q in range(p + 1, n) if (p, q) != key]
-    e = np.array([pair_matrix(n, a) for a in [key, *others]])  # (m, n, n)
-    ci, kk, c = params.corr_inv, np.outer(params.kappa, params.kappa), prefs.delta * (prefs.delta - 1.0)
-    m_s, c_s = make_S_operator(params, prefs).coefficients(0.0)
-    h = np.block([[-m_s.T, -params.corr], [c_s, m_s]])
-    h1, h2 = np.zeros((2, len(e), 2 * n, 2 * n))
-    h1[:, :n, n:] = -e
-    h1[:, n:, :n] = -c * kk * (ci @ e @ ci)
-    h2[:, n:, :n] = c * kk * (ci @ e[0] @ ci @ e @ ci + ci @ e @ ci @ e[0] @ ci)
-    steps = max(1, int(np.ceil(horizon * np.abs(np.linalg.eigvals(h)).max())))
-    z = np.zeros_like(h)
-    # Top block row of each pair's exponential: Phi, Phi_a, Phi_0, Phi_0a.
-    tops = np.array([
-        expm(horizon / steps * np.block([[h, ha, h1[0], h0a], [z, h, z, h1[0]],
-                                         [z, z, h, ha], [z, z, z, h]]))[:2 * n]
-        for ha, h0a in zip(h1, h2)
-    ]).reshape(len(e), 2 * n, 4, 2 * n).swapaxes(1, 2)
-    (phi, _, phi0, _), phi1, phi2 = tops[0], tops[:, 1], tops[:, 3]
-
-    s, s1, s2 = np.zeros((n, n)), np.zeros_like(e), np.zeros_like(e)
-    d0, d1, d2 = 0.0, np.zeros(len(e)), np.zeros(len(e))
-    for _ in range(steps):
-        y = np.vstack([np.eye(n), s])
-        p = phi @ y  # [G; Phi_21 + Phi_22 S]
-        p1 = phi1 @ y + phi[:, n:] @ s1
-        p2 = phi2 @ y + phi0[:, n:] @ s1 + phi1[..., n:] @ s1[0] + phi[:, n:] @ s2
-        d0 += np.linalg.slogdet(p[:n])[1]
-        g_inv = np.linalg.inv(p[:n])
-        x1 = g_inv @ p1[:, :n]
-        d1 += np.trace(x1, axis1=1, axis2=2)
-        d2 += np.einsum("ij,aji->a", g_inv, p2[:, :n]) - np.einsum("ij,aji->a", x1[0], x1)
-        s = p[n:] @ g_inv
-        s1_next = (p1[:, n:] - s @ p1[:, :n]) @ g_inv
-        s2 = (p2[:, n:] - s @ p2[:, :n] - s1_next @ p1[0, :n] - s1_next[0] @ p1[:, :n]) @ g_inv
-        s1 = s1_next
-    log_trace = float(-horizon * np.trace(m_s) - d0) / (2.0 * prefs.delta)  # log|gamma J|
+    log_trace, l1, l2 = _embedding_pass(params, prefs, horizon, [key, *others])  # log|gamma J|
     value = float(np.exp(log_trace)) / prefs.gamma
-    l1, l2 = (-d1 / (2.0 * prefs.delta)).tolist(), (-d2 / (2.0 * prefs.delta)).tolist()
     return CorrSensitivityReport(
         pair=pair, value=value, log_value=log_trace - float(np.log(abs(prefs.gamma))),
         # + 0.0 turns the signed zero of a vanishing derivative into 0.0.
@@ -269,36 +284,35 @@ def corr_sensitivity(
     )
 
 
-def value_vs_kappa2_rho(
-    kappa2_grid,
-    rho_grid,
-    gamma: float = -4.0,
-    kappa1: float = 1.0,
-    horizon: float = 3.0,
-) -> SensitivityGrid:
-    """Value surface J(1, 0, 0) of a two-asset model over (kappa_2, rho)."""
+def value_vs_kappa2_rho(params: OUParams, prefs: Preferences, horizon: float, kappa2_grid,
+                        rho_grid, pair: tuple[int, int] = (0, 1)) -> SensitivityGrid:
+    """Cell (i, j) is ``value_at_mean`` of ``params`` with kappa[1] set to kappa2_grid[i]
+    and the ``pair`` entry of Theta to rho_grid[j]; n >= 2 (``OutOfDomain``).
+
+    A cell whose Theta is not positive definite, or whose S has a pole before
+    the horizon, is NaN with its reason in ``failures``.
+    """
+    if params.n < 2:
+        raise OutOfDomain("the sweep sets a second reversion rate; need n >= 2")
+    p, q = check_pair(params.n, pair)
     k2 = np.asarray(kappa2_grid, dtype=float)
     rho = np.asarray(rho_grid, dtype=float)
-    if np.any(np.abs(rho) >= 1.0):
-        raise ValueError("correlations must lie strictly inside (-1, 1)")
-    prefs = Preferences(gamma=gamma)
     cells = np.empty((k2.size, rho.size))
     failures: dict = {}
     for i, k in enumerate(k2):
+        kappa = params.kappa.copy()
+        kappa[1] = k
         for j, r in enumerate(rho):
-            params = OUParams(
-                n=2, kappa=np.array([kappa1, k]), sigma=np.ones(2), theta=np.zeros(2),
-                corr=np.array([[1.0, r], [r, 1.0]]),
-            )
+            corr = params.corr.copy()
+            corr[p, q] = corr[q, p] = r
             try:
-                cells[i, j] = corr_sensitivity(params, prefs, horizon, (0, 1)).value
-            except BlowUpDetected as exc:
+                cells[i, j] = value_at_mean(replace(params, kappa=kappa, corr=corr), prefs, horizon)
+            except (NotPositiveDefinite, BlowUpDetected) as exc:
                 cells[i, j] = np.nan
                 failures[(i, j)] = str(exc)
     return SensitivityGrid(
         axis1_name="kappa2", axis1=k2, axis2_name="rho", axis2=rho, cells=cells,
-        metadata={"quantity": "value_at_mean", "gamma": gamma, "kappa1": kappa1,
-                  "horizon": horizon},
+        metadata={"quantity": "value_at_mean", "gamma": prefs.gamma, "horizon": horizon},
         failures=failures,
     )
 
@@ -311,10 +325,8 @@ def d_curve_1d(kappa: float, gammas, horizon: float, times) -> SensitivityGrid:
     """
     g = np.asarray(gammas, dtype=float)
     t = np.asarray(times, dtype=float)
-    if np.any(g >= 1.0):
-        raise ValueError("risk-aversion exponents must be below 1")
-    if np.any(t < 0) or np.any(t > horizon):
-        raise ValueError("times must lie in [0, horizon]")
+    if not np.all((t >= 0.0) & (t <= horizon)):
+        raise OutOfHorizon(f"times must lie in [0, {horizon}]")
     cells = np.empty((g.size, t.size))
     for i, gamma in enumerate(g):
         delta = Preferences(gamma=gamma).delta

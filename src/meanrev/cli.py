@@ -14,15 +14,14 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import check_pair, corr_sensitivity, d_curve_1d, value_vs_kappa2_rho
-from .control import optimal_strategy, solve_value, value_function
-from .errors import BlowUpDetected, MeanrevError, NonFinite, NotPositiveDefinite, ValidationError
+from .control import optimal_strategy
+from .errors import BlowUpDetected, MeanrevError, NonFinite, ValidationError
 from .misspec import misspec_sweep
 from .model import OUParams, Preferences, normalize, validate
 from .oracles import run_verification
@@ -368,18 +367,9 @@ def cmd_corr_sweep(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     section = config.get("corr_sweep", {})
     pair = check_pair(params.n, section.get("pair", [0, 1]))
     rhos = np.asarray(section.get("rho_grid", np.linspace(-0.9, 0.9, 19).tolist()), dtype=float)
-    rows = []
-    for rho in rhos:
-        corr = params.corr.copy()
-        corr[pair[0], pair[1]] = corr[pair[1], pair[0]] = rho
-        try:
-            perturbed = validate(replace(params, corr=corr))
-            a = solve_value(perturbed, prefs, horizon)
-        except (NotPositiveDefinite, BlowUpDetected) as exc:
-            print(f"row rho={rho:g} failed: {exc}", file=sys.stderr)
-            rows.append([rho, np.nan])
-            continue
-        rows.append([rho, value_function(1.0, params.theta, 0.0, a, prefs, perturbed).total])
+    grid = value_vs_kappa2_rho(params, prefs, horizon, params.kappa[1:2], rhos, pair)
+    for (_, j), reason in sorted(grid.failures.items()):
+        print(f"row rho={rhos[j]:g} failed: {reason}", file=sys.stderr)
     report = corr_sensitivity(params, prefs, horizon, pair)
     meta = base_meta(config)
     meta.update({
@@ -391,11 +381,9 @@ def cmd_corr_sweep(config: dict, outdir: Path, seed: int, plot: bool) -> int:
         "second_derivative": _fmt(report.second_derivative),
         "log_second_derivative": _fmt(report.log_second_derivative),
     })
-    write_csv(outdir / "corr_sweep.csv", meta, ["rho", "value_at_mean"], rows)
+    write_csv(outdir / "corr_sweep.csv", meta, ["rho", "value_at_mean"], zip(rhos, grid.cells[0]))
     if plot:
-        plot_lines(
-            outdir / "corr_sweep.svg", rhos, {"J": [r[1] for r in rows]}, "rho", "value",
-        )
+        plot_lines(outdir / "corr_sweep.svg", rhos, {"J": grid.cells[0]}, "rho", "value")
     print(f"wrote corr_sweep.csv to {outdir}")
     return EXIT_OK
 
@@ -405,21 +393,19 @@ def cmd_kappa_sweep(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     section = config.get("kappa_sweep", {})
     kappa2 = np.asarray(section.get("kappa2_grid", np.linspace(0.2, 3.0, 15).tolist()), dtype=float)
     rhos = np.asarray(section.get("rho_grid", [0.0, 0.5, 0.9]), dtype=float)
-    grid = value_vs_kappa2_rho(
-        kappa2, rhos, gamma=prefs.gamma, kappa1=float(params.kappa[0]), horizon=horizon,
-    )
-    write_csv(
-        outdir / "value_surface.csv", base_meta(config),
-        ["kappa2", "rho", "value_at_mean"], list(grid.rows()),
-    )
-    report_failed_cells(grid)
+    grid = value_vs_kappa2_rho(params, prefs, horizon, kappa2, rhos)
     gammas = np.asarray(section.get("gammas", [-4.0, 0.0, 0.5]), dtype=float)
     times = np.asarray(section.get("times", np.linspace(0.0, horizon, 61).tolist()), dtype=float)
     curves = d_curve_1d(float(params.kappa[0]), gammas, horizon, times)
     write_csv(
+        outdir / "value_surface.csv", base_meta(config),
+        ["kappa2", "rho", "value_at_mean"], list(grid.rows()),
+    )
+    write_csv(
         outdir / "d_curves.csv", base_meta(config),
         ["gamma", "t", "d_scalar"], list(curves.rows()),
     )
+    report_failed_cells(grid)
     if plot:
         plot_heatmap(outdir / "value_surface.svg", grid, "value at the mean")
         plot_lines(

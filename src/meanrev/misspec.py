@@ -13,9 +13,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .control import (StrategySpec, ValueReport, _exp_quadratic, misspecified_strategy,
-                      solve_value, value_function)
-from .errors import BlowUpDetected, NonPositiveVariance
+from .analysis import value_at_mean
+from .control import StrategySpec, ValueReport, _exp_quadratic, misspecified_strategy
+from .errors import BlowUpDetected, NonPositiveVariance, OutOfDomain
 from .grids import SensitivityGrid
 from .model import OUParams, Preferences
 from .riccati import QuadraticOperator, RiccatiSolution, solve, symmetric_operator
@@ -106,13 +106,12 @@ def misspec_sweep(
     ``metadata["sharpe_failures"]``.
     """
     if true_params.n < 2:
-        raise ValueError("the sweep varies two per-asset multipliers; need n >= 2")
+        raise OutOfDomain("the sweep varies two per-asset multipliers; need n >= 2")
     m1 = np.asarray(multipliers1, dtype=float)
     m2 = np.asarray(multipliers2, dtype=float)
     if np.any(m1 <= 0) or np.any(m2 <= 0):
-        raise ValueError("multipliers must be positive")
-    a_true = solve_value(true_params, prefs, horizon)
-    j_true = value_function(1.0, true_params.theta, 0.0, a_true, prefs, true_params).total
+        raise OutOfDomain("multipliers must be positive")
+    j_true = value_at_mean(true_params, prefs, horizon)
 
     cells = np.empty((m1.size, m2.size))
     sharpes = np.full((m1.size, m2.size), np.nan)

@@ -215,8 +215,8 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
         return np.append(op.rhs(tau, s).ravel(), dtrace)
 
     def inverse_flat(tau, y):
-        m, _ = op.coefficients(tau)
-        c_shift = op.rhs(tau, shift)  # C~: the S right-hand side at Z
+        m, c = op.coefficients(tau)
+        c_shift = _symmetric_rhs(shift, corr, m, c)  # C~: the S right-hand side at Z
         dw = _symmetric_rhs(y.reshape(n, n), c_shift / level, (m - level * corr).T, level * corr)
         return -dw.ravel()
 

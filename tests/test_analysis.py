@@ -11,6 +11,7 @@ from meanrev.analysis import (
     phi_diagonal,
     psi_closed_form,
     psi_integral,
+    value_at_mean,
     value_vs_kappa2_rho,
 )
 from meanrev.control import solve_value, value_function
@@ -18,7 +19,7 @@ from meanrev.errors import AllKappaZero, BlowUpDetected, NonFinite, NotPositiveD
 from meanrev.model import OUParams, Preferences
 from meanrev.riccati import single_mr_blowup_tau
 
-from conftest import assert_passes, random_corr, two_asset
+from conftest import assert_passes, random_corr, random_params, two_asset
 
 
 def test_f_diagonal_is_psi_at_zero_correlation():
@@ -233,8 +234,33 @@ def test_corr_curvature_at_long_horizons(kappa, rho, gamma, horizon):
     assert r.log_value == pytest.approx(-np.log(abs(gamma)) + log_trace, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_value_at_mean_is_the_pass_without_pairs(n):
+    # The value at the mean is corr_sensitivity's embedding pass without its
+    # tangent pairs, so the two agree to the last bit; the RK45 value solve is
+    # the reference, and a pole stops both.
+    rng = np.random.default_rng(20261019 + n)
+    finite = 0
+    for gamma in (-4.0, -1.0, 0.5):
+        for _ in range(3):
+            params, prefs = random_params(rng, n), Preferences(gamma=gamma)
+            try:
+                a = solve_value(params, prefs, 1.5)
+            except BlowUpDetected:
+                with pytest.raises(BlowUpDetected):
+                    value_at_mean(params, prefs, 1.5)
+                continue
+            j = value_at_mean(params, prefs, 1.5)
+            assert j == corr_sensitivity(params, prefs, 1.5, (0, 1)).value
+            assert j == pytest.approx(value_function(1.0, params.theta, 0.0, a, prefs, params).total,
+                                      rel=1e-8)
+            finite += 1
+    assert finite >= 7
+
+
 def test_value_surface_shapes():
-    grid = value_vs_kappa2_rho(np.linspace(0.2, 3.0, 8), np.array([0.0, 0.5, 0.9]))
+    grid = value_vs_kappa2_rho(two_asset(), Preferences(gamma=-4.0), 3.0, np.linspace(0.2, 3.0, 8),
+                               np.array([0.0, 0.5, 0.9]))
     # gamma < 0: J negative everywhere, improving in kappa2 at rho = 0.
     col0 = grid.cells[:, 0]
     assert np.all(np.diff(col0) > 0.0) and np.all(col0 < 0.0)
@@ -246,11 +272,13 @@ def test_value_surface_shapes():
 def test_value_surface_rejects_all_kappa_zero():
     # kappa1 = 0 is a valid model until the kappa2 = 0 cell.
     with pytest.raises(AllKappaZero):
-        value_vs_kappa2_rho(np.array([0.5, 0.0]), np.array([0.0]), kappa1=0.0)
+        value_vs_kappa2_rho(two_asset(kappa=(0.0, 0.5)), Preferences(gamma=-4.0), 3.0,
+                            np.array([0.5, 0.0]), np.array([0.0]))
 
 
 def test_value_surface_common_kappa_rho_independent():
-    grid = value_vs_kappa2_rho(np.array([1.0]), np.array([0.0, 0.3, 0.6, 0.9]))
+    grid = value_vs_kappa2_rho(two_asset(), Preferences(gamma=-4.0), 3.0, np.array([1.0]),
+                               np.array([0.0, 0.3, 0.6, 0.9]))
     assert np.ptp(grid.cells) < 1e-10
 
 

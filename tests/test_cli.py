@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from meanrev.cli import (
     main,
     parse_model,
 )
-from meanrev.control import solve_value, value_function
+from meanrev.analysis import corr_sensitivity, value_at_mean
 from meanrev.riccati import single_mr_blowup_tau
 
 
@@ -191,8 +192,7 @@ def test_corr_sweep_default_config(tmp_path):
                      for ln in read_body(tmp_path / "out" / "corr_sweep.csv")[1:]])
     row = rows[np.argmin(np.abs(rows[:, 0] - params.corr[0, 1]))]
     assert row[0] == pytest.approx(params.corr[0, 1], abs=1e-15)
-    j = value_function(1.0, params.theta, 0.0, solve_value(params, prefs, horizon), prefs,
-                       params).total
+    j = corr_sensitivity(params, prefs, horizon, (0, 1)).value
     assert row[1] == pytest.approx(j, rel=1e-12)
 
 
@@ -314,6 +314,40 @@ def test_kappa_sweep_outputs(tmp_path, capsys):
     reasons = [ln for ln in capsys.readouterr().err.splitlines() if " failed: " in ln]
     assert len(reasons) == 1
     assert reasons[0].startswith("cell (0, 0.9) failed: Riccati solution blew up near tau = ")
+
+
+def test_kappa_sweep_sweeps_the_configured_model(tmp_path, capsys):
+    # Every cell is the value at the mean of the configured three-asset model
+    # with kappa_2 and Theta_01 replaced.  At Theta_01 = -0.9 the matrix is
+    # not positive definite, and those cells fail with their reason.
+    cfg = base_config(gamma=-1.0, horizon=2.0)
+    cfg["model"] = dict(n=3, kappa=[1.0, 0.5, 2.0], sigma=[0.5, 1.0, 1.5], theta=[0.1, -0.2, 0.3],
+                        corr=[[1.0, 0.3, 0.6], [0.3, 1.0, 0.6], [0.6, 0.6, 1.0]])
+    cfg["kappa_sweep"] = {"kappa2_grid": [0.3, 1.5], "rho_grid": [-0.9, 0.0, 0.5], "times": [0.0]}
+    assert run(tmp_path, cfg, "kappa-sweep") == EXIT_OK
+    params, prefs, horizon = parse_model(cfg)
+    for line in read_body(tmp_path / "out" / "value_surface.csv")[1:]:
+        k2, rho, value = (float(v) for v in line.split(","))
+        corr = params.corr.copy()
+        corr[0, 1] = corr[1, 0] = rho
+        model = replace(params, kappa=[params.kappa[0], k2, params.kappa[2]], corr=corr)
+        assert math.isnan(value) if rho == -0.9 else value == value_at_mean(model, prefs, horizon)
+    reasons = [ln for ln in capsys.readouterr().err.splitlines() if " failed: " in ln]
+    assert [ln.split(" failed: ")[0] for ln in reasons] == ["cell (0.3, -0.9)", "cell (1.5, -0.9)"]
+    assert all("smallest correlation eigenvalue" in ln for ln in reasons)
+
+
+@pytest.mark.parametrize("change", [
+    {"kappa_sweep": {"gammas": [1.5]}},
+    {"kappa_sweep": {"times": [4.0]}},
+    {"kappa_sweep": {"times": [0.0, math.nan]}},
+    {"model": dict(n=1, kappa=[1.0], sigma=[1.0], theta=[0.0], corr=[[1.0]])},
+], ids=["gamma-past-one", "time-past-horizon", "nan-time", "one-asset"])
+def test_kappa_sweep_rejects_invalid_input_before_writing(tmp_path, capsys, change):
+    assert run(tmp_path, base_config(**change), "kappa-sweep") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert not list((tmp_path / "out").glob("*.csv"))
 
 
 def test_positions_output(tmp_path):

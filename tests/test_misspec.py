@@ -11,7 +11,7 @@ from meanrev.control import (
     solve_value,
     value_function,
 )
-from meanrev.errors import BlowUpDetected, NonPositiveVariance
+from meanrev.errors import BlowUpDetected, NonPositiveVariance, OutOfDomain
 from meanrev.misspec import misspec_sweep, p_epsilon, sharpe, solve_Q
 from meanrev.model import OUParams, Preferences
 from meanrev.oracles import d_equation, q_equation, reference_solve
@@ -221,5 +221,11 @@ def test_sweep_requires_two_assets():
     import meanrev.model as mm
 
     solo = mm.OUParams(n=1, kappa=[1.0], sigma=[1.0], theta=[0.0], corr=np.eye(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         misspec_sweep(solo, Preferences(gamma=-1.0), 1.0, [1.0], [1.0])
+
+
+@pytest.mark.parametrize("m1, m2", [([0.0, 1.0], [1.0]), ([1.0], [-0.5])])
+def test_sweep_rejects_non_positive_multipliers(m1, m2):
+    with pytest.raises(OutOfDomain):
+        misspec_sweep(two_asset(), Preferences(gamma=-1.0), 1.0, m1, m2)

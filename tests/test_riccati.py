@@ -259,6 +259,24 @@ def test_sweeps_and_strategies_never_switch(monkeypatch):
     assert all(sol.diagnostics["switch_tau"] is None for sol in returned)
 
 
+def test_inverse_chart_reads_the_coefficients_once_per_evaluation():
+    # Just short of the pole the solve switches to the inverse chart.  Each of
+    # its right-hand-side evaluations reads (M, C) once, as each S evaluation
+    # does; switch_level reads them at tau = 0 and at T.
+    params, prefs = two_asset(rho=0.9, kappa=(1.0, 0.0)), Preferences(gamma=0.5)
+    op = riccati.make_S_operator(params, prefs)
+    calls = []
+
+    def counting(tau):
+        calls.append(tau)
+        return op.coefficients(tau)
+
+    horizon = 0.999 * single_mr_blowup_tau(1.0, params.corr, 0.5)
+    d = riccati.solve(riccati.symmetric_operator(op.corr, counting), horizon).diagnostics
+    assert d["switch_tau"] is not None and d["p_evals"] > 0
+    assert len(calls) == d["s_evals"] + d["p_evals"] + 2
+
+
 @pytest.mark.parametrize("cls", [BlowUpDetected, TrigSingularity])
 @pytest.mark.parametrize("switch_tau", [None, 0.5])
 def test_blow_up_errors_pickle(cls, switch_tau):
