@@ -77,10 +77,17 @@ def _fmt(v) -> str:
 
 
 def write_csv(path: Path, meta: dict, header: list, rows) -> None:
+    """The metadata as comment lines, the header, then one line per row.
+
+    A row is formatted in one "%.17g" call: for floats (NaN, infinities and
+    -0.0 among them) that prints what ``_fmt`` prints, and for ints below
+    1e17 their digits.  A larger int would print as 1e+17 and a bool as 1;
+    no command writes either.
+    """
     lines = [f"# {k}: {v}" for k, v in meta.items()]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    row_format = ",".join(["%.17g"] * len(header))
+    lines.extend(row_format % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 

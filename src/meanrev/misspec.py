@@ -10,9 +10,11 @@ misspecification sweeps cheap to evaluate without Monte Carlo.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
+from ._fork import fork_map, worker_count
 from .analysis import value_at_mean
 from .control import StrategySpec, ValueReport, _exp_quadratic, misspecified_strategy
 from .errors import BlowUpDetected, NonPositiveVariance, OutOfDomain
@@ -104,6 +106,14 @@ def misspec_sweep(
     ``metadata["sharpe"]``; a Q_1 or Q_2 blow-up leaves the cell's value
     standing, sets only its Sharpe ratio to NaN and records the reason in
     ``metadata["sharpe_failures"]``.
+
+    The cells are independent and run through ``fork_map``, spread over
+    forked workers like ``simulate``'s chunks; any other error of a cell
+    reaches the caller as the sequential loop would raise it.
+    ``metadata["diagnostics"]`` holds the ``workers`` used and, summed over
+    the Riccati solves of every cell that returned a solution, ``solves``,
+    ``s_evals``, ``p_evals`` and ``switched`` (solves that reached the
+    switch level).
     """
     if true_params.n < 2:
         raise OutOfDomain("the sweep varies two per-asset multipliers; need n >= 2")
@@ -113,35 +123,29 @@ def misspec_sweep(
         raise OutOfDomain("multipliers must be positive")
     j_true = value_at_mean(true_params, prefs, horizon)
 
-    cells = np.empty((m1.size, m2.size))
-    sharpes = np.full((m1.size, m2.size), np.nan)
-    failures: dict = {}
-    sharpe_failures: dict = {}
-    for i, a in enumerate(m1):
-        for j, b in enumerate(m2):
-            kappa_hat = true_params.kappa.copy()
-            kappa_hat[0] *= a
-            kappa_hat[1] *= b
-            est = replace(true_params, kappa=kappa_hat)
-            try:
-                spec = misspecified_strategy(true_params, est, prefs, horizon)
-                q_g = solve_Q(prefs.gamma, true_params, spec)
-                p_g = p_epsilon(1.0, true_params.theta, 0.0, prefs.gamma, q_g, true_params)
-                cells[i, j] = p_g.total - j_true
-            except BlowUpDetected as exc:
-                cells[i, j] = np.nan
-                failures[(i, j)] = str(exc)
-                continue
-            if with_sharpe:
-                try:
-                    q1 = solve_Q(1.0, true_params, spec)
-                    q2 = solve_Q(2.0, true_params, spec)
-                    sharpes[i, j] = sharpe(
-                        p_epsilon(1.0, true_params.theta, 0.0, 1.0, q1, true_params),
-                        p_epsilon(1.0, true_params.theta, 0.0, 2.0, q2, true_params),
-                    )
-                except BlowUpDetected as exc:
-                    sharpe_failures[(i, j)] = str(exc)
+    def cell(k):
+        kappa_hat = true_params.kappa.copy()
+        kappa_hat[0] *= m1[k // m2.size]
+        kappa_hat[1] *= m2[k % m2.size]
+        return _sweep_cell(true_params, replace(true_params, kappa=kappa_hat), prefs, horizon, j_true,
+                           with_sharpe)
+
+    count = m1.size * m2.size
+    results = fork_map(cell, count)
+    cells = np.array([r.value for r in results]).reshape(m1.size, m2.size)
+    sharpes = np.array([r.sharpe for r in results]).reshape(m1.size, m2.size)
+    failures = {divmod(k, m2.size): r.failure for k, r in enumerate(results)
+                if r.failure is not None}
+    sharpe_failures = {divmod(k, m2.size): r.sharpe_failure for k, r in enumerate(results)
+                       if r.sharpe_failure is not None}
+    solved = [d for r in results for d in r.solved]
+    diagnostics = {
+        "workers": worker_count(count),
+        "solves": len(solved),
+        "s_evals": sum(d["s_evals"] for d in solved),
+        "p_evals": sum(d["p_evals"] for d in solved),
+        "switched": sum(d["switch_tau"] is not None for d in solved),
+    }
 
     grid = SensitivityGrid(
         axis1_name="kappa1_multiplier",
@@ -154,6 +158,7 @@ def misspec_sweep(
             "j_true": j_true,
             "gamma": prefs.gamma,
             "horizon": horizon,
+            "diagnostics": diagnostics,
         },
         failures=failures,
     )
@@ -161,3 +166,42 @@ def misspec_sweep(
         grid.metadata["sharpe"] = sharpes
         grid.metadata["sharpe_failures"] = sharpe_failures
     return grid
+
+
+class _Cell(NamedTuple):
+    """One ``misspec_sweep`` cell as a worker sends it back: the value shortfall
+    and the Sharpe ratio (NaN where they failed), each failure's reason or
+    None, and the diagnostics of every solve that returned."""
+
+    value: float
+    failure: str | None
+    sharpe: float
+    sharpe_failure: str | None
+    solved: list
+
+
+def _sweep_cell(true_params: OUParams, est: OUParams, prefs: Preferences, horizon: float,
+                j_true: float, with_sharpe: bool) -> _Cell:
+    solved = []
+    try:
+        spec = misspecified_strategy(true_params, est, prefs, horizon)
+        solved.append(spec.d_solution.diagnostics)
+        q_g = solve_Q(prefs.gamma, true_params, spec)
+        solved.append(q_g.diagnostics)
+        p_g = p_epsilon(1.0, true_params.theta, 0.0, prefs.gamma, q_g, true_params)
+    except BlowUpDetected as exc:
+        return _Cell(np.nan, str(exc), np.nan, None, solved)
+    ratio, sharpe_failure = np.nan, None
+    if with_sharpe:
+        try:
+            q1 = solve_Q(1.0, true_params, spec)
+            solved.append(q1.diagnostics)
+            q2 = solve_Q(2.0, true_params, spec)
+            solved.append(q2.diagnostics)
+            ratio = sharpe(
+                p_epsilon(1.0, true_params.theta, 0.0, 1.0, q1, true_params),
+                p_epsilon(1.0, true_params.theta, 0.0, 2.0, q2, true_params),
+            )
+        except BlowUpDetected as exc:
+            sharpe_failure = str(exc)
+    return _Cell(p_g.total - j_true, None, ratio, sharpe_failure, solved)

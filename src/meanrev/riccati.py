@@ -37,6 +37,7 @@ cross-checked.
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,11 +70,17 @@ class QuadraticOperator:
 
 
 class RiccatiSolution:
-    """A matrix function of tau in [0, T], read only through the integrator's
-    dense output.
+    """A matrix function of tau in [0, T], read from the integrator's dense output.
 
-    ``dense(tau)`` is the integrated state S, flattened, followed by its running
-    trace integral T, over the whole span.  The solution presents the affine view
+    The state y is S, flattened, followed by its running trace integral T.
+    Over step k, from ``ts[k]`` to ``ts[k + 1]``, RK45's quartic interpolant is
+
+        y(tau) = y_old[k] + h[k] * Q[k] @ (x, x^2, x^3, x^4),  x = (tau - t_old[k]) / h[k],
+
+    evaluated with the same operations, in the same order, as scipy's
+    ``OdeSolution``, so every read equals scipy's to the last bit; a time on
+    a step boundary is read from the earlier step.  The solution presents the
+    affine view
 
         M = offset + scale * S,  trace integral scale * T + trace_rate * tau,
 
@@ -81,12 +88,21 @@ class RiccatiSolution:
     points and every adaptive accept point of the S solve, for callers that
     want to sample it.  ``diagnostics`` holds the right-hand-side evaluations
     of the S passes (``s_evals``, summed over both when a pole was sought) and
-    of the inverse pass (``p_evals``), and ``switch_tau``: where max|S| reached
-    the switch level, None when it never did.
+    of the inverse pass (``p_evals``), ``switch_tau``: where max|S| reached
+    the switch level, and ``w_min``: the smallest eigenvalue of the inverse
+    chart W over its accepted steps, near 0 just short of a pole; both are
+    None when the solve never switched.
     """
 
     def __init__(self, dense, n, tau_grid, horizon, diagnostics):
-        self.dense, self.n, self.tau_grid, self.horizon = dense, n, tau_grid, horizon
+        steps = dense.interpolants
+        self.ts = dense.ts
+        self.t_old = np.array([step.t_old for step in steps])
+        self.h = np.array([step.h for step in steps])
+        self.y_old = np.stack([step.y_old for step in steps])
+        self.Q = np.stack([step.Q for step in steps])
+        self._ts, self._t_old, self._h = self.ts.tolist(), self.t_old.tolist(), self.h.tolist()
+        self.n, self.tau_grid, self.horizon = n, tau_grid, horizon
         self.diagnostics = diagnostics
         self.scale, self.offset, self.trace_rate = 1.0, 0.0, 0.0
 
@@ -100,28 +116,48 @@ class RiccatiSolution:
     def _matrix(self, x: np.ndarray) -> np.ndarray:
         return self.offset + self.scale * x
 
-    def _check(self, tau: float) -> None:
+    def _state(self, tau: float) -> np.ndarray:
+        """y(tau) on one step: ``OdeSolution``'s scalar read without its wrappers."""
         if not 0.0 <= tau <= self.horizon:
             raise OutOfRange(f"tau={tau} outside [0, {self.horizon}]")
+        k = min(max(bisect_left(self._ts, tau) - 1, 0), len(self._h) - 1)
+        h = self._h[k]
+        x = (tau - self._t_old[k]) / h
+        x2 = x * x
+        x3 = x2 * x
+        return h * np.dot(self.Q[k], np.array((x, x2, x3, x3 * x))) + self.y_old[k]
 
     def interpolate(self, tau: float) -> np.ndarray:
-        self._check(tau)
         n = self.n
-        return self._matrix(self.dense(tau)[: n * n].reshape(n, n))
+        return self._matrix(self._state(tau)[: n * n].reshape(n, n))
 
     def trace_integral_at(self, tau: float) -> float:
-        self._check(tau)
-        return float(self.scale * self.dense(tau)[-1] + self.trace_rate * tau)
+        return float(self.scale * self._state(tau)[-1] + self.trace_rate * tau)
 
     def at_many(self, taus: np.ndarray) -> np.ndarray:
-        """Matrices at several tau values, shape (len(taus), n, n)."""
+        """Matrices at several tau values, shape (len(taus), n, n).
+
+        The taus are sorted and each run of them on one step is read in one
+        product, as ``OdeSolution`` reads an array."""
         taus = np.asarray(taus, dtype=float)
         n = self.n
         if taus.size == 0:
             return np.empty((0, n, n))
         if not np.all((taus >= 0.0) & (taus <= self.horizon)):
             raise OutOfRange("tau values outside solution span")
-        return self._matrix(np.moveaxis(self.dense(taus)[: n * n].reshape(n, n, -1), 2, 0))
+        order = np.argsort(taus)
+        t_sorted = taus[order]
+        steps = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, self.h.size - 1)
+        bounds = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), taus.size]
+        y = np.empty((self.y_old.shape[1], taus.size))
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            k = steps[start]
+            x = (t_sorted[start:stop] - self.t_old[k]) / self.h[k]
+            p = np.cumprod(np.tile(x, (self.Q.shape[2], 1)), axis=0)
+            block = self.h[k] * np.dot(self.Q[k], p)
+            block += self.y_old[k][:, None]
+            y[:, order[start:stop]] = block
+        return self._matrix(np.moveaxis(y[: n * n].reshape(n, n, -1), 2, 0))
 
 
 def _symmetric_rhs(s: np.ndarray, weight: np.ndarray, m: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -209,10 +245,14 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
     n = corr.shape[0]
     level = switch_level(op, horizon)
 
+    corr_t = corr.T
+
     def rhs_flat(tau, y):
         s = y[: n * n].reshape(n, n)
-        dtrace = float(np.sum(s * corr.T))  # Tr(S @ Theta)
-        return np.append(op.rhs(tau, s).ravel(), dtrace)
+        out = np.empty(n * n + 1)
+        out[:-1] = op.rhs(tau, s).ravel()
+        out[-1] = np.add.reduce(s * corr_t, axis=None)  # Tr(S @ Theta), as np.sum adds it
+        return out
 
     def inverse_flat(tau, y):
         m, c = op.coefficients(tau)
@@ -239,7 +279,7 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
 
     s_pass = {"dense_output": True, "first_step": FIRST_STEP_FRACTION * horizon}
     result = integrate(rhs_flat, 0.0, np.zeros(n * n + 1), switch_event, **s_pass)
-    diagnostics = {"s_evals": int(result.nfev), "p_evals": 0, "switch_tau": None}
+    diagnostics = {"s_evals": int(result.nfev), "p_evals": 0, "switch_tau": None, "w_min": None}
     if result.status == 1:
         tau_s = diagnostics["switch_tau"] = float(result.t[-1])
         shift = -level * np.eye(n)
@@ -248,6 +288,8 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
         diagnostics["p_evals"] = int(inverse.nfev)
         if inverse.status == 1:
             raise BlowUpDetected(inverse.t[-1], switch_tau=tau_s)
+        accepted = inverse.y[:, 1:].T.reshape(-1, n, n)
+        diagnostics["w_min"] = float(np.linalg.eigvalsh(accepted)[:, 0].min())
         result = integrate(rhs_flat, 0.0, np.zeros(n * n + 1), None, switch_tau=tau_s, **s_pass)
         diagnostics["s_evals"] += int(result.nfev)
     return RiccatiSolution(result.sol, n, np.union1d(np.linspace(0.0, horizon, DENSE_POINTS), result.t),

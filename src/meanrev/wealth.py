@@ -9,12 +9,11 @@ so positivity holds by construction.
 from __future__ import annotations
 
 import mmap
-import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fork import fork_map, worker_count
 from .control import StrategySpec
 from .errors import NonFinite, OutOfRange
 from .model import ExactStepper, OUParams, Preferences, normalize
@@ -147,7 +146,7 @@ def simulate(
     quad_left = np.einsum("kji,jl,klm->kim", d_left, norm_params.corr, d_left)
 
     n_chunks = -(-n_paths // _CHUNK)
-    workers = _worker_count(n_chunks)
+    workers = worker_count(n_chunks)
     empty = np.empty if workers == 1 else _shared_empty
     run = _Run(
         stepper=ExactStepper(params=norm_params, dt=dt),
@@ -159,11 +158,7 @@ def simulate(
         states=empty((n_paths, n_steps + 1, n), float) if store_paths else None,
         log_wealth=empty((n_paths, n_steps + 1), float) if store_paths else None,
     )
-    if workers == 1:
-        for chunk in range(n_chunks):
-            _simulate_chunk(run, chunk)
-    else:
-        _fork_chunks(run, n_chunks, workers)
+    fork_map(lambda chunk: _simulate_chunk(run, chunk), n_chunks)
 
     finite = np.isfinite(run.terminal)
     return SimulationEnsemble(
@@ -255,77 +250,11 @@ def _simulate_chunk(run: _Run, chunk: int) -> None:
     run.excluded[start:stop] = ~alive
 
 
-def _worker_count(n_chunks: int) -> int:
-    """Processes to spread the chunks over: one per available CPU, at most
-    one per chunk, and 1 (this process) where fork is unavailable."""
-    if n_chunks < 2 or not hasattr(os, "sched_getaffinity"):
-        return 1
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods() \
-            or multiprocessing.current_process().daemon:
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_chunks)
-
-
 def _shared_empty(shape: tuple, dtype) -> np.ndarray:
     """Uninitialized array in anonymous shared memory, visible to forked children."""
     dtype = np.dtype(dtype)
     size = int(np.prod(shape))
     return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype, size).reshape(shape)
-
-
-def _fork_chunks(run: _Run, n_chunks: int, workers: int) -> None:
-    """Run chunk w, w + workers, ... in forked worker w; re-raise a worker's error."""
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    procs = []
-    try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns on fork() from a process with OS threads,
-            # which OpenBLAS's pool always gives; OpenBLAS resets its pool in
-            # the child, and a worker runs only numpy on arrays it owns.
-            warnings.filterwarnings("ignore", message=r".*use of fork\(\) may lead to deadlocks",
-                                    category=DeprecationWarning)
-            for w in range(workers):
-                recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_worker, args=(run, range(w, n_chunks, workers), send),
-                                   daemon=True)
-                procs.append((proc, recv))
-                proc.start()
-                send.close()
-        for proc, recv in procs:
-            try:
-                error = recv.recv()
-            except EOFError:  # the worker died without reporting
-                error = None
-            proc.join()
-            if error is None and proc.exitcode != 0:
-                error = RuntimeError(f"simulation worker exited with code {proc.exitcode}")
-            if error is not None:
-                raise error
-    finally:
-        for proc, recv in procs:
-            if proc.pid is not None and proc.exitcode is None:
-                proc.terminate()
-                proc.join()
-            recv.close()
-
-
-def _worker(run: _Run, chunks: range, conn) -> None:
-    """Body of a forked worker: its chunks, then None or the error on ``conn``.
-
-    An error that cannot be sent ends the worker with a nonzero exit code,
-    which the parent reports instead.
-    """
-    try:
-        for chunk in chunks:
-            _simulate_chunk(run, chunk)
-    except Exception as exc:
-        conn.send(exc)
-    else:
-        conn.send(None)
 
 
 @dataclass(frozen=True)

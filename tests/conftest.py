@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -41,3 +44,13 @@ def two_asset(rho=0.5, kappa=(1.0, 0.5), sigma=(1.0, 1.0), theta=(0.0, 0.0)):
         theta=np.asarray(theta, dtype=float),
         corr=np.array([[1.0, rho], [rho, 1.0]]),
     )
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"),
+    reason="needs the fork start method and os.sched_getaffinity")
+
+
+def set_cpus(monkeypatch, count):
+    """Make ``count`` CPUs look available, so forked work uses that many workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)

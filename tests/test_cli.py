@@ -20,6 +20,7 @@ from meanrev.cli import (
     config_hash,
     main,
     parse_model,
+    write_csv,
 )
 from meanrev.analysis import corr_sensitivity, value_at_mean
 from meanrev.riccati import single_mr_blowup_tau
@@ -171,6 +172,23 @@ def test_metadata_header(tmp_path):
     assert f"# config_hash: {config_hash(cfg)}" in text
     assert "# seed: 3" in text
     assert "timestamp" not in text
+
+
+def test_csv_rows_print_as_the_per_value_formatter_did(tmp_path):
+    # The writer formats a row in one "%.17g" call; the bytes equal those of
+    # the per-value formatter it replaced, f"{float(v):.17g}" for floats and
+    # str(v) otherwise, for every kind of value a command writes.
+    def old_format(v):
+        return f"{float(v):.17g}" if isinstance(v, (float, np.floating)) else str(v)
+
+    values = [0.1, 1.0 / 3.0, -2.5e-300, 1e300, np.float64(2.0 / 3.0), np.float64(-7.0), 0, 7,
+              8191, math.nan, np.float64(math.nan), math.inf, -math.inf, -0.0, np.float64(-0.0),
+              5e-324, np.float64(5e-324), 123456789.0]
+    rows = [values[k:k + 3] for k in range(0, len(values), 3)]
+    write_csv(tmp_path / "t.csv", {"tool": "meanrev"}, ["a", "b", "c"], rows)
+    expected = "# tool: meanrev\na,b,c\n" + "".join(
+        ",".join(old_format(v) for v in row) + "\n" for row in rows)
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
 
 def test_misspec_true_cell_zero(tmp_path):

@@ -1,3 +1,4 @@
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -11,13 +12,14 @@ from meanrev.control import (
     solve_value,
     value_function,
 )
+from meanrev import misspec
 from meanrev.errors import BlowUpDetected, NonPositiveVariance, OutOfDomain
 from meanrev.misspec import misspec_sweep, p_epsilon, sharpe, solve_Q
 from meanrev.model import OUParams, Preferences
 from meanrev.oracles import d_equation, q_equation, reference_solve
 from meanrev.wealth import simulate
 
-from conftest import random_corr, random_params, two_asset
+from conftest import needs_fork, random_corr, random_params, set_cpus, two_asset
 
 
 def correlated_pair():
@@ -229,3 +231,56 @@ def test_sweep_requires_two_assets():
 def test_sweep_rejects_non_positive_multipliers(m1, m2):
     with pytest.raises(OutOfDomain):
         misspec_sweep(two_asset(), Preferences(gamma=-1.0), 1.0, m1, m2)
+
+
+@needs_fork
+def test_sweep_cells_do_not_depend_on_the_worker_count(monkeypatch):
+    # gamma = -4, T = 3: converging cells, value blow-ups and Sharpe ratios.
+    params, prefs, mult = two_asset(rho=0.6), Preferences(gamma=-4.0), [0.5, 1.0, 2.0]
+    grids = []
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        grids.append(misspec_sweep(params, prefs, 3.0, mult, mult, with_sharpe=True))
+    assert multiprocessing.active_children() == []
+    one, two = grids
+    assert one.metadata["diagnostics"]["workers"] == 1
+    assert two.metadata["diagnostics"]["workers"] == 2
+    assert one.failures and list(one.failures.items()) == list(two.failures.items())
+    np.testing.assert_array_equal(one.cells, two.cells)
+    np.testing.assert_array_equal(one.metadata["sharpe"], two.metadata["sharpe"])
+    assert one.metadata["sharpe_failures"] == two.metadata["sharpe_failures"]
+    for key in ("solves", "s_evals", "p_evals", "switched"):
+        assert one.metadata["diagnostics"][key] == two.metadata["diagnostics"][key]
+
+
+@needs_fork
+def test_a_failing_cell_reaches_the_caller_as_the_loop_raises_it(monkeypatch):
+    # sharpe raises in cells 1 and 2, which two workers run as the first
+    # failure of worker 1 and of worker 0; the caller sees cell 1's error.
+    params, prefs, horizon = two_asset(rho=0.7), Preferences(gamma=-4.0), 0.5
+    m1, m2 = [0.5, 1.0], [0.5, 1.0, 2.0]
+
+    def mean_of_cell(a, b):
+        est = replace(params, kappa=params.kappa * np.array([a, b]))
+        q1 = solve_Q(1.0, params, misspecified_strategy(params, est, prefs, horizon))
+        return p_epsilon(1.0, params.theta, 0.0, 1.0, q1, params).total
+
+    seeded = {mean_of_cell(0.5, 1.0): "cell 1", mean_of_cell(0.5, 2.0): "cell 2"}
+    assert len(seeded) == 2
+    real = misspec.sharpe
+
+    def failing(p1, p2):
+        if p1.total in seeded:
+            raise NonPositiveVariance(f"seeded failure in {seeded[p1.total]}")
+        return real(p1, p2)
+
+    monkeypatch.setattr(misspec, "sharpe", failing)
+    for cpus in (2, 1):
+        set_cpus(monkeypatch, cpus)
+        with pytest.raises(NonPositiveVariance, match="^seeded failure in cell 1$"):
+            misspec_sweep(params, prefs, horizon, m1, m2, with_sharpe=True)
+        assert multiprocessing.active_children() == []
+    monkeypatch.setattr(misspec, "sharpe", real)
+    grid = misspec_sweep(params, prefs, horizon, m1, m2, with_sharpe=True)
+    assert grid.metadata["diagnostics"]["workers"] == 1
+    assert np.all(np.isfinite(grid.metadata["sharpe"]))

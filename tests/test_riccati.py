@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from meanrev import misspec, oracles, riccati
 from meanrev.control import misspecified_strategy, optimal_strategy
@@ -171,6 +172,42 @@ def _assert_matches(sol, matrices, traces, taus, scale):
             getattr(sol, lookup)(arg)
 
 
+def _scipy_dense_output(op, horizon):
+    """scipy's OdeSolution of the S-equation with its trace integral, from the
+    settings ``riccati.solve`` uses, built here with solve_ivp."""
+    n = op.corr.shape[0]
+
+    def rhs_flat(tau, y):
+        s = y[: n * n].reshape(n, n)
+        return np.append(op.rhs(tau, s).ravel(), float(np.sum(s * op.corr.T)))
+
+    return solve_ivp(rhs_flat, (0.0, horizon), np.zeros(n * n + 1), method="RK45",
+                     rtol=riccati.RTOL, atol=riccati.ATOL,
+                     first_step=riccati.FIRST_STEP_FRACTION * horizon, dense_output=True).sol
+
+
+@pytest.mark.parametrize("gamma", [-4.0, -1.0, 0.5])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_reads_equal_scipys_dense_output(n, gamma):
+    # The stacked steps give every read of scipy's OdeSolution bit for bit:
+    # random taus, every accept point, both ends, scalar and batched.
+    rng = np.random.default_rng(100 * n + int(4 * gamma))
+    params, _ = normalize(random_params(rng, n))
+    op = riccati.make_S_operator(params, Preferences(gamma=gamma))
+    horizon = 0.3 if gamma > 0 else 2.0  # short of any pole at gamma = 0.5
+    sol = riccati.solve(op, horizon)
+    assert sol.diagnostics["switch_tau"] is None
+    dense = _scipy_dense_output(op, horizon)
+    taus = np.concatenate([rng.uniform(0.0, horizon, 200), sol.tau_grid, [0.0, horizon]])
+    for tau in taus:
+        y = dense(tau)
+        assert np.array_equal(sol.interpolate(tau), y[: n * n].reshape(n, n))
+        assert sol.trace_integral_at(tau) == y[-1]
+    ys = dense(taus)
+    assert np.array_equal(sol.at_many(taus), np.moveaxis(ys[: n * n].reshape(n, n, -1), 2, 0))
+    assert np.array_equal(sol.at_many(taus[:1]), dense(taus[:1])[: n * n].reshape(1, n, n))
+
+
 def _assert_reads_alike(sol, base):
     """Every lookup of ``sol`` returns bit for bit what ``base`` returns."""
     assert np.array_equal(sol.tau_grid, base.tau_grid)
@@ -232,16 +269,27 @@ def test_horizon_just_short_of_a_pole(monkeypatch):
     horizon = 0.999 * single_mr_blowup_tau(1.0, corr, prefs.gamma)
     d = solve_D(params, prefs, horizon)
     assert 0.0 < d.diagnostics["switch_tau"] < horizon and d.diagnostics["p_evals"] > 0
+    # The flag: W = L (S + L I)^-1 falls towards the pole, so its smallest
+    # eigenvalue over the inverse pass is the one at T, L / (mu_max(S(T)) + L),
+    # well below the 1/2 that max|S| = L at the switch allows.
+    op = riccati.make_S_operator(params, prefs)
+    level = riccati.switch_level(op, horizon)
+    mu_max = np.linalg.eigvalsh(riccati.solve(op, horizon).interpolate(horizon))[-1]
+    assert d.diagnostics["w_min"] == pytest.approx(level / (mu_max + level), rel=1e-6)
+    assert d.diagnostics["w_min"] < 0.25
     monkeypatch.setattr(riccati, "SWITCH_SCALE", np.inf)
     unswitched = solve_D(params, prefs, horizon)
     assert unswitched.diagnostics["switch_tau"] is None
+    assert unswitched.diagnostics["w_min"] is None
     _assert_reads_alike(d, unswitched)
 
 
 def test_sweeps_and_strategies_never_switch(monkeypatch):
     # A solve that reaches the switch level without a pole pays for a second S
     # pass; no solve on the misspecification sweep or the optimal rule of the
-    # default model may take that path.
+    # default model may take that path.  The sweep's cells may run in forked
+    # workers, out of a parent-side recorder's reach, so its solves are read
+    # from the diagnostics the cells send back.
     returned = []
 
     def recording(solve):
@@ -251,12 +299,14 @@ def test_sweeps_and_strategies_never_switch(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(riccati, "solve", recording(riccati.solve))
-    monkeypatch.setattr(misspec, "solve", recording(misspec.solve))
     params, prefs = two_asset(), Preferences(gamma=-4.0)
-    misspec_sweep(params, prefs, 3.0, [0.5, 1.0, 2.0], [0.5, 1.0, 2.0], with_sharpe=True)
+    grid = misspec_sweep(params, prefs, 3.0, [0.5, 1.0, 2.0], [0.5, 1.0, 2.0], with_sharpe=True)
+    sweep = grid.metadata["diagnostics"]
+    assert sweep["solves"] > 9
+    assert sweep["switched"] == 0 and sweep["p_evals"] == 0
     optimal_strategy(params, prefs, 3.0)
-    assert len(returned) > 9
-    assert all(sol.diagnostics["switch_tau"] is None for sol in returned)
+    assert returned and all(sol.diagnostics["switch_tau"] is None for sol in returned)
+    assert all(sol.diagnostics["w_min"] is None for sol in returned)
 
 
 def test_inverse_chart_reads_the_coefficients_once_per_evaluation():

@@ -13,7 +13,7 @@ from meanrev.model import (OUParams, Preferences, covariance_factor, normalize,
                            step_covariance)
 from meanrev.wealth import decompose, default_steps, path_rng, simulate
 
-from conftest import two_asset
+from conftest import needs_fork, set_cpus, two_asset
 
 
 def test_path_rng_substreams_distinct():
@@ -151,15 +151,6 @@ def test_decompose_rejects_a_misspecified_rule(estimate):
 
 # Forked workers need fork and a CPU-affinity query; elsewhere simulate
 # runs every chunk in-process.
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"),
-    reason="needs the fork start method and os.sched_getaffinity")
-
-
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
 def _reference_simulate(params, spec, horizon, n_steps, n_paths, seed, x0):
     """The path-major loop simulate replaced: one-shot normals per path,
     batch-major states, einsum drift and stochastic terms."""
@@ -205,7 +196,7 @@ def test_simulation_matches_the_path_major_reference(monkeypatch):
     monkeypatch.setattr(wealth_mod, "_CHUNK", 9)
     monkeypatch.setattr(wealth_mod, "_SLAB", 4)
     monkeypatch.setattr(wealth_mod, "_BLOCK", 128)
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     ens = simulate(THREE, prefs, spec, 1.0, 300, 40, 11, x0=THREE_X0, store_paths=True)
     assert ens.diagnostics["chunks"] == 5 and ens.diagnostics["workers"] == 2
     states, logw, excluded = _reference_simulate(THREE, spec, 1.0, 300, 40, 11, THREE_X0)
@@ -234,7 +225,7 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch, guard):
     spec = optimal_strategy(THREE, prefs, 1.0)
     runs = []
     for cpus in (1, 2, 4):  # in-process, two workers, and more workers than most CPUs
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         runs.append(simulate(THREE, prefs, spec, 1.0, 64, 60, 5, x0=THREE_X0, store_paths=False))
     one, two, four = runs
     assert [r.diagnostics["workers"] for r in runs] == [1, 2, 4]
@@ -266,7 +257,7 @@ def test_overflowing_paths_count_as_non_finite():
 @needs_fork
 def test_forked_workers_start_without_warnings(monkeypatch):
     monkeypatch.setattr(wealth_mod, "_CHUNK", 8)
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     params = two_asset()
     prefs = Preferences(gamma=-1.0)
     spec = optimal_strategy(params, prefs, 0.5)
@@ -288,7 +279,7 @@ class _DaemonProcess:
 ], ids=["no-fork", "daemonic-caller"])
 def test_without_fork_the_chunks_run_in_process(monkeypatch, attr, value):
     monkeypatch.setattr(wealth_mod, "_CHUNK", 8)
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     monkeypatch.setattr(multiprocessing, attr, value)
     params = two_asset()
     prefs = Preferences(gamma=-1.0)
@@ -319,7 +310,7 @@ def _raise_non_finite():
 def test_a_failing_worker_reaches_the_caller(monkeypatch, fail, error, match):
     monkeypatch.setattr(wealth_mod, "_CHUNK", 8)
     monkeypatch.setattr(wealth_mod, "path_rng", _failing_rng(fail))
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     params = two_asset()
     prefs = Preferences(gamma=-1.0)
     spec = optimal_strategy(params, prefs, 0.5)
