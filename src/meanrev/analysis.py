@@ -6,8 +6,11 @@ there carries the sign of the risk-aversion exponent.  This module
 implements the diagonal-limit closed forms (Psi, lambda, phi) used to
 establish those facts, and takes the value at the mean and its exact
 correlation derivatives from the linear embedding of the S-equation,
-stepped with matrix exponentials.  It also produces the sweep data behind
-the position-multiplier and value-surface figures.
+stepped with matrix exponentials.  The same steps count the poles of S
+(the positive eigenvalues of G^{-1} Phi_12 per step), so a value call runs
+no S solve unless a pole lies before the horizon, and then one, which
+locates it.  It also produces the sweep data behind the
+position-multiplier and value-surface figures.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm, lapack
 
 from .errors import BlowUpDetected, NotPositiveDefinite, OutOfDomain, OutOfHorizon
 from .grids import SensitivityGrid
@@ -180,28 +183,50 @@ def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs:
     and d2 log|J| / drho_0 drho_a, from the linear embedding [U; V]' = H [U; V],
     U(0) = I, V(0) = 0, H = [[-M', -Theta], [C, M]], of the S-equation: S = V U^{-1}
     and log|gamma J| = (delta T tr K - log det U(T)) / (2 delta), where only H
-    depends on the correlations.  S' = R C R' with R' = (M + S Theta) R,
-    R(0) = I, so S' keeps the sign of C = delta(delta - 1) K Theta^{-1} K: for
-    gamma < 0 S only decreases from 0, ``switch_level``'s bound keeps it
-    finite, and no pole exists.  For 0 < gamma < 1 the S solve runs first and
-    raises ``BlowUpDetected`` at a pole before T.
+    depends on the correlations.
 
     With E_a = I^{pq} for pair a and c = delta(delta - 1),
     dH/drho_a has -E_a top right and -c K Theta^{-1} E_a Theta^{-1} K bottom left;
     d2H/drho_0 drho_a has c K Theta^{-1} (E_0 Theta^{-1} E_a + E_a Theta^{-1} E_0)
-    Theta^{-1} K bottom left.  The propagator of a step h = T / ceil(T rho(H)) is
-    Phi = expm(hH), and one block-triangular ``expm`` per pair (Van Loan, 1978)
-    gives its derivatives Phi_a, Phi_0, Phi_0a.  A step maps S to
-    (Phi_21 + Phi_22 S) G^{-1}, G = Phi_11 + Phi_12 S, and carries S_a and S_0a
-    by the derivatives of that map, restarting from the S chart; log det U
-    gains log det G, d log det U gains tr(G^{-1} G_a) and d2 log det U gains
+    Theta^{-1} K bottom left.  The propagator of a step h is Phi = expm(hH), and
+    one block-triangular ``expm`` per pair (Van Loan, 1978) gives its derivatives
+    Phi_a, Phi_0, Phi_0a.  A step maps S to (Phi_21 + Phi_22 S) G^{-1},
+    G = Phi_11 + Phi_12 S, and carries S_a and S_0a by the derivatives of that
+    map, restarting from the S chart; log det U gains log det G, d log det U
+    gains tr(G^{-1} G_a) and d2 log det U gains
     tr(G^{-1} G_0a) - tr(G^{-1} G_0 G^{-1} G_a).  With no pairs only Phi is stepped.
+
+    Each step counts the poles of S inside it as the positive eigenvalues of
+    the symmetric P = G^{-1} Phi_12.  The first step that counts one, or whose
+    G is singular, hands over to ``riccati.solve`` of S, which raises
+    ``BlowUpDetected`` with the pole's tau*; a pass that counted a pole never
+    returns a value.  One rule serves every gamma (for gamma < 0, C is negative
+    semidefinite, S only decreases from 0, and no step counts a pole).
+
+    Why the count is exact.  Restarted from [I; S_k], a step is
+    X(r) = Phi_11(r) + Phi_12(r) S_k, and P(r)^{-1} = N(r) + S_k with
+    N = Phi_12^{-1} Phi_11, symmetric and increasing (N' = Phi_12^{-1} Theta
+    Phi_12^{-T}) because Phi is symplectic.  P(r) ~ -r Theta is negative
+    definite as r -> 0+, so an eigenvalue of P turns positive only through
+    -inf -> +inf, where P^{-1} crosses 0 upwards at a zero of det X (a pole),
+    or through 0 at a zero of det Phi_12, a conjugate point of the principal
+    solution [Phi_12; Phi_22].  No conjugate point lies in
+    (0, pi / (delta |Omega|)), Omega the skew part of K~ = L^{-1} K L,
+    Theta = L L': in those coordinates x = X v solves
+    x'' = 2 delta Omega x' + delta K~'K~ x, so y = expm(-delta Omega r) x solves
+    y'' = delta^2 Omega^2 y + (positive semidefinite) y, and y(0) = y(r) = 0
+    gives (pi / r)^2 |y|^2 <= |y'|^2 <= delta^2 |Omega|^2 |y|^2 in L2
+    (Wirtinger).  Omega = L^{-1} B L^{-T} with B = (K Theta - Theta K) / 2 has
+    the eigenvalues of Theta^{-1} B, in pairs +-i omega_j, so
+    |Omega| <= omega = sqrt(-tr((Theta^{-1} B)^2) / 2), with equality for
+    n <= 3.  The horizon is cut into ceil(T max(rho(H), delta omega / 3)) equal
+    steps, so every step has h delta |Omega| <= 3 < pi.  The rho(H) term sets
+    the step count except near a nilpotent H (one mean-reverting asset with
+    gamma (Theta^{-1})_11 close to 1).
     """
     validate(params)
     if prefs.gamma == 0.0:
         raise ValueError("exponent 0 (log utility) is served by log_utility_value")
-    if prefs.gamma > 0.0:
-        solve(make_S_operator(params, prefs), horizon)
 
     n = params.n
     e = np.array([pair_matrix(n, a) for a in pairs]).reshape(-1, n, n)  # (m, n, n)
@@ -212,7 +237,10 @@ def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs:
     h1[:, :n, n:] = -e
     h1[:, n:, :n] = -c * kk * (ci @ e @ ci)
     h2[:, n:, :n] = c * kk * (ci @ e[:1] @ ci @ e @ ci + ci @ e @ ci @ e[:1] @ ci)
-    steps = max(1, int(np.ceil(horizon * np.abs(np.linalg.eigvals(h)).max())))
+    w = ci @ (0.5 * (params.kappa[:, None] - params.kappa[None, :]) * params.corr)  # Theta^{-1} B
+    omega = np.sqrt(max(-np.trace(w @ w), 0.0) / 2.0)
+    rate = max(np.abs(np.linalg.eigvals(h)).max(), prefs.delta * omega / 3.0)
+    steps = max(1, int(np.ceil(horizon * rate)))
     phi = expm(horizon / steps * h)
     z = np.zeros_like(h)
     # Top block row of each pair's exponential: Phi, Phi_a, Phi_0, Phi_0a.
@@ -225,13 +253,20 @@ def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs:
 
     s, s1, s2 = np.zeros((n, n)), np.zeros_like(e), np.zeros_like(e)
     d0, d1, d2 = 0.0, np.zeros(len(e)), np.zeros(len(e))
-    for _ in range(steps):
+    for k in range(steps):
         y = np.vstack([np.eye(n), s])
         p = phi @ y  # [G; Phi_21 + Phi_22 S]
+        sign, log_det = np.linalg.slogdet(p[:n])
+        g_inv = np.linalg.inv(p[:n]) if sign else None
+        # P's largest eigenvalue; np.linalg.eigvalsh's wrapper costs 3x this LAPACK call at this size.
+        if g_inv is None or lapack.dsyevd(g_inv @ phi[:n, n:], compute_v=False)[0][-1] > 0.0:
+            solve(make_S_operator(params, prefs), horizon)  # raises BlowUpDetected at the pole
+            start, end = k * horizon / steps, min((k + 1) * horizon / steps, horizon)
+            raise BlowUpDetected(end, f"S has a pole in ({start:.6g}, {end:.6g}], "
+                                      "which the S solve did not locate")
         p1 = phi1 @ y + phi[:, n:] @ s1
         p2 = phi2 @ y + phi0[..., n:] @ s1 + phi1[..., n:] @ s1[:1] + phi[:, n:] @ s2
-        d0 += np.linalg.slogdet(p[:n])[1]
-        g_inv = np.linalg.inv(p[:n])
+        d0 += log_det
         x1 = g_inv @ p1[:, :n]
         d1 += np.trace(x1, axis1=1, axis2=2)
         d2 += np.einsum("ij,aji->a", g_inv, p2[:, :n]) - np.einsum("bij,aji->a", x1[:1], x1)
@@ -257,7 +292,10 @@ def corr_sensitivity(
     """Correlation derivatives of J(1, theta, 0) at the model's correlation matrix.
 
     J and its derivatives in every pair's correlation, ``pair`` first, come from
-    one ``_embedding_pass``, which raises ``BlowUpDetected`` at a pole before T.
+    one ``_embedding_pass``.  Its steps count the poles of S as the positive
+    eigenvalues of G^{-1} Phi_12, exactly while a step is shorter than
+    pi / (delta |Omega|); at a counted pole one ``riccati.solve`` of S raises
+    ``BlowUpDetected`` with tau*, and without one no S solve runs.
 
     Two curvatures are reported.  ``second_derivative`` is the curvature of
     J itself, positive on both sides of gamma = 0 at Theta = I (the

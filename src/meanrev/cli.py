@@ -300,8 +300,7 @@ def cmd_positions(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     spec = optimal_strategy(params, prefs, horizon)
     rows = []
     for t in times:
-        for x in states:
-            alpha = spec.position(wealth, x, float(t))
+        for x, alpha in zip(states, spec.position(wealth, states, float(t))):
             rows.append([t, *x, *alpha])
     n = params.n
     write_csv(

@@ -40,13 +40,15 @@ class StrategySpec:
         return self.d_solution.at_many(taus) * self.frame
 
     def position(self, w: float, x, t: float) -> np.ndarray:
-        """Position vector at wealth w > 0, state x, time t."""
+        """Position at wealth w > 0 and time t: a vector for a state x of shape (n,),
+        one row per state for a stack x of shape (m, n), from one feedback read."""
         if not w > 0:
             raise ValueError("wealth must be positive")
         if not 0.0 <= t <= self.horizon:
             raise OutOfHorizon(f"t={t} outside [0, {self.horizon}]")
         x_norm = self.normalization.state_to_unit_noise(x)
-        alpha_norm = -w * self.feedback(self.horizon - t) @ x_norm
+        # A stack of matrix-vector products, so each row equals D @ x to the last bit.
+        alpha_norm = (-w * self.feedback(self.horizon - t) @ x_norm[..., None])[..., 0]
         return self.normalization.position_from_unit_noise(alpha_norm)
 
 

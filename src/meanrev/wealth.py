@@ -40,7 +40,9 @@ class SimulationEnsemble:
     States and log-wealth are kept in unit-noise coordinates of the true
     model.  Full per-step storage is optional; terminal log-wealth and the
     excluded-path count are always present.  ``delta`` is the distortion
-    rate of the preferences the simulation was run with.  ``diagnostics``
+    rate of the preferences the simulation was run with, and ``feedback``
+    the rule's feedback matrices at the left points ``times[:-1]``, as traded,
+    shape (n_steps, n, n).  ``diagnostics``
     splits the excluded paths into ``guard_hits`` (finite |log W| past
     ``LOG_WEALTH_GUARD``) and ``non_finite``, and records the ``chunks`` and
     ``workers`` the run used.
@@ -54,6 +56,7 @@ class SimulationEnsemble:
     n_paths: int
     horizon: float
     times: np.ndarray
+    feedback: np.ndarray
     terminal_log_wealth: np.ndarray
     excluded: np.ndarray
     x0: np.ndarray
@@ -170,6 +173,7 @@ def simulate(
         n_paths=n_paths,
         horizon=horizon,
         times=times,
+        feedback=d_left,
         terminal_log_wealth=run.terminal,
         excluded=run.excluded,
         x0=x0,
@@ -316,8 +320,7 @@ def decompose(
 
     xs = ensemble.states[path]  # (n_steps + 1, n)
     dt = ensemble.dt
-    horizon = spec.horizon
-    d_k = spec.feedback_many(horizon - ensemble.times[i0:i1])
+    d_k = ensemble.feedback[i0:i1]
 
     m = ensemble.delta * (kappa[:, None] * ensemble.params.corr_inv * kappa[None, :])
 
@@ -331,9 +334,8 @@ def decompose(
     quad_part = np.einsum("pi,ij,pj->p", x_left, m, x_left)
     term_a = float(0.5 * (np.sum(trace_part) - np.sum(quad_part) * dt))
 
-    d_s = spec.feedback(horizon - ensemble.times[i0])
-    d_t = spec.feedback(horizon - ensemble.times[i1])
-    term_b = float(0.5 * (xs[i0] @ d_s @ xs[i0] - xs[i1] @ d_t @ xs[i1]))
+    d_t = spec.feedback(spec.horizon - ensemble.times[i1])  # t may be the terminal time
+    term_b = float(0.5 * (xs[i0] @ d_k[0] @ xs[i0] - xs[i1] @ d_t @ xs[i1]))
 
     # D - D' = delta (Theta^{-1} K - K Theta^{-1}) is constant in tau and
     # vanishes exactly when Theta commutes with K, where the sum would still

@@ -118,22 +118,29 @@ def test_corr_sensitivity_raises_at_pole():
         corr_sensitivity(params, Preferences(gamma=0.5), 3.0, (0, 1))
 
 
-def test_corr_sensitivity_finds_the_first_of_two_poles_in_one_step():
-    # Two independent single-mean-reverting pairs whose poles, 0.8749 and
-    # 0.8757, fall inside one of the embedding's eight 0.375-long steps: det G
-    # is positive at both ends of that step, so only a solve that follows S
-    # sees the poles.
+def two_pole_model():
+    # Two independent single-mean-reverting pairs with poles at 0.8749 and
+    # 0.8757, both inside one of the embedding's eight 0.375-long steps at T = 3.
     block = np.array([[1.0, 0.9], [0.9, 1.0]])
-    params = OUParams(n=4, kappa=np.array([1.0, 0.0, 1.0 / 1.001, 0.0]), sigma=np.ones(4),
-                      theta=np.zeros(4), corr=block_diag(block, block))
+    return OUParams(n=4, kappa=np.array([1.0, 0.0, 1.0 / 1.001, 0.0]), sigma=np.ones(4),
+                    theta=np.zeros(4), corr=block_diag(block, block))
+
+
+def test_corr_sensitivity_finds_the_first_of_two_poles_in_one_step():
+    # det G is positive at both ends of the step that holds both poles, so a
+    # sign check at step ends misses them; the step's count of positive
+    # eigenvalues of G^{-1} Phi_12 reads 2, and the S solve it hands over to
+    # locates the first.
     with pytest.raises(BlowUpDetected) as info:
-        corr_sensitivity(params, Preferences(gamma=0.5), 3.0, (0, 1))
+        corr_sensitivity(two_pole_model(), Preferences(gamma=0.5), 3.0, (0, 1))
+    block = two_pole_model().corr[:2, :2]
     assert info.value.tau_star == pytest.approx(single_mr_blowup_tau(1.0, block, 0.5), rel=1e-9)
 
 
 def test_corr_sensitivity_solves_s_only_where_a_pole_can_exist(monkeypatch):
-    # For gamma < 0, C is negative semidefinite and S has no pole, so the
-    # embedding alone gives the value; for 0 < gamma < 1 one S solve guards it.
+    # The embedding's own steps count the poles of S, so the value needs no
+    # S solve at any gamma without a pole, and exactly one, which locates
+    # tau*, when a step counts one.
     calls = []
 
     def recording(op, horizon, solve=riccati.solve):
@@ -147,7 +154,71 @@ def test_corr_sensitivity_solves_s_only_where_a_pole_can_exist(monkeypatch):
         calls.clear()
         corr_sensitivity(two_asset(), Preferences(gamma=gamma), 3.0, (0, 1))
         counts.append(len(calls))
-    assert counts == [0, 0, 1]
+    assert counts == [0, 0, 0]
+    for params in (two_asset(rho=0.9, kappa=(1.0, 0.0)), two_pole_model()):
+        calls.clear()
+        with pytest.raises(BlowUpDetected) as info:
+            corr_sensitivity(params, Preferences(gamma=0.5), 3.0, (0, 1))
+        assert len(calls) == 1
+        tau_star = single_mr_blowup_tau(1.0, params.corr[:2, :2], 0.5)
+        assert info.value.tau_star == pytest.approx(tau_star, rel=1e-9)
+
+
+def blow_up_time(call):
+    """tau* of the ``BlowUpDetected`` that ``call`` raises, None if it returns."""
+    try:
+        call()
+    except BlowUpDetected as exc:
+        return exc.tau_star
+    return None
+
+
+def test_embedding_pole_count_agrees_with_the_s_solve():
+    # The pass raises exactly when riccati.solve of S does, with its tau*:
+    # random models with zero rates, risk-seeking exponents and several
+    # horizons, then horizons just short of and just past each pole found.
+    rng = np.random.default_rng(20261020)
+    cases, poles = [], []
+    for _ in range(24):
+        n = int(rng.integers(2, 5))
+        kappa = rng.uniform(0.3, 2.0, n)
+        kappa[1:][rng.random(n - 1) < 0.4] = 0.0
+        gamma = float(rng.choice([-4.0, -1.0, 0.2, 0.5, 0.8, 0.95]))
+        cases.append((OUParams(n=n, kappa=kappa, sigma=np.ones(n), theta=np.zeros(n),
+                               corr=random_corr(rng, n)), gamma, float(rng.choice([0.5, 1.0, 3.0]))))
+    cases.append((two_pole_model(), 0.5, 3.0))
+    for params, gamma, horizon in cases:
+        prefs = Preferences(gamma=gamma)
+        expected = blow_up_time(lambda: riccati.solve(riccati.make_S_operator(params, prefs), horizon))
+        assert blow_up_time(lambda: value_at_mean(params, prefs, horizon)) == expected
+        if expected is not None:
+            poles.append((params, prefs, expected))
+    assert 4 <= len(poles) < len(cases)
+    assert any(np.any(params.kappa == 0.0) for params, _, _ in poles)
+    for params, prefs, tau_star in poles:
+        op = riccati.make_S_operator(params, prefs)
+        assert blow_up_time(lambda: riccati.solve(op, 0.999 * tau_star)) is None
+        assert np.isfinite(value_at_mean(params, prefs, 0.999 * tau_star))
+        assert np.isfinite(corr_sensitivity(params, prefs, 0.999 * tau_star, (0, 1)).log_value)
+        assert blow_up_time(lambda: value_at_mean(params, prefs, 1.001 * tau_star)) \
+            == pytest.approx(tau_star, rel=1e-9)
+        assert blow_up_time(lambda: corr_sensitivity(params, prefs, 1.001 * tau_star, (0, 1))) \
+            == pytest.approx(tau_star, rel=1e-9)
+
+
+@pytest.mark.parametrize("excess", [1e-12, 4e-12, 1e-11])
+def test_a_counted_pole_never_returns_a_value(excess):
+    # Just past the pole the step's count sees it while the RK45 solve, whose
+    # tau* lies about 2e-11 relative beyond the exact one, may reach T without
+    # it; the pass raises either way instead of returning log det of a
+    # singular U.
+    params, prefs = two_asset(rho=0.9, kappa=(1.0, 0.0)), Preferences(gamma=0.5)
+    tau_star = single_mr_blowup_tau(1.0, params.corr, 0.5)
+    horizon = tau_star * (1.0 + excess)
+    with pytest.raises(BlowUpDetected) as info:
+        value_at_mean(params, prefs, horizon)
+    assert info.value.tau_star <= horizon
+    assert info.value.tau_star == pytest.approx(tau_star, rel=1e-9)
 
 
 @pytest.mark.parametrize("params, gamma, error", [

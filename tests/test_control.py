@@ -25,6 +25,17 @@ def test_position_routes_agree(rng):
             assert np.allclose(spec.position(1.5, x, t), expected, atol=1e-8)
 
 
+@pytest.mark.parametrize("n", [2, 5, 20])
+def test_position_of_a_stack_of_states_is_each_state_to_the_last_bit(rng, n):
+    params = random_params(rng, n)
+    spec = optimal_strategy(params, Preferences(gamma=-4.0), 2.0)
+    states = params.theta + rng.standard_normal((7, n))
+    for t in (0.0, 0.7, 2.0):
+        stacked = spec.position(1.3, states, t)
+        assert stacked.shape == (7, n)
+        assert np.array_equal(stacked, [spec.position(1.3, x, t) for x in states])
+
+
 @pytest.mark.parametrize("wealth", [0.0, -1.0])
 def test_position_rejects_non_positive_wealth(wealth):
     spec = optimal_strategy(two_asset(), Preferences(gamma=-4.0), 1.0)

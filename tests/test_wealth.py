@@ -82,6 +82,8 @@ def test_decomposition_subinterval():
     spec = optimal_strategy(params, prefs, 1.0)
     ens = simulate(params, prefs, spec, 1.0, 256, 2, 5,
                    x0=np.array([0.4, 0.1]), store_paths=True)
+    # decompose slices the feedback the paths traded with.
+    assert np.array_equal(ens.feedback, spec.feedback_many(spec.horizon - ens.times[:-1]))
     s, t = ens.times[64], ens.times[192]
     dec = decompose(ens, 0, s, t)
     assert abs(dec.residual) < 5e-3
