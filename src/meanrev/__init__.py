@@ -39,7 +39,6 @@ from .analysis import (
     corr_sensitivity,
     d_curve_1d,
     lambda_closed_form,
-    phi_diagonal,
     psi_closed_form,
     psi_integral,
     value_at_mean,

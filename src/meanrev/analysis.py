@@ -3,14 +3,13 @@
 The value function, viewed through F = (A + A')Theta/2 = A Theta, is
 stationary in every pairwise correlation at Theta = I, and the curvature
 there carries the sign of the risk-aversion exponent.  This module
-implements the diagonal-limit closed forms (Psi, lambda, phi) used to
-establish those facts, and takes the value at the mean and its exact
-correlation derivatives from the linear embedding of the S-equation,
-stepped with matrix exponentials.  The same steps count the poles of S
-(the positive eigenvalues of G^{-1} Phi_12 per step), so a value call runs
-no S solve unless a pole lies before the horizon, and then one, which
-locates it.  It also produces the sweep data behind the
-position-multiplier and value-surface figures.
+implements the diagonal-limit closed forms (Psi, lambda) used to establish
+those facts, and takes the value at the mean and its exact correlation
+derivatives from the linear embedding of the S-equation, stepped with
+matrix exponentials.  The same steps count the poles of S (the positive
+eigenvalues of G^{-1} Phi_12 per step) and locate the first one inside the
+step that counts it, so no RK45 solve of S runs here.  It also produces
+the sweep data behind the position-multiplier and value-surface figures.
 """
 
 from __future__ import annotations
@@ -18,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm, lapack
 
 from .errors import BlowUpDetected, NotPositiveDefinite, OutOfDomain, OutOfHorizon
 from .grids import SensitivityGrid
 from .model import OUParams, Preferences, validate
-from .riccati import d_scalar_closed_form, make_S_operator, solve
+from .riccati import d_scalar_closed_form, make_S_operator
 
 
 def _omega(delta: float) -> float:
@@ -103,42 +101,6 @@ def lambda_closed_form(kappa_i: float, kappa_j: float, delta: float, tau) -> np.
     return float(out) if np.isscalar(tau) else out
 
 
-def phi_diagonal(kappa_i: float, kappa_j: float, delta: float, horizon: float):
-    """Integral over [0, T] of the diagonal pure-second-derivative limits phi_ii + phi_jj.
-
-    Each solves the linear ODE
-      phi' = phi [4 Psi(kappa, .) - 2 delta kappa] + 4 lambda_ij lambda_ji
-             + 2 delta (kappa - kappa_other) [lambda - (Psi + (1-delta) kappa / 2)],
-      phi(0) = 0,
-    with (kappa, kappa_other) = (kappa_i, kappa_j) for the ii entry and
-    swapped for jj; lambda is lambda(kappa, kappa_other) and
-    lambda_ij lambda_ji is the diagonal of the squared first derivative of F
-    that the 2F^2 term contributes.
-    """
-    if min(kappa_i, kappa_j, delta, horizon) <= 0:
-        raise ValueError("kappa_i, kappa_j, delta, horizon must be positive")
-
-    def rhs(tau, y):
-        lam_ij = lambda_closed_form(kappa_i, kappa_j, delta, tau)
-        lam_ji = lambda_closed_form(kappa_j, kappa_i, delta, tau)
-        square = 4.0 * lam_ij * lam_ji
-        src_i = lam_ij - psi_property(kappa_i, delta, tau)
-        src_j = lam_ji - psi_property(kappa_j, delta, tau)
-        dp_i = y[0] * (4.0 * psi_closed_form(kappa_i, delta, tau) - 2.0 * delta * kappa_i) \
-            + square + 2.0 * delta * (kappa_i - kappa_j) * src_i
-        dp_j = y[1] * (4.0 * psi_closed_form(kappa_j, delta, tau) - 2.0 * delta * kappa_j) \
-            + square + 2.0 * delta * (kappa_j - kappa_i) * src_j
-        return [dp_i, dp_j, y[0] + y[1]]
-
-    res = solve_ivp(
-        rhs, (0.0, horizon), [0.0, 0.0, 0.0], method="RK45",
-        rtol=1e-10, atol=1e-12, dense_output=True,
-    )
-    if not res.success:
-        raise RuntimeError(f"phi integration failed: {res.message}")
-    return float(res.sol(horizon)[2])
-
-
 @dataclass(frozen=True)
 class CorrSensitivityReport:
     """Correlation derivatives of the value at the mean, J = J(1, theta, 0).
@@ -178,6 +140,36 @@ def check_pair(n: int, pair) -> tuple[int, int]:
     return int(p[0]), int(p[1])
 
 
+def _pole_in_step(h: np.ndarray, s: np.ndarray, step: float) -> float:
+    """r* in (0, step]: the first pole of S restarted from S(0) = s in a step of
+    ``_embedding_pass``, as the zero of f(r) = lambda_max(N(r) + s),
+    N = Phi_12(r)^{-1} Phi_11(r), Phi(r) = expm(r h).
+
+    N + s = P^{-1} is finite and increasing in a step, which holds no conjugate
+    point, and ~ -Theta^{-1} / r as r -> 0+ (see ``_embedding_pass``); so f
+    rises from -inf and crosses 0 first at the first pole, also when two
+    poles share the step.  Halving r from ``step`` brackets that zero from
+    below, and ``brentq`` finds it to the spacing of doubles.  f(step) <= 0,
+    which only rounding can give after the step counted a pole, returns
+    ``step``.
+    """
+    from scipy.optimize import brentq  # 0.15 s to import; only a pole needs it
+
+    n = len(s)
+
+    def f(r):
+        phi = expm(r * h)
+        q = np.linalg.solve(phi[:n, n:], phi[:n, :n]) + s
+        return lapack.dsyevd(0.5 * (q + q.T), compute_v=False)[0][-1]
+
+    if f(step) <= 0.0:
+        return step
+    lo = 0.5 * step
+    while f(lo) >= 0.0:
+        lo *= 0.5
+    return brentq(f, lo, step, xtol=np.finfo(float).eps * step)
+
+
 def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs: list):
     """log|gamma J(1, theta, 0)| and, per index pair a in ``pairs``, d log|J| / drho_a
     and d2 log|J| / drho_0 drho_a, from the linear embedding [U; V]' = H [U; V],
@@ -197,11 +189,13 @@ def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs:
     tr(G^{-1} G_0a) - tr(G^{-1} G_0 G^{-1} G_a).  With no pairs only Phi is stepped.
 
     Each step counts the poles of S inside it as the positive eigenvalues of
-    the symmetric P = G^{-1} Phi_12.  The first step that counts one, or whose
-    G is singular, hands over to ``riccati.solve`` of S, which raises
-    ``BlowUpDetected`` with the pole's tau*; a pass that counted a pole never
-    returns a value.  One rule serves every gamma (for gamma < 0, C is negative
-    semidefinite, S only decreases from 0, and no step counts a pole).
+    the symmetric P = G^{-1} Phi_12.  The first step that counts one locates
+    the first pole inside itself (``_pole_in_step``: the zero of the largest
+    eigenvalue of P^{-1}, which rises through 0 there) and raises
+    ``BlowUpDetected`` with that tau*; a singular G raises with the step's
+    end.  A pass that counted a pole never returns a value.  One rule serves
+    every gamma (for gamma < 0, C is negative semidefinite, S only decreases
+    from 0, and no step counts a pole).
 
     Why the count is exact.  Restarted from [I; S_k], a step is
     X(r) = Phi_11(r) + Phi_12(r) S_k, and P(r)^{-1} = N(r) + S_k with
@@ -260,20 +254,19 @@ def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs:
         g_inv = np.linalg.inv(p[:n]) if sign else None
         # P's largest eigenvalue; np.linalg.eigvalsh's wrapper costs 3x this LAPACK call at this size.
         if g_inv is None or lapack.dsyevd(g_inv @ phi[:n, n:], compute_v=False)[0][-1] > 0.0:
-            solve(make_S_operator(params, prefs), horizon)  # raises BlowUpDetected at the pole
-            start, end = k * horizon / steps, min((k + 1) * horizon / steps, horizon)
-            raise BlowUpDetected(end, f"S has a pole in ({start:.6g}, {end:.6g}], "
-                                      "which the S solve did not locate")
-        p1 = phi1 @ y + phi[:, n:] @ s1
-        p2 = phi2 @ y + phi0[..., n:] @ s1 + phi1[..., n:] @ s1[:1] + phi[:, n:] @ s2
+            r = _pole_in_step(h, s, horizon / steps) if g_inv is not None else horizon / steps
+            raise BlowUpDetected(min(k * horizon / steps + r, horizon))
         d0 += log_det
-        x1 = g_inv @ p1[:, :n]
-        d1 += np.trace(x1, axis1=1, axis2=2)
-        d2 += np.einsum("ij,aji->a", g_inv, p2[:, :n]) - np.einsum("bij,aji->a", x1[:1], x1)
         s = p[n:] @ g_inv
-        s1_next = (p1[:, n:] - s @ p1[:, :n]) @ g_inv
-        s2 = (p2[:, n:] - s @ p2[:, :n] - s1_next @ p1[:1, :n] - s1_next[:1] @ p1[:, :n]) @ g_inv
-        s1 = s1_next
+        if pairs:
+            p1 = phi1 @ y + phi[:, n:] @ s1
+            p2 = phi2 @ y + phi0[..., n:] @ s1 + phi1[..., n:] @ s1[:1] + phi[:, n:] @ s2
+            x1 = g_inv @ p1[:, :n]
+            d1 += np.trace(x1, axis1=1, axis2=2)
+            d2 += np.einsum("ij,aji->a", g_inv, p2[:, :n]) - np.einsum("bij,aji->a", x1[:1], x1)
+            s1_next = (p1[:, n:] - s @ p1[:, :n]) @ g_inv
+            s2 = (p2[:, n:] - s @ p2[:, :n] - s1_next @ p1[:1, :n] - s1_next[:1] @ p1[:, :n]) @ g_inv
+            s1 = s1_next
     log_trace = float(-horizon * np.trace(m_s) - d0) / (2.0 * prefs.delta)
     return log_trace, (-d1 / (2.0 * prefs.delta)).tolist(), (-d2 / (2.0 * prefs.delta)).tolist()
 
@@ -294,8 +287,8 @@ def corr_sensitivity(
     J and its derivatives in every pair's correlation, ``pair`` first, come from
     one ``_embedding_pass``.  Its steps count the poles of S as the positive
     eigenvalues of G^{-1} Phi_12, exactly while a step is shorter than
-    pi / (delta |Omega|); at a counted pole one ``riccati.solve`` of S raises
-    ``BlowUpDetected`` with tau*, and without one no S solve runs.
+    pi / (delta |Omega|), and the step that counts one locates the first pole
+    inside itself and raises ``BlowUpDetected`` with its tau*.
 
     Two curvatures are reported.  ``second_derivative`` is the curvature of
     J itself, positive on both sides of gamma = 0 at Theta = I (the

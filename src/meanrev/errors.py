@@ -47,8 +47,10 @@ class BlowUpDetected(MeanrevError):
     Attributes
     ----------
     tau_star : float
-        The root of det P (the pole), P the solve's shifted inverse of S; for
-        a failed integration, the last time it reached.
+        The pole.  From ``riccati.solve``, the root of det P, P the solve's
+        shifted inverse of S, or for a failed integration the last time it
+        reached.  From the embedding pass of ``analysis``, the first zero of
+        det U, located inside the step that counted it.
     switch_tau : float or None
         Inverse time at which the solve switched from S to P, None if it never
         did.

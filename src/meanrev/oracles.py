@@ -34,7 +34,6 @@ from .analysis import (
     corr_sensitivity,
     lambda_closed_form,
     pair_matrix,
-    phi_diagonal,
     psi_closed_form,
     psi_integral,
     psi_property,
@@ -201,6 +200,42 @@ def lambda_reference(kappa_i: float, kappa_j: float, delta: float, horizon: floa
         return y * rate - delta * (kappa_i - kappa_j) * psi_property(kappa_i, delta, tau)
 
     return reference_solve(rhs, np.zeros((1, 1)), horizon, taus)[:, 0, 0]
+
+
+def phi_diagonal(kappa_i: float, kappa_j: float, delta: float, horizon: float):
+    """Integral over [0, T] of the diagonal pure-second-derivative limits phi_ii + phi_jj.
+
+    Each solves the linear ODE
+      phi' = phi [4 Psi(kappa, .) - 2 delta kappa] + 4 lambda_ij lambda_ji
+             + 2 delta (kappa - kappa_other) [lambda - (Psi + (1-delta) kappa / 2)],
+      phi(0) = 0,
+    with (kappa, kappa_other) = (kappa_i, kappa_j) for the ii entry and
+    swapped for jj; lambda is lambda(kappa, kappa_other) and
+    lambda_ij lambda_ji is the diagonal of the squared first derivative of F
+    that the 2F^2 term contributes.
+    """
+    if min(kappa_i, kappa_j, delta, horizon) <= 0:
+        raise ValueError("kappa_i, kappa_j, delta, horizon must be positive")
+
+    def rhs(tau, y):
+        lam_ij = lambda_closed_form(kappa_i, kappa_j, delta, tau)
+        lam_ji = lambda_closed_form(kappa_j, kappa_i, delta, tau)
+        square = 4.0 * lam_ij * lam_ji
+        src_i = lam_ij - psi_property(kappa_i, delta, tau)
+        src_j = lam_ji - psi_property(kappa_j, delta, tau)
+        dp_i = y[0] * (4.0 * psi_closed_form(kappa_i, delta, tau) - 2.0 * delta * kappa_i) \
+            + square + 2.0 * delta * (kappa_i - kappa_j) * src_i
+        dp_j = y[1] * (4.0 * psi_closed_form(kappa_j, delta, tau) - 2.0 * delta * kappa_j) \
+            + square + 2.0 * delta * (kappa_j - kappa_i) * src_j
+        return [dp_i, dp_j, y[0] + y[1]]
+
+    res = solve_ivp(
+        rhs, (0.0, horizon), [0.0, 0.0, 0.0], method="RK45",
+        rtol=1e-10, atol=1e-12, dense_output=True,
+    )
+    if not res.success:
+        raise RuntimeError(f"phi integration failed: {res.message}")
+    return float(res.sol(horizon)[2])
 
 
 # ---------------------------------------------------------------------------

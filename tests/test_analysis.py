@@ -8,7 +8,6 @@ from meanrev.analysis import (
     corr_sensitivity,
     d_curve_1d,
     lambda_closed_form,
-    phi_diagonal,
     psi_closed_form,
     psi_integral,
     value_at_mean,
@@ -17,6 +16,7 @@ from meanrev.analysis import (
 from meanrev.control import solve_value, value_function
 from meanrev.errors import AllKappaZero, BlowUpDetected, NonFinite, NotPositiveDefinite
 from meanrev.model import OUParams, Preferences
+from meanrev.oracles import phi_diagonal
 from meanrev.riccati import single_mr_blowup_tau
 
 from conftest import assert_passes, random_corr, random_params, two_asset
@@ -129,39 +129,32 @@ def two_pole_model():
 def test_corr_sensitivity_finds_the_first_of_two_poles_in_one_step():
     # det G is positive at both ends of the step that holds both poles, so a
     # sign check at step ends misses them; the step's count of positive
-    # eigenvalues of G^{-1} Phi_12 reads 2, and the S solve it hands over to
-    # locates the first.
+    # eigenvalues of G^{-1} Phi_12 reads 2, and the search inside the step,
+    # on the largest eigenvalue of P^{-1}, locates the first.
     with pytest.raises(BlowUpDetected) as info:
         corr_sensitivity(two_pole_model(), Preferences(gamma=0.5), 3.0, (0, 1))
     block = two_pole_model().corr[:2, :2]
-    assert info.value.tau_star == pytest.approx(single_mr_blowup_tau(1.0, block, 0.5), rel=1e-9)
+    assert info.value.tau_star == pytest.approx(single_mr_blowup_tau(1.0, block, 0.5), rel=1e-14)
 
 
 def test_corr_sensitivity_solves_s_only_where_a_pole_can_exist(monkeypatch):
-    # The embedding's own steps count the poles of S, so the value needs no
-    # S solve at any gamma without a pole, and exactly one, which locates
-    # tau*, when a step counts one.
-    calls = []
+    # The embedding's own steps count the poles of S and locate the first
+    # one, so neither the value nor its derivatives ever call the RK45
+    # riccati.solve: not without a pole, and not to locate one.
+    def failing(op, horizon, **kwargs):
+        raise AssertionError("riccati.solve called")
 
-    def recording(op, horizon, solve=riccati.solve):
-        calls.append(horizon)
-        return solve(op, horizon)
-
-    monkeypatch.setattr(riccati, "solve", recording)
-    monkeypatch.setattr(analysis, "solve", recording)
-    counts = []
+    monkeypatch.setattr(riccati, "solve", failing)
+    assert not hasattr(analysis, "solve")
     for gamma in (-4.0, -1.0, 0.5):
-        calls.clear()
-        corr_sensitivity(two_asset(), Preferences(gamma=gamma), 3.0, (0, 1))
-        counts.append(len(calls))
-    assert counts == [0, 0, 0]
+        assert np.isfinite(value_at_mean(two_asset(), Preferences(gamma=gamma), 3.0))
+        assert np.isfinite(corr_sensitivity(two_asset(), Preferences(gamma=gamma), 3.0, (0, 1)).log_value)
     for params in (two_asset(rho=0.9, kappa=(1.0, 0.0)), two_pole_model()):
-        calls.clear()
-        with pytest.raises(BlowUpDetected) as info:
-            corr_sensitivity(params, Preferences(gamma=0.5), 3.0, (0, 1))
-        assert len(calls) == 1
         tau_star = single_mr_blowup_tau(1.0, params.corr[:2, :2], 0.5)
-        assert info.value.tau_star == pytest.approx(tau_star, rel=1e-9)
+        for call in (value_at_mean, lambda *a: corr_sensitivity(*a, (0, 1))):
+            with pytest.raises(BlowUpDetected) as info:
+                call(params, Preferences(gamma=0.5), 3.0)
+            assert info.value.tau_star == pytest.approx(tau_star, rel=1e-14)
 
 
 def blow_up_time(call):
@@ -174,9 +167,10 @@ def blow_up_time(call):
 
 
 def test_embedding_pole_count_agrees_with_the_s_solve():
-    # The pass raises exactly when riccati.solve of S does, with its tau*:
-    # random models with zero rates, risk-seeking exponents and several
-    # horizons, then horizons just short of and just past each pole found.
+    # The pass raises exactly when riccati.solve of S does, with its tau* to
+    # POLE_TOL, and to 1e-14 where the model has one mean-reverting asset and
+    # a closed form: random models with zero rates, risk-seeking exponents and
+    # several horizons, then horizons just short of and just past each pole.
     rng = np.random.default_rng(20261020)
     cases, poles = [], []
     for _ in range(24):
@@ -184,34 +178,40 @@ def test_embedding_pole_count_agrees_with_the_s_solve():
         kappa = rng.uniform(0.3, 2.0, n)
         kappa[1:][rng.random(n - 1) < 0.4] = 0.0
         gamma = float(rng.choice([-4.0, -1.0, 0.2, 0.5, 0.8, 0.95]))
-        cases.append((OUParams(n=n, kappa=kappa, sigma=np.ones(n), theta=np.zeros(n),
-                               corr=random_corr(rng, n)), gamma, float(rng.choice([0.5, 1.0, 3.0]))))
-    cases.append((two_pole_model(), 0.5, 3.0))
-    for params, gamma, horizon in cases:
+        params = OUParams(n=n, kappa=kappa, sigma=np.ones(n), theta=np.zeros(n),
+                          corr=random_corr(rng, n))
+        closed = single_mr_blowup_tau(kappa[0], params.corr, gamma) if not kappa[1:].any() else None
+        cases.append((params, gamma, float(rng.choice([0.5, 1.0, 3.0])), closed))
+    cases.append((two_pole_model(), 0.5, 3.0, single_mr_blowup_tau(1.0, two_pole_model().corr[:2, :2], 0.5)))
+    for params, gamma, horizon, closed in cases:
         prefs = Preferences(gamma=gamma)
         expected = blow_up_time(lambda: riccati.solve(riccati.make_S_operator(params, prefs), horizon))
-        assert blow_up_time(lambda: value_at_mean(params, prefs, horizon)) == expected
+        tau_star = blow_up_time(lambda: value_at_mean(params, prefs, horizon))
+        assert (tau_star is None) == (expected is None)
         if expected is not None:
-            poles.append((params, prefs, expected))
+            assert tau_star == pytest.approx(expected, rel=oracles.POLE_TOL)
+            if closed is not None:
+                assert tau_star == pytest.approx(closed, rel=1e-14)
+            poles.append((params, prefs, tau_star, closed))
     assert 4 <= len(poles) < len(cases)
-    assert any(np.any(params.kappa == 0.0) for params, _, _ in poles)
-    for params, prefs, tau_star in poles:
+    assert sum(closed is not None for *_, closed in poles) >= 3
+    assert any(np.any(params.kappa == 0.0) for params, *_ in poles)
+    for params, prefs, tau_star, _ in poles:
         op = riccati.make_S_operator(params, prefs)
         assert blow_up_time(lambda: riccati.solve(op, 0.999 * tau_star)) is None
         assert np.isfinite(value_at_mean(params, prefs, 0.999 * tau_star))
         assert np.isfinite(corr_sensitivity(params, prefs, 0.999 * tau_star, (0, 1)).log_value)
         assert blow_up_time(lambda: value_at_mean(params, prefs, 1.001 * tau_star)) \
-            == pytest.approx(tau_star, rel=1e-9)
+            == pytest.approx(tau_star, rel=1e-14)
         assert blow_up_time(lambda: corr_sensitivity(params, prefs, 1.001 * tau_star, (0, 1))) \
-            == pytest.approx(tau_star, rel=1e-9)
+            == pytest.approx(tau_star, rel=1e-14)
 
 
 @pytest.mark.parametrize("excess", [1e-12, 4e-12, 1e-11])
 def test_a_counted_pole_never_returns_a_value(excess):
-    # Just past the pole the step's count sees it while the RK45 solve, whose
-    # tau* lies about 2e-11 relative beyond the exact one, may reach T without
-    # it; the pass raises either way instead of returning log det of a
-    # singular U.
+    # Just past the pole, inside the 2e-11 relative by which the RK45 solve
+    # of S places it late, the step's count sees it; the pass raises instead
+    # of returning log det of a singular U.
     params, prefs = two_asset(rho=0.9, kappa=(1.0, 0.0)), Preferences(gamma=0.5)
     tau_star = single_mr_blowup_tau(1.0, params.corr, 0.5)
     horizon = tau_star * (1.0 + excess)
@@ -219,6 +219,24 @@ def test_a_counted_pole_never_returns_a_value(excess):
         value_at_mean(params, prefs, horizon)
     assert info.value.tau_star <= horizon
     assert info.value.tau_star == pytest.approx(tau_star, rel=1e-9)
+
+
+@pytest.mark.parametrize("rho, gamma", [(0.9, 0.5), (0.9, 0.8), (-0.8, 0.5), (-0.8, 0.8), (0.6, 0.8)])
+def test_pole_is_exact_across_the_rk45_gap(rho, gamma):
+    # Horizons T = tau* (1 + k 1e-12) scan the gap of 1e-11 relative by which
+    # the RK45 solve of S places its pole late.  Short of the pole the value
+    # is finite; past it the pass raises with tau* exact to 1e-14 relative
+    # (at k = 0 either outcome is right).
+    params, prefs = two_asset(rho=rho, kappa=(1.0, 0.0)), Preferences(gamma=gamma)
+    exact = single_mr_blowup_tau(1.0, params.corr, gamma)
+    for k in range(-2, 17):
+        horizon = exact * (1.0 + k * 1e-12)
+        try:
+            value = value_at_mean(params, prefs, horizon)
+            assert k <= 0 and np.isfinite(value)
+        except BlowUpDetected as exc:
+            assert k >= 0 and exc.tau_star <= horizon
+            assert exc.tau_star == pytest.approx(exact, rel=1e-14)
 
 
 @pytest.mark.parametrize("params, gamma, error", [
