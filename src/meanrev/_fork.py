@@ -1,10 +1,14 @@
 """Independent items of work spread over forked worker processes.
 
-``simulate`` runs its path chunks and ``misspec_sweep`` its grid cells
-through ``fork_map``.  A forked child starts with the parent's memory, so
-the work function and everything it reads need no pickling; only results
-and errors travel back, through one pipe per worker.  ``multiprocessing``
-is imported on first use, which keeps it out of the package's import.
+``simulate`` runs its path chunks, ``misspec_sweep`` its grid cells and
+``run_verification`` (``meanrev verify``) its checks through ``fork_map``.
+A forked child starts with the parent's memory, so the work function and
+everything it reads need no pickling; only item indices, results and errors
+travel, through one pipe per worker.  Work is handed out claim-next: each
+worker is sent the next unclaimed index as soon as it has answered the last
+one, so a slow item does not hold up a queue of items behind it.
+``multiprocessing`` is imported on first use, which keeps it out of the
+package's import.
 """
 
 from __future__ import annotations
@@ -27,21 +31,24 @@ def worker_count(count: int) -> int:
 
 
 def fork_map(func, count: int) -> list:
-    """[func(k) for k in range(count)], item k run by forked worker k mod w,
-    w = ``worker_count(count)``; with one worker, in this process.
+    """[func(k) for k in range(count)] over w = ``worker_count(count)`` forked
+    workers; with one worker, in this process.
 
-    Results come back in item order.  A worker stops at its first error; the
-    error of the lowest item index is re-raised, as the loop would raise it,
-    and a worker that dies without reporting counts as a RuntimeError at its
-    first item.  No worker outlives the call.
+    Items are handed out in index order, each to the first worker that is
+    free.  Results come back in item order.  After the first error no
+    further item is handed out; every lower index was handed out before it,
+    so the error of the lowest item index is re-raised, as the loop would
+    raise it.  A worker that dies counts as a RuntimeError at the item it
+    was running.  No worker outlives the call.
     """
     workers = worker_count(count)
     if workers == 1:
         return [func(k) for k in range(count)]
     import multiprocessing
+    from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    procs = []
+    procs, running = [], {}  # running: parent end of a busy worker's pipe -> (process, item)
     try:
         with warnings.catch_warnings():
             # Python >= 3.12 warns on fork() from a process with OS threads,
@@ -49,50 +56,59 @@ def fork_map(func, count: int) -> list:
             # the child, and the package starts no threads of its own.
             warnings.filterwarnings("ignore", message=r".*use of fork\(\) may lead to deadlocks",
                                     category=DeprecationWarning)
-            for w in range(workers):
-                recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_worker, args=(func, range(w, count, workers), send),
-                                   daemon=True)
-                procs.append((proc, recv))
+            for k in range(workers):
+                here, there = ctx.Pipe()
+                proc = ctx.Process(target=_worker, args=(func, there), daemon=True)
+                procs.append((proc, here))
                 proc.start()
-                send.close()
-        results = [None] * count
-        errors = []
-        for w, (proc, recv) in enumerate(procs):
-            try:
-                done, error = recv.recv()
-            except EOFError:  # the worker died without reporting
-                done, error = None, None
+                there.close()
+                here.send(k)
+                running[here] = (proc, k)
+        results, errors, next_item = [None] * count, [], workers
+        while running:
+            for conn in wait(list(running)):
+                proc, k = running.pop(conn)
+                try:
+                    ok, value = conn.recv()
+                except (EOFError, ConnectionError):  # the worker died without reporting
+                    proc.join()
+                    errors.append((k, RuntimeError(f"worker process exited with code {proc.exitcode}")))
+                    next_item = count
+                    continue
+                if ok:
+                    results[k] = value
+                else:
+                    errors.append((k, value))
+                    next_item = count
+                if next_item < count:
+                    conn.send(next_item)
+                    running[conn] = (proc, next_item)
+                    next_item += 1
+                else:
+                    conn.send(None)
+        for proc, _ in procs:
             proc.join()
-            if error is None and (done is None or proc.exitcode != 0):
-                error = (w, RuntimeError(f"worker process exited with code {proc.exitcode}"))
-            if error is not None:
-                errors.append(error)
-            else:
-                results[w::workers] = done
         if errors:
             raise min(errors, key=lambda e: e[0])[1]
         return results
     finally:
-        for proc, recv in procs:
+        for proc, conn in procs:
             if proc.pid is not None and proc.exitcode is None:
                 proc.terminate()
                 proc.join()
-            recv.close()
+            conn.close()
 
 
-def _worker(func, items: range, conn) -> None:
-    """Body of a forked worker: its items in order until the first error, then
-    (results, None or (item, error)) on ``conn``.
+def _worker(func, conn) -> None:
+    """Body of a forked worker: for each index k received on ``conn``, send back
+    (True, func(k)) or (False, error), until it receives None.
 
     An error that cannot be sent ends the worker with a nonzero exit code,
     which the parent reports instead.
     """
-    done, error = [], None
-    for k in items:
+    while (k := conn.recv()) is not None:
         try:
-            done.append(func(k))
+            reply = (True, func(k))
         except Exception as exc:
-            error = (k, exc)
-            break
-    conn.send((done, error))
+            reply = (False, exc)
+        conn.send(reply)

@@ -36,7 +36,7 @@ def psi_closed_form(kappa: float, delta: float, tau) -> np.ndarray | float:
     Psi = kappa sqrt(d)(sqrt(d)-1)/2 * (e^{2u}-1)/(e^{2u}+omega), u = kappa
     sqrt(d) tau; evaluated with e^{-2u} so large horizons cannot overflow.
     """
-    if delta <= 0:
+    if np.any(np.asarray(delta) <= 0):
         raise ValueError("delta must be positive")
     rd = np.sqrt(delta)
     omega = _omega(delta)

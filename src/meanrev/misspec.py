@@ -108,8 +108,9 @@ def misspec_sweep(
     ``metadata["sharpe_failures"]``.
 
     The cells are independent and run through ``fork_map``, spread over
-    forked workers like ``simulate``'s chunks; any other error of a cell
-    reaches the caller as the sequential loop would raise it.
+    forked workers like ``simulate``'s chunks; each worker is handed the
+    next cell as soon as it is free.  Any other error of a cell reaches the
+    caller as the sequential loop would raise it.
     ``metadata["diagnostics"]`` holds the ``workers`` used and, summed over
     the Riccati solves of every cell that returned a solution, ``solves``,
     ``s_evals``, ``p_evals`` and ``switched`` (solves that reached the

@@ -24,6 +24,7 @@ a matrix exponential, not from a Riccati solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -38,6 +39,7 @@ from .analysis import (
     psi_integral,
     psi_property,
 )
+from ._fork import fork_map
 from .errors import BlowUpDetected, TrigSingularity
 from .model import OUParams, Preferences
 from .riccati import (
@@ -45,7 +47,10 @@ from .riccati import (
     d_scalar_closed_form,
     d_single_mr,
     d_uncorrelated,
+    make_S_operator,
+    s_view,
     single_mr_blowup_tau,
+    solve,
     solve_A,
     solve_D,
 )
@@ -115,15 +120,15 @@ def _worst(sol, taus, closed) -> float:
 # ---------------------------------------------------------------------------
 
 def reference_solve(rhs, m0: np.ndarray, horizon: float, taus) -> np.ndarray:
-    """M(tau) of M' = rhs(tau, M), M(0) = m0, at ``taus``; shape (len(taus), k, k).
+    """M(tau) of M' = rhs(tau, M), M(0) = m0, at ``taus``; shape (len(taus), *m0.shape).
 
     DOP853 at rtol = atol = 1e-12: another method, at a tighter tolerance,
     than the package's own solve.
     """
-    k = m0.shape[0]
-    res = solve_ivp(lambda tau, y: rhs(tau, y.reshape(k, k)).ravel(), (0.0, horizon),
+    shape = m0.shape
+    res = solve_ivp(lambda tau, y: rhs(tau, y.reshape(shape)).ravel(), (0.0, horizon),
                     m0.ravel(), method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True)
-    return np.moveaxis(res.sol(np.asarray(taus, dtype=float)).reshape(k, k, -1), 2, 0)
+    return np.moveaxis(res.sol(np.asarray(taus, dtype=float)).reshape(*shape, -1), -1, 0)
 
 
 def radon_pole(params: OUParams, prefs: Preferences, horizon: float) -> float | None:
@@ -189,17 +194,24 @@ def f_equation(params: OUParams, prefs: Preferences):
             np.zeros((params.n, params.n)))
 
 
-def lambda_reference(kappa_i: float, kappa_j: float, delta: float, horizon: float, taus) -> np.ndarray:
+def lambda_reference(kappa_i, kappa_j, delta, horizon: float, taus) -> np.ndarray:
     """lambda(tau) at ``taus`` from its linear ODE
     lambda' = lambda (2 Psi_i + 2 Psi_j - delta (kappa_i + kappa_j))
               - delta (kappa_i - kappa_j) (Psi_i + (1 - delta) kappa_i / 2),
-    lambda(0) = 0."""
+    lambda(0) = 0; shape (len(taus), cases).
+
+    Entry c of the equal-length arrays ``kappa_i``, ``kappa_j`` and ``delta``
+    is one case; all cases are integrated as one system.
+    """
+    kappa_i, kappa_j, delta = (np.asarray(x, dtype=float) for x in (kappa_i, kappa_j, delta))
+
     def rhs(tau, y):
+        tau = np.asarray(tau)  # the closed forms then return one value per case
         rate = (2.0 * psi_closed_form(kappa_i, delta, tau) + 2.0 * psi_closed_form(kappa_j, delta, tau)
                 - delta * (kappa_i + kappa_j))
         return y * rate - delta * (kappa_i - kappa_j) * psi_property(kappa_i, delta, tau)
 
-    return reference_solve(rhs, np.zeros((1, 1)), horizon, taus)[:, 0, 0]
+    return reference_solve(rhs, np.zeros(kappa_i.size), horizon, taus)
 
 
 def phi_diagonal(kappa_i: float, kappa_j: float, delta: float, horizon: float):
@@ -358,8 +370,8 @@ def a_d_consistency(cases=RANDOM_CASES, taus=np.linspace(0.0, 2.0, 21)) -> Check
     """
     worst = 0.0
     for params, prefs in cases:
-        a = solve_A(params, prefs, taus[-1])
-        d = solve_D(params, prefs, taus[-1])
+        s = solve(make_S_operator(params, prefs), taus[-1])
+        a, d = (s_view(s, which, params, prefs) for which in "AD")
         base = prefs.delta * params.corr_inv @ np.diag(params.kappa)
         for tau, ref in zip(taus, reference_solve(*d_equation(params, prefs), taus[-1], taus)):
             am = a.interpolate(tau)
@@ -419,13 +431,11 @@ def psi_integral_quadrature(kappa: float = 1.0, deltas=(4.0,), horizon: float = 
 
 def lambda_oracle(kappas_i=(0.5, 1.0, 2.0), kappas_j=(0.4, 1.0, 1.7), deltas=(0.2, 2.0, 4.0),
                   taus=np.linspace(0.0, 3.0, 16)) -> Check:
-    """lambda's closed form against its integrated ODE."""
-    worst = 0.0
-    for ki in kappas_i:
-        for kj in kappas_j:
-            for delta in deltas:
-                ref = lambda_reference(ki, kj, delta, taus[-1], taus)
-                worst = max(worst, float(np.max(np.abs(ref - lambda_closed_form(ki, kj, delta, taus)))))
+    """lambda's closed form against its integrated ODE, on every
+    (kappa_i, kappa_j, delta) of the three grids."""
+    ki, kj, delta = np.array(list(product(kappas_i, kappas_j, deltas))).T
+    ref = lambda_reference(ki, kj, delta, taus[-1], taus)
+    worst = float(np.max(np.abs(ref - lambda_closed_form(ki, kj, delta, np.asarray(taus)[:, None]))))
     return Check(worst, SOLVER_TOL, f"max err {worst:.2e}")
 
 
@@ -544,10 +554,12 @@ CHECKS = {
 
 
 def run_verification() -> dict:
-    """Every check of ``CHECKS`` on its default cases: name -> result record."""
+    """Every check of ``CHECKS`` on its default cases: name -> result record,
+    in ``CHECKS`` order.  The checks run through ``fork_map`` on forked
+    workers."""
+    names = list(CHECKS)
     report = {}
-    for name, check in CHECKS.items():
-        c = check()
+    for name, c in zip(names, fork_map(lambda k: CHECKS[names[k]](), len(names))):
         report[name] = {"passed": c.passed, "detail": c.detail,
                         "error": float(c.error), "tol": float(c.tol)}
     report["correlation_minimum_trio"]["note"] = TRIO_NOTE

@@ -255,8 +255,9 @@ def test_sweep_cells_do_not_depend_on_the_worker_count(monkeypatch):
 
 @needs_fork
 def test_a_failing_cell_reaches_the_caller_as_the_loop_raises_it(monkeypatch):
-    # sharpe raises in cells 1 and 2, which two workers run as the first
-    # failure of worker 1 and of worker 0; the caller sees cell 1's error.
+    # sharpe raises in cells 1 and 2.  On two workers cell 1 is the second
+    # cell handed out, and cell 2 is handed out only if cell 0 is done first;
+    # either way the caller sees cell 1's error.
     params, prefs, horizon = two_asset(rho=0.7), Preferences(gamma=-4.0), 0.5
     m1, m2 = [0.5, 1.0], [0.5, 1.0, 2.0]
 

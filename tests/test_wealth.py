@@ -294,7 +294,7 @@ def _failing_rng(fail):
     real = wealth_mod.path_rng
 
     def path_rng(seed, index):
-        if index == 8:  # the first path of chunk 1, which worker 1 runs
+        if index == 8:  # the first path of chunk 1, the second chunk handed out
             fail()
         return real(seed, index)
     return path_rng
