@@ -21,7 +21,7 @@ from scipy.linalg import expm, lapack
 
 from .errors import BlowUpDetected, NotPositiveDefinite, OutOfDomain, OutOfHorizon
 from .grids import SensitivityGrid
-from .model import OUParams, Preferences, validate
+from .model import OUParams, Preferences, check_horizon, validate
 from .riccati import d_scalar_closed_form, make_S_operator
 
 
@@ -218,6 +218,7 @@ def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs:
     the step count except near a nilpotent H (one mean-reverting asset with
     gamma (Theta^{-1})_11 close to 1).
     """
+    horizon = check_horizon(horizon)
     validate(params)
     if prefs.gamma == 0.0:
         raise ValueError("exponent 0 (log utility) is served by log_utility_value")

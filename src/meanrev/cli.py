@@ -23,7 +23,7 @@ from .analysis import check_pair, corr_sensitivity, d_curve_1d, value_vs_kappa2_
 from .control import optimal_strategy
 from .errors import BlowUpDetected, MeanrevError, NonFinite, ValidationError
 from .misspec import misspec_sweep
-from .model import OUParams, Preferences, normalize, validate
+from .model import OUParams, Preferences, check_horizon, normalize, validate
 from .oracles import run_verification
 from .riccati import make_S_operator, s_view, solve
 from .wealth import default_steps, simulate
@@ -62,12 +62,7 @@ def config_hash(config: dict) -> str:
 def parse_model(config: dict) -> tuple[OUParams, Preferences, float]:
     params = validate(OUParams.from_dict(config["model"]))
     prefs = Preferences(gamma=float(config.get("gamma", -4.0)))
-    horizon = float(config.get("horizon", 3.0))
-    if not np.isfinite(horizon):
-        raise NonFinite(f"horizon must be finite, got {horizon}")
-    if horizon <= 0:
-        raise ValidationError("horizon must be positive")
-    return params, prefs, horizon
+    return params, prefs, check_horizon(config.get("horizon", 3.0))
 
 
 def _fmt(v) -> str:

@@ -52,8 +52,8 @@ class BlowUpDetected(MeanrevError):
         reached.  From the embedding pass of ``analysis``, the first zero of
         det U, located inside the step that counted it.
     switch_tau : float or None
-        Inverse time at which the solve switched from S to P, None if it never
-        did.
+        Inverse time at which the solve switched from S to P, the end of its
+        first step at which max|S| reached the switch level; None if none did.
     """
 
     def __init__(self, tau_star, message=None, switch_tau=None):

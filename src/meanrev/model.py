@@ -132,6 +132,16 @@ class NormalizationRecord:
         return np.asarray(alpha, dtype=float) / self.original_sigma
 
 
+def check_horizon(horizon) -> float:
+    """``horizon`` as a float; ``NonFinite`` for NaN or an infinity, ``OutOfDomain`` if <= 0."""
+    horizon = float(horizon)
+    if not np.isfinite(horizon):
+        raise NonFinite(f"horizon must be finite, got {horizon}")
+    if not horizon > 0.0:
+        raise OutOfDomain(f"horizon must be positive, got {horizon}")
+    return horizon
+
+
 def validate(params: OUParams) -> OUParams:
     """Check all model invariants, returning the parameters unchanged.
 

@@ -26,7 +26,7 @@ solves it again with weight -C-tilde.  The smallest eigenvalue of S never
 falls below minus twice that scale, so U stays positive definite and P
 meets no pole of its own.  A pole of S is the first zero of det P, found as
 a root, not as a threshold crossing.  When P reaches the horizon instead,
-S is finite on the whole span and is integrated again without the switch.
+S is finite on the whole span, and the one S integration steps on to it.
 
 The explicitly solvable special cases (scalar, uncorrelated, common
 reversion rate, single mean-reverting asset hedged by Brownian motions)
@@ -42,10 +42,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from .errors import BlowUpDetected, OutOfRange, TrigSingularity
-from .model import OUParams, Preferences
+from .model import OUParams, Preferences, check_horizon
 
 # Settings of every solve: relative and absolute tolerance, first step as a
 # fraction of the horizon, the switch level to the inverse chart as a multiple
@@ -73,9 +73,9 @@ class RiccatiSolution:
     """A matrix function of tau in [0, T], read from the integrator's dense output.
 
     The state y is S, flattened, followed by its running trace integral T.
-    Over step k, from ``ts[k]`` to ``ts[k + 1]``, RK45's quartic interpolant is
+    Over step k, of length h = ts[k + 1] - ts[k], RK45's quartic interpolant is
 
-        y(tau) = y_old[k] + h[k] * Q[k] @ (x, x^2, x^3, x^4),  x = (tau - t_old[k]) / h[k],
+        y(tau) = y_old[k] + h * Q[k] @ (x, x^2, x^3, x^4),  x = (tau - ts[k]) / h,
 
     evaluated with the same operations, in the same order, as scipy's
     ``OdeSolution``, so every read equals scipy's to the last bit; a time on
@@ -87,22 +87,20 @@ class RiccatiSolution:
     which is S itself with the default arguments.  ``tau_grid`` lists uniform
     points and every adaptive accept point of the S solve, for callers that
     want to sample it.  ``diagnostics`` holds the right-hand-side evaluations
-    of the S passes (``s_evals``, summed over both when a pole was sought) and
-    of the inverse pass (``p_evals``), ``switch_tau``: where max|S| reached
-    the switch level, and ``w_min``: the smallest eigenvalue of the inverse
-    chart W over its accepted steps, near 0 just short of a pole; both are
-    None when the solve never switched.
+    of the one S pass (``s_evals``) and of the inverse pass (``p_evals``),
+    ``switch_tau``: the end of the first step at which max|S| reached the
+    switch level, and ``w_min``: the smallest eigenvalue of the inverse chart
+    W over its accepted steps, near 0 just short of a pole; both are None
+    when the solve never switched.
     """
 
-    def __init__(self, dense, n, tau_grid, horizon, diagnostics):
-        steps = dense.interpolants
-        self.ts = dense.ts
-        self.t_old = np.array([step.t_old for step in steps])
-        self.h = np.array([step.h for step in steps])
+    def __init__(self, steps, n, horizon, diagnostics):
+        self.ts = np.array([0.0, *(step.t for step in steps)])
         self.y_old = np.stack([step.y_old for step in steps])
         self.Q = np.stack([step.Q for step in steps])
-        self._ts, self._t_old, self._h = self.ts.tolist(), self.t_old.tolist(), self.h.tolist()
-        self.n, self.tau_grid, self.horizon = n, tau_grid, horizon
+        self._ts = self.ts.tolist()
+        self.tau_grid = np.union1d(np.linspace(0.0, horizon, DENSE_POINTS), self.ts)
+        self.n, self.horizon = n, horizon
         self.diagnostics = diagnostics
         self.scale, self.offset, self.trace_rate = 1.0, 0.0, 0.0
 
@@ -120,9 +118,9 @@ class RiccatiSolution:
         """y(tau) on one step: ``OdeSolution``'s scalar read without its wrappers."""
         if not 0.0 <= tau <= self.horizon:
             raise OutOfRange(f"tau={tau} outside [0, {self.horizon}]")
-        k = min(max(bisect_left(self._ts, tau) - 1, 0), len(self._h) - 1)
-        h = self._h[k]
-        x = (tau - self._t_old[k]) / h
+        k = min(max(bisect_left(self._ts, tau) - 1, 0), len(self._ts) - 2)
+        h = self._ts[k + 1] - self._ts[k]
+        x = (tau - self._ts[k]) / h
         x2 = x * x
         x3 = x2 * x
         return h * np.dot(self.Q[k], np.array((x, x2, x3, x3 * x))) + self.y_old[k]
@@ -147,14 +145,15 @@ class RiccatiSolution:
             raise OutOfRange("tau values outside solution span")
         order = np.argsort(taus)
         t_sorted = taus[order]
-        steps = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, self.h.size - 1)
+        steps = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, self.ts.size - 2)
         bounds = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), taus.size]
         y = np.empty((self.y_old.shape[1], taus.size))
         for start, stop in zip(bounds[:-1], bounds[1:]):
             k = steps[start]
-            x = (t_sorted[start:stop] - self.t_old[k]) / self.h[k]
+            h = self.ts[k + 1] - self.ts[k]
+            x = (t_sorted[start:stop] - self.ts[k]) / h
             p = np.cumprod(np.tile(x, (self.Q.shape[2], 1)), axis=0)
-            block = self.h[k] * np.dot(self.Q[k], p)
+            block = h * np.dot(self.Q[k], p)
             block += self.y_old[k][:, None]
             y[:, order[start:stop]] = block
         return self._matrix(np.moveaxis(y[: n * n].reshape(n, n, -1), 2, 0))
@@ -224,23 +223,21 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
     """Integrate a matrix Riccati ODE from S(0) = 0 over tau in [0, horizon].
 
     The running trace integral is carried as an extra state component so it
-    shares the stepper's quadrature order.  S is integrated until max|S|
-    reaches L = ``switch_level``; from that time tau_s on, the solve integrates
-    W = L P, P = (S - Z)^{-1} the shifted inverse with Z = -L I, so the
-    tolerances act on entries of order one.  With Z substituted, W solves
+    shares the stepper's quadrature order.  One RK45 solver steps S from 0;
+    from the end tau_s of its first step with max|S| >= L = ``switch_level``,
+    it integrates W = L P, P = (S - Z)^{-1} the shifted inverse with Z = -L I,
+    so the tolerances act on entries of order one.  With Z substituted, W solves
 
         W' = -(W C~ W / L + L Theta + M~' W + W M~),
         M~ = M - L Theta,  C~ = op.rhs(tau, -L I) = C - L (M + M') + L^2 Theta.
 
     A pole of S is where det W first vanishes, the root of W's smallest
     eigenvalue (a sign change even where eigenvalues vanish together);
-    BlowUpDetected carries it and the switch time.  W only looks for a pole:
-    if it reaches the horizon, S is integrated again from 0 without the
-    switch, in the steps of the first pass, so every solution returned is
-    the one a solve that never switches gives.
+    BlowUpDetected carries it and tau_s, as it carries a failed step.  W only
+    looks for a pole: if it reaches the horizon, the S solver steps on to it,
+    so every solution returned is the one a solve that never switches gives.
     """
-    if not 0.0 < horizon < np.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    horizon = check_horizon(horizon)
     corr = op.corr
     n = corr.shape[0]
     level = switch_level(op, horizon)
@@ -260,40 +257,36 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
         dw = _symmetric_rhs(y.reshape(n, n), c_shift / level, (m - level * corr).T, level * corr)
         return -dw.ravel()
 
-    def switch_event(tau, y):
-        return level - np.abs(y[: n * n]).max()
-
     def pole_event(tau, y):
         return np.linalg.eigvalsh(y.reshape(n, n))[0]
 
-    for event in (switch_event, pole_event):
-        event.terminal, event.direction = True, -1
+    pole_event.terminal, pole_event.direction = True, -1
 
-    def integrate(fun, start, y0, events, switch_tau=None, **options):
-        out = solve_ivp(fun, (start, horizon), y0, method="RK45", rtol=RTOL, atol=ATOL, events=events,
-                        **options)
-        if out.status < 0:
-            raise BlowUpDetected(out.t[-1], f"integrator failed near tau = {out.t[-1]:.6g}: {out.message}",
-                                 switch_tau=switch_tau)
-        return out
-
-    s_pass = {"dense_output": True, "first_step": FIRST_STEP_FRACTION * horizon}
-    result = integrate(rhs_flat, 0.0, np.zeros(n * n + 1), switch_event, **s_pass)
-    diagnostics = {"s_evals": int(result.nfev), "p_evals": 0, "switch_tau": None, "w_min": None}
-    if result.status == 1:
-        tau_s = diagnostics["switch_tau"] = float(result.t[-1])
-        shift = -level * np.eye(n)
-        w0 = level * np.linalg.inv(result.y[: n * n, -1].reshape(n, n) - shift)
-        inverse = integrate(inverse_flat, tau_s, w0.ravel(), pole_event, switch_tau=tau_s)
-        diagnostics["p_evals"] = int(inverse.nfev)
-        if inverse.status == 1:
-            raise BlowUpDetected(inverse.t[-1], switch_tau=tau_s)
-        accepted = inverse.y[:, 1:].T.reshape(-1, n, n)
-        diagnostics["w_min"] = float(np.linalg.eigvalsh(accepted)[:, 0].min())
-        result = integrate(rhs_flat, 0.0, np.zeros(n * n + 1), None, switch_tau=tau_s, **s_pass)
-        diagnostics["s_evals"] += int(result.nfev)
-    return RiccatiSolution(result.sol, n, np.union1d(np.linspace(0.0, horizon, DENSE_POINTS), result.t),
-                           float(horizon), diagnostics)
+    solver = RK45(rhs_flat, 0.0, np.zeros(n * n + 1), horizon, rtol=RTOL, atol=ATOL,
+                  first_step=FIRST_STEP_FRACTION * horizon)
+    steps = []
+    diagnostics = {"p_evals": 0, "switch_tau": None, "w_min": None}
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise BlowUpDetected(solver.t, f"integrator failed near tau = {solver.t:.6g}: {message}",
+                                 switch_tau=diagnostics["switch_tau"])
+        steps.append(solver.dense_output())
+        if diagnostics["switch_tau"] is None and np.abs(solver.y[: n * n]).max() >= level:
+            tau_s = diagnostics["switch_tau"] = float(solver.t)
+            shift = -level * np.eye(n)
+            w0 = level * np.linalg.inv(solver.y[: n * n].reshape(n, n) - shift)
+            inverse = solve_ivp(inverse_flat, (tau_s, horizon), w0.ravel(), method="RK45", rtol=RTOL,
+                                atol=ATOL, events=pole_event)
+            if inverse.status < 0:
+                raise BlowUpDetected(inverse.t[-1], f"integrator failed near tau = {inverse.t[-1]:.6g}: "
+                                     f"{inverse.message}", switch_tau=tau_s)
+            if inverse.status == 1:
+                raise BlowUpDetected(inverse.t[-1], switch_tau=tau_s)
+            diagnostics["p_evals"] = int(inverse.nfev)
+            accepted = inverse.y[:, 1:].T.reshape(-1, n, n)
+            diagnostics["w_min"] = float(np.linalg.eigvalsh(accepted)[:, 0].min())
+    return RiccatiSolution(steps, n, horizon, {"s_evals": solver.nfev, **diagnostics})
 
 
 def solve_A(params: OUParams, prefs: Preferences, horizon: float) -> RiccatiSolution:

@@ -14,7 +14,8 @@ from meanrev.analysis import (
     value_vs_kappa2_rho,
 )
 from meanrev.control import solve_value, value_function
-from meanrev.errors import AllKappaZero, BlowUpDetected, NonFinite, NotPositiveDefinite
+from meanrev.errors import AllKappaZero, BlowUpDetected, NonFinite, NotPositiveDefinite, OutOfDomain
+from meanrev.misspec import misspec_sweep
 from meanrev.model import OUParams, Preferences
 from meanrev.oracles import phi_diagonal
 from meanrev.riccati import single_mr_blowup_tau
@@ -250,6 +251,26 @@ def test_corr_sensitivity_rejects_invalid_models(params, gamma, error):
         corr_sensitivity(params, Preferences(gamma=gamma), 3.0, (0, 1))
     if error is ValueError:
         assert str(info.value) == "exponent 0 (log utility) is served by log_utility_value"
+
+
+MODEL, PREFS = two_asset(), Preferences(gamma=-4.0)
+HORIZON_ENTRIES = {
+    "value_at_mean": lambda t: value_at_mean(MODEL, PREFS, t),
+    "corr_sensitivity": lambda t: corr_sensitivity(MODEL, PREFS, t, (0, 1)),
+    "value_vs_kappa2_rho": lambda t: value_vs_kappa2_rho(MODEL, PREFS, t, [0.5], [0.2]),
+    "misspec_sweep": lambda t: misspec_sweep(MODEL, PREFS, t, [1.0], [1.0]),
+}
+
+
+@pytest.mark.parametrize("horizon, error", [(-1.0, OutOfDomain), (0.0, OutOfDomain), (np.nan, NonFinite),
+                                            (np.inf, NonFinite)])
+@pytest.mark.parametrize("entry", HORIZON_ENTRIES)
+def test_every_entry_rejects_a_bad_horizon(entry, horizon, error):
+    # One rule at every entry (riccati.solve's is held in test_riccati): a
+    # typed error, never an overflow, a root finder's complaint or a value
+    # at T = 0.
+    with pytest.raises(error, match="^horizon must be"):
+        HORIZON_ENTRIES[entry](horizon)
 
 
 def log_value_fd(params, prefs, horizon, a, b, h=2e-3):

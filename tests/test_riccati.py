@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 
 from meanrev import misspec, oracles, riccati
 from meanrev.control import misspecified_strategy, optimal_strategy
-from meanrev.errors import BlowUpDetected, OutOfRange, TrigSingularity
+from meanrev.errors import BlowUpDetected, NonFinite, OutOfDomain, OutOfRange, TrigSingularity
 from meanrev.misspec import make_Q_operator, misspec_sweep, solve_Q
 from meanrev.model import Preferences, normalize
 from meanrev.riccati import d_scalar_closed_form, d_single_mr, single_mr_blowup_tau, solve_A, solve_D
@@ -122,7 +122,7 @@ def test_lookups_reject_tau_outside_span(lookup, tau):
 
 @pytest.mark.parametrize("horizon", [np.inf, np.nan, 0.0, -1.0])
 def test_solve_rejects_bad_horizon(horizon):
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain if np.isfinite(horizon) else NonFinite):
         solve_D(two_asset(), Preferences(gamma=-4.0), horizon)
 
 
@@ -281,11 +281,34 @@ def test_horizon_just_short_of_a_pole(monkeypatch):
     unswitched = solve_D(params, prefs, horizon)
     assert unswitched.diagnostics["switch_tau"] is None
     assert unswitched.diagnostics["w_min"] is None
+    # One S pass: the search for a pole costs only the inverse pass.
+    assert d.diagnostics["s_evals"] == unswitched.diagnostics["s_evals"]
     _assert_reads_alike(d, unswitched)
 
 
+@pytest.mark.parametrize("start, switched", [(0.5, False), (0.8725, True)])
+def test_a_failed_step_raises_where_the_integration_stopped(start, switched):
+    # C is NaN on (start, 2.9), so every step into that span fails: on the S
+    # pass from 0.5, and on the inverse pass, after the switch, from 0.8725,
+    # short of the pole at 0.8749.  C stays finite at T, where switch_level
+    # reads it.
+    params, prefs = two_asset(rho=0.9, kappa=(1.0, 0.0)), Preferences(gamma=0.5)
+    op = riccati.make_S_operator(params, prefs)
+
+    def coefficients(tau):
+        m, c = op.coefficients(tau)
+        return (m, np.full_like(c, np.nan)) if start < tau < 2.9 else (m, c)
+
+    with pytest.raises(BlowUpDetected, match=f"^integrator failed near tau = {start}: ") as info:
+        riccati.solve(riccati.symmetric_operator(op.corr, coefficients), 3.0)
+    assert info.value.tau_star == pytest.approx(start, rel=1e-12)
+    assert (info.value.switch_tau is not None) == switched
+    if switched:
+        assert 0.0 < info.value.switch_tau < start
+
+
 def test_sweeps_and_strategies_never_switch(monkeypatch):
-    # A solve that reaches the switch level without a pole pays for a second S
+    # A solve that reaches the switch level without a pole pays for an inverse
     # pass; no solve on the misspecification sweep or the optimal rule of the
     # default model may take that path.  The sweep's cells may run in forked
     # workers, out of a parent-side recorder's reach, so its solves are read
