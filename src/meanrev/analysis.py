@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm, lapack
 
 from .errors import BlowUpDetected, NotPositiveDefinite, OutOfDomain, OutOfHorizon
 from .grids import SensitivityGrid
@@ -153,7 +152,8 @@ def _pole_in_step(h: np.ndarray, s: np.ndarray, step: float) -> float:
     which only rounding can give after the step counted a pole, returns
     ``step``.
     """
-    from scipy.optimize import brentq  # 0.15 s to import; only a pole needs it
+    from scipy.linalg import expm, lapack
+    from scipy.optimize import brentq  # only a pole needs it
 
     n = len(s)
 
@@ -221,7 +221,8 @@ def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs:
     horizon = check_horizon(horizon)
     validate(params)
     if prefs.gamma == 0.0:
-        raise ValueError("exponent 0 (log utility) is served by log_utility_value")
+        raise OutOfDomain("exponent 0 (log utility) is served by log_utility_value")
+    from scipy.linalg import expm, lapack  # imported on first use, not with the package
 
     n = params.n
     e = np.array([pair_matrix(n, a) for a in pairs]).reshape(-1, n, n)  # (m, n, n)

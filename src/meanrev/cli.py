@@ -24,7 +24,6 @@ from .control import optimal_strategy
 from .errors import BlowUpDetected, MeanrevError, NonFinite, ValidationError
 from .misspec import misspec_sweep
 from .model import OUParams, Preferences, check_horizon, normalize, validate
-from .oracles import run_verification
 from .riccati import make_S_operator, s_view, solve
 from .wealth import default_steps, simulate
 
@@ -419,6 +418,10 @@ def cmd_kappa_sweep(config: dict, outdir: Path, seed: int, plot: bool) -> int:
 
 
 def cmd_verify(config: dict, outdir: Path, seed: int, plot: bool) -> int:
+    # Imported here, before run_verification forks, so its workers inherit
+    # oracles' scipy modules; the other commands never load them.
+    from .oracles import run_verification
+
     checks = run_verification()
     all_ok = all(c["passed"] for c in checks.values())
     report = {"version": __version__, "all_passed": all_ok, "checks": checks}

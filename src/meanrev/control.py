@@ -6,9 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfHorizon
+from .errors import NonFinite, OutOfDomain, OutOfHorizon
 from .model import NormalizationRecord, OUParams, Preferences, normalize, validate
 from .riccati import RiccatiSolution, solve_A, solve_D
+
+
+def _check_wealth(w) -> None:
+    """``NonFinite`` for NaN or infinite wealth, ``OutOfDomain`` for w <= 0."""
+    if not np.isfinite(w):
+        raise NonFinite(f"wealth must be finite, got {w}")
+    if not w > 0:
+        raise OutOfDomain(f"wealth must be positive, got {w}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +50,7 @@ class StrategySpec:
     def position(self, w: float, x, t: float) -> np.ndarray:
         """Position at wealth w > 0 and time t: a vector for a state x of shape (n,),
         one row per state for a stack x of shape (m, n), from one feedback read."""
-        if not w > 0:
-            raise ValueError("wealth must be positive")
+        _check_wealth(w)
         if not 0.0 <= t <= self.horizon:
             raise OutOfHorizon(f"t={t} outside [0, {self.horizon}]")
         x_norm = self.normalization.state_to_unit_noise(x)
@@ -112,10 +119,9 @@ def _exp_quadratic(w: float, x, t: float, epsilon: float, solution: RiccatiSolut
                    params: OUParams, divisor: float) -> ValueReport:
     """``ValueReport`` of ``solution`` (M and its trace integral T) at (w, x, t),
     tau = T - t, with x mapped to the unit-noise coordinates of ``params``."""
-    if not w > 0:
-        raise ValueError("wealth must be positive")
+    _check_wealth(w)
     if epsilon == 0.0:
-        raise ValueError("exponent 0 (log utility) is served by log_utility_value")
+        raise OutOfDomain("exponent 0 (log utility) is served by log_utility_value")
     if not 0.0 <= t <= solution.horizon:
         raise OutOfHorizon(f"t={t} outside [0, {solution.horizon}]")
     tau = solution.horizon - t
@@ -154,8 +160,7 @@ def log_utility_value(w: float, x, t: float, params: OUParams, horizon: float) -
     (tau - g_ij) / k_ij] / 2, k_ij = kappa_i + kappa_j, g_ij = (1 - exp(-k_ij tau)) / k_ij.
     M_ij = 0 wherever k_ij = 0.
     """
-    if not w > 0:
-        raise ValueError("wealth must be positive")
+    _check_wealth(w)
     if not 0.0 <= t <= horizon:
         raise OutOfHorizon(f"t={t} outside [0, {horizon}]")
     norm_params, record = normalize(params)

@@ -131,6 +131,11 @@ def misspec_sweep(
         return _sweep_cell(true_params, replace(true_params, kappa=kappa_hat), prefs, horizon, j_true,
                            with_sharpe)
 
+    # The cells' Riccati solves import scipy.integrate on first use; importing it
+    # here, before the fork, lets every forked cell inherit it instead of
+    # importing it again (value_at_mean above loaded only scipy.linalg).
+    import scipy.integrate  # noqa: F401
+
     count = m1.size * m2.size
     results = fork_map(cell, count)
     cells = np.array([r.value for r in results]).reshape(m1.size, m2.size)

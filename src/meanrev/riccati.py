@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
 
 from .errors import BlowUpDetected, OutOfRange, TrigSingularity
 from .model import OUParams, Preferences, check_horizon
@@ -237,6 +236,8 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
     looks for a pole: if it reaches the horizon, the S solver steps on to it,
     so every solution returned is the one a solve that never switches gives.
     """
+    from scipy.integrate import RK45, solve_ivp  # imported on first use, not with the package
+
     horizon = check_horizon(horizon)
     corr = op.corr
     n = corr.shape[0]

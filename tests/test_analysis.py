@@ -244,12 +244,12 @@ def test_pole_is_exact_across_the_rk45_gap(rho, gamma):
     (two_asset(kappa=(0.0, 0.0)), -4.0, AllKappaZero),
     (two_asset(rho=1.0), -4.0, NotPositiveDefinite),
     (two_asset(kappa=(np.nan, 0.5)), -4.0, NonFinite),
-    (two_asset(), 0.0, ValueError),
+    (two_asset(), 0.0, OutOfDomain),
 ], ids=["all-kappa-zero", "singular-corr", "nan-kappa", "log-utility"])
 def test_corr_sensitivity_rejects_invalid_models(params, gamma, error):
     with pytest.raises(error) as info:
         corr_sensitivity(params, Preferences(gamma=gamma), 3.0, (0, 1))
-    if error is ValueError:
+    if error is OutOfDomain:
         assert str(info.value) == "exponent 0 (log utility) is served by log_utility_value"
 
 

@@ -286,7 +286,7 @@ def test_corr_sweep_rejects_a_bad_pair_before_solving(tmp_path, capsys, pair):
 def test_sweeps_refuse_log_utility_before_writing(tmp_path, capsys, command):
     assert run(tmp_path, base_config(gamma=0.0), command) == EXIT_VALIDATION
     assert capsys.readouterr().err == (
-        "config error: exponent 0 (log utility) is served by log_utility_value\n")
+        "validation error: OutOfDomain: exponent 0 (log utility) is served by log_utility_value\n")
     assert not list((tmp_path / "out").glob("*.csv"))
 
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from meanrev.control import log_utility_value, optimal_strategy, solve_value, value_function
-from meanrev.errors import OutOfHorizon
+from meanrev.errors import NonFinite, OutOfDomain, OutOfHorizon
 from meanrev.model import OUParams, Preferences, normalize, step_covariance
 from meanrev.oracles import d_equation, reference_solve
 
@@ -39,8 +39,24 @@ def test_position_of_a_stack_of_states_is_each_state_to_the_last_bit(rng, n):
 @pytest.mark.parametrize("wealth", [0.0, -1.0])
 def test_position_rejects_non_positive_wealth(wealth):
     spec = optimal_strategy(two_asset(), Preferences(gamma=-4.0), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         spec.position(wealth, np.zeros(2), 0.0)
+
+
+@pytest.mark.parametrize("wealth, error", [
+    (0.0, OutOfDomain), (-1.0, OutOfDomain), (np.nan, NonFinite), (np.inf, NonFinite),
+], ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("entry", ["position", "value_function", "log_utility_value"])
+def test_every_wealth_entry_refuses_bad_wealth(entry, wealth, error):
+    params, prefs = two_asset(), Preferences(gamma=-4.0)
+    calls = {
+        "position": lambda: optimal_strategy(params, prefs, 1.0).position(wealth, np.zeros(2), 0.0),
+        "value_function": lambda: value_function(wealth, np.zeros(2), 0.0,
+                                                 solve_value(params, prefs, 1.0), prefs, params),
+        "log_utility_value": lambda: log_utility_value(wealth, np.zeros(2), 0.0, params, 1.0),
+    }
+    with pytest.raises(error, match="wealth must be"):
+        calls[entry]()
 
 
 def test_position_zero_at_mean():
@@ -94,7 +110,7 @@ def test_value_function_factors():
 def test_value_function_rejects_log_utility():
     params = two_asset()
     a = solve_value(params, Preferences(gamma=-1.0), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain, match="exponent 0"):
         value_function(1.0, np.zeros(2), 0.0, a, Preferences(gamma=0.0), params)
 
 

@@ -125,7 +125,7 @@ def test_zeroth_moment_is_trivial():
     q0 = solve_Q(0.0, params, misspecified_strategy(params, est, Preferences(gamma=-1.0), 1.0))
     assert np.max(np.abs(q0.at_many(q0.tau_grid))) == 0.0
     assert q0.trace_integral_at(1.0) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain, match="exponent 0"):
         p_epsilon(1.0, params.theta, 0.0, 0.0, q0, params)
 
 
