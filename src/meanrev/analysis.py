@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BlowUpDetected, NotPositiveDefinite, OutOfDomain, OutOfHorizon
 from .grids import SensitivityGrid
-from .model import OUParams, Preferences, check_horizon, validate
+from .model import OUParams, Preferences, check_horizon
 from .riccati import d_scalar_closed_form, make_S_operator
 
 
@@ -219,7 +219,6 @@ def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs:
     gamma (Theta^{-1})_11 close to 1).
     """
     horizon = check_horizon(horizon)
-    validate(params)
     if prefs.gamma == 0.0:
         raise OutOfDomain("exponent 0 (log utility) is served by log_utility_value")
     from scipy.linalg import expm, lapack  # imported on first use, not with the package
@@ -323,8 +322,10 @@ def value_vs_kappa2_rho(params: OUParams, prefs: Preferences, horizon: float, ka
     and the ``pair`` entry of Theta to rho_grid[j]; n >= 2 (``OutOfDomain``).
 
     A cell whose Theta is not positive definite, or whose S has a pole before
-    the horizon, is NaN with its reason in ``failures``.
+    the horizon, is NaN with its reason in ``failures``.  The horizon is
+    checked first, so a grid of failing cells cannot hide a bad one.
     """
+    check_horizon(horizon)
     if params.n < 2:
         raise OutOfDomain("the sweep sets a second reversion rate; need n >= 2")
     p, q = check_pair(params.n, pair)

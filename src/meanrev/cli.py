@@ -23,7 +23,7 @@ from .analysis import check_pair, corr_sensitivity, d_curve_1d, value_vs_kappa2_
 from .control import optimal_strategy
 from .errors import BlowUpDetected, MeanrevError, NonFinite, ValidationError
 from .misspec import misspec_sweep
-from .model import OUParams, Preferences, check_horizon, normalize, validate
+from .model import OUParams, Preferences, check_horizon
 from .riccati import make_S_operator, s_view, solve
 from .wealth import default_steps, simulate
 
@@ -59,7 +59,7 @@ def config_hash(config: dict) -> str:
 
 
 def parse_model(config: dict) -> tuple[OUParams, Preferences, float]:
-    params = validate(OUParams.from_dict(config["model"]))
+    params = OUParams.from_dict(config["model"])
     prefs = Preferences(gamma=float(config.get("gamma", -4.0)))
     return params, prefs, check_horizon(config.get("horizon", 3.0))
 
@@ -258,9 +258,8 @@ def cmd_validate(config: dict, outdir: Path, seed: int, plot: bool) -> int:
 
 def cmd_solve(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     params, prefs, horizon = parse_model(config)
-    norm_params, _ = normalize(params)
-    s = solve(make_S_operator(norm_params, prefs), horizon)
-    a, d = (s_view(s, which, norm_params, prefs) for which in "AD")
+    s = solve(make_S_operator(params, prefs), horizon)
+    a, d = (s_view(s, which, params, prefs) for which in "AD")
     samples = int(config.get("samples", 201))
     taus = np.linspace(0.0, horizon, samples)
     n = params.n

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, OutOfDomain, OutOfHorizon
-from .model import NormalizationRecord, OUParams, Preferences, normalize, validate
+from .model import NormalizationRecord, OUParams, Preferences
 from .riccati import RiccatiSolution, solve_A, solve_D
 
 
@@ -70,11 +70,10 @@ def misspecified_strategy(true_params: OUParams, est: OUParams, prefs: Preferenc
     estimated means ``est.theta`` are never read: positions use the true
     means (their estimation is out of scope).
     """
-    _, record = normalize(true_params)
     r = true_params.sigma / est.sigma
     return StrategySpec(
-        d_solution=solve_D(validate(est), prefs, horizon), normalization=record,
-        frame=np.outer(r, r),
+        d_solution=solve_D(est, prefs, horizon),
+        normalization=NormalizationRecord(true_params.sigma, true_params.theta), frame=np.outer(r, r),
     )
 
 
@@ -163,18 +162,16 @@ def log_utility_value(w: float, x, t: float, params: OUParams, horizon: float) -
     _check_wealth(w)
     if not 0.0 <= t <= horizon:
         raise OutOfHorizon(f"t={t} outside [0, {horizon}]")
-    norm_params, record = normalize(params)
-    x0 = record.state_to_unit_noise(x)
-    kappa, tau = norm_params.kappa, horizon - t
-    m = kappa[:, None] * norm_params.corr_inv * kappa[None, :]
+    x0 = NormalizationRecord(params.sigma, params.theta).state_to_unit_noise(x)
+    kappa, tau = params.kappa, horizon - t
+    m = kappa[:, None] * params.corr_inv * kappa[None, :]
     k = kappa[:, None] + kappa[None, :]
     safe = np.where(k > 0.0, k, 1.0)
     g = np.where(k > 0.0, -np.expm1(-k * tau) / safe, tau)
-    correction = np.sum(m * (np.outer(x0, x0) * g + norm_params.corr * (tau - g) / safe))
+    correction = np.sum(m * (np.outer(x0, x0) * g + params.corr * (tau - g) / safe))
     return LogValueReport(log_wealth=float(np.log(w)), correction=0.5 * float(correction))
 
 
 def solve_value(params: OUParams, prefs: Preferences, horizon: float) -> RiccatiSolution:
     """A-solution in unit-noise coordinates, ready for value queries."""
-    norm_params, _ = normalize(params)
-    return solve_A(norm_params, prefs, horizon)
+    return solve_A(params, prefs, horizon)

@@ -29,6 +29,10 @@ class NonPositiveSigma(ValidationError):
     pass
 
 
+class ShapeMismatch(ValidationError):
+    """An array has the wrong length or shape for the model's size."""
+
+
 class NonFinite(ValidationError):
     """A parameter holds NaN or an infinity."""
 

@@ -2,7 +2,10 @@
 
 Holds the parameter containers, their validation, the reduction to unit
 volatilities and zero long-term means, and exact-in-distribution stepping
-of the state process for simulation.
+of the state process for simulation.  An ``OUParams`` validates itself when
+it is made (``dataclasses.replace`` included), so every model in hand is
+valid; unit-noise coordinates are a ``NormalizationRecord`` of the model's
+sigma and theta, not a second model.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import (
     NotSymmetric,
     NotUnitDiagonal,
     OutOfDomain,
+    ShapeMismatch,
 )
 
 # Smallest admissible eigenvalue of the correlation matrix.  Near-singular
@@ -34,7 +38,7 @@ CLIP_TOL = -1e-12
 def _as_vector(v, n: int, name: str) -> np.ndarray:
     out = np.asarray(v, dtype=float).reshape(-1)
     if out.size != n:
-        raise ValueError(f"{name} must have length {n}, got {out.size}")
+        raise ShapeMismatch(f"{name} must have length {n}, got {out.size}")
     return out
 
 
@@ -44,6 +48,8 @@ class OUParams:
 
     kappa and sigma are per-asset (diagonal) reversion rates and
     volatilities; corr is the correlation matrix of the driving noise.
+    Construction ends with ``validate``: a wrong length or shape raises
+    ``ShapeMismatch``, a violated invariant its own ``ValidationError``.
     """
 
     n: int
@@ -58,10 +64,11 @@ class OUParams:
         object.__setattr__(self, "theta", _as_vector(self.theta, self.n, "theta"))
         corr = np.asarray(self.corr, dtype=float)
         if corr.shape != (self.n, self.n):
-            raise ValueError(f"corr must be {self.n}x{self.n}, got {corr.shape}")
+            raise ShapeMismatch(f"corr must be {self.n}x{self.n}, got {corr.shape}")
         object.__setattr__(self, "corr", corr)
         for arr in (self.kappa, self.sigma, self.theta, self.corr):
             arr.setflags(write=False)
+        validate(self)
 
     @property
     def corr_inv(self) -> np.ndarray:
@@ -101,8 +108,10 @@ class Preferences:
 
     @classmethod
     def from_delta(cls, delta: float) -> "Preferences":
-        if not 0 < delta < np.inf:
-            raise ValueError(f"delta must be in (0, inf), got {delta}")
+        if not np.isfinite(delta):
+            raise NonFinite(f"delta must be finite, got {delta}")
+        if not delta > 0:
+            raise OutOfDomain(f"delta must be positive, got {delta}")
         return cls(gamma=1.0 - 1.0 / delta)
 
 
@@ -145,7 +154,8 @@ def check_horizon(horizon) -> float:
 def validate(params: OUParams) -> OUParams:
     """Check all model invariants, returning the parameters unchanged.
 
-    Raises the exception naming the first violated invariant.
+    Raises the exception naming the first violated invariant.  Every
+    ``OUParams`` runs this when it is made, so no caller needs to.
     """
     for name in ("kappa", "sigma", "theta", "corr"):
         if not np.all(np.isfinite(getattr(params, name))):
@@ -174,8 +184,9 @@ def normalize(params: OUParams) -> tuple[OUParams, NormalizationRecord]:
 
     The state substitution x -> sigma^{-1}(x - theta) leaves kappa and the
     correlation matrix unchanged; the record maps states and positions back.
+    The package itself reads the model and its record directly: nothing it
+    solves depends on sigma or theta.
     """
-    validate(params)
     record = NormalizationRecord(original_sigma=params.sigma, original_theta=params.theta)
     normalized = OUParams(
         n=params.n,

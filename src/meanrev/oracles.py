@@ -17,8 +17,7 @@ and Q-equations and the lambda ODE are integrated by ``reference_solve``
 (DOP853 at rtol = atol = 1e-12), not by the package's RK45 solve of the
 symmetric form, the matrix-exponential propagator behind the correlation
 derivatives is held to ``phi_diagonal``, which is built from the closed forms
-of Psi and lambda and integrated by RK45, and ``radon_pole`` finds poles from
-a matrix exponential, not from a Riccati solve.
+of Psi and lambda and integrated by RK45.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from itertools import product
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.linalg import block_diag, expm
-from scipy.optimize import brentq
+from scipy.linalg import block_diag
 
 from .analysis import (
     corr_sensitivity,
@@ -129,29 +127,6 @@ def reference_solve(rhs, m0: np.ndarray, horizon: float, taus) -> np.ndarray:
     res = solve_ivp(lambda tau, y: rhs(tau, y.reshape(shape)).ravel(), (0.0, horizon),
                     m0.ravel(), method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True)
     return np.moveaxis(res.sol(np.asarray(taus, dtype=float)).reshape(*shape, -1), -1, 0)
-
-
-def radon_pole(params: OUParams, prefs: Preferences, horizon: float) -> float | None:
-    """First pole in (0, horizon] of the S-equation, or None, from its linear
-    Radon embedding rather than any Riccati solve.
-
-    [U; V](tau) = expm(tau H) [I; 0] with H = [[-M', -Theta], [C, M]] solves a
-    linear ODE, and S = V U^{-1}; S has a pole where det U first changes sign,
-    located on 2001 uniform times and refined with ``brentq``.
-    """
-    n, kmat, delta = params.n, np.diag(params.kappa), prefs.delta
-    m = -delta * kmat
-    c = delta * (delta - 1.0) * kmat @ params.corr_inv @ kmat
-    h = np.block([[-m.T, -params.corr], [c, m]])
-
-    def det_u(tau):
-        return np.linalg.det(expm(tau * h)[:n, :n])
-
-    taus = np.linspace(0.0, horizon, 2001)
-    for a, b in zip(taus[:-1], taus[1:]):
-        if det_u(b) <= 0.0:  # det U(0) = 1
-            return brentq(det_u, a, b, xtol=1e-15, rtol=1e-15)
-    return None
 
 
 def d_equation(params: OUParams, prefs: Preferences):

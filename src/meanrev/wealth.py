@@ -15,8 +15,8 @@ import numpy as np
 
 from ._fork import fork_map, worker_count
 from .control import StrategySpec
-from .errors import NonFinite, OutOfRange
-from .model import ExactStepper, OUParams, Preferences, normalize
+from .errors import NonFinite, OutOfDomain, OutOfRange
+from .model import ExactStepper, NormalizationRecord, OUParams, Preferences
 
 # |log W| beyond this is treated as a diverged path and excluded.
 LOG_WEALTH_GUARD = 700.0
@@ -132,10 +132,10 @@ def simulate(
     here.  Either way each chunk runs ``_simulate_chunk``.
     """
     if n_steps < 1 or n_paths < 1:
-        raise ValueError("need n_steps >= 1 and n_paths >= 1")
+        raise OutOfDomain("need n_steps >= 1 and n_paths >= 1")
     if spec.horizon < horizon:
         raise ValueError("strategy horizon does not cover the simulation span")
-    norm_params, record = normalize(params)
+    record = NormalizationRecord(params.sigma, params.theta)
     n = params.n
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
@@ -146,13 +146,13 @@ def simulate(
     # Feedback matrices at left points, shared by every path: D'ThetaD of
     # the drift stacked over D of the stochastic term, one product per step.
     d_left = spec.feedback_many(spec.horizon - times[:-1])
-    quad_left = np.einsum("kji,jl,klm->kim", d_left, norm_params.corr, d_left)
+    quad_left = np.einsum("kji,jl,klm->kim", d_left, params.corr, d_left)
 
     n_chunks = -(-n_paths // _CHUNK)
     workers = worker_count(n_chunks)
     empty = np.empty if workers == 1 else _shared_empty
     run = _Run(
-        stepper=ExactStepper(params=norm_params, dt=dt),
+        stepper=ExactStepper(params=params, dt=dt),
         x0=record.state_to_unit_noise(x0),
         feedback=np.concatenate([quad_left, d_left], axis=1),
         seed=seed,

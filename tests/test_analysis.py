@@ -240,15 +240,16 @@ def test_pole_is_exact_across_the_rk45_gap(rho, gamma):
             assert exc.tau_star == pytest.approx(exact, rel=1e-14)
 
 
-@pytest.mark.parametrize("params, gamma, error", [
-    (two_asset(kappa=(0.0, 0.0)), -4.0, AllKappaZero),
-    (two_asset(rho=1.0), -4.0, NotPositiveDefinite),
-    (two_asset(kappa=(np.nan, 0.5)), -4.0, NonFinite),
-    (two_asset(), 0.0, OutOfDomain),
+@pytest.mark.parametrize("model, gamma, error", [
+    (dict(kappa=(0.0, 0.0)), -4.0, AllKappaZero),
+    (dict(rho=1.0), -4.0, NotPositiveDefinite),
+    (dict(kappa=(np.nan, 0.5)), -4.0, NonFinite),
+    ({}, 0.0, OutOfDomain),
 ], ids=["all-kappa-zero", "singular-corr", "nan-kappa", "log-utility"])
-def test_corr_sensitivity_rejects_invalid_models(params, gamma, error):
+def test_corr_sensitivity_rejects_invalid_models(model, gamma, error):
+    # An invalid model is refused where it is made, before any pass runs.
     with pytest.raises(error) as info:
-        corr_sensitivity(params, Preferences(gamma=gamma), 3.0, (0, 1))
+        corr_sensitivity(two_asset(**model), Preferences(gamma=gamma), 3.0, (0, 1))
     if error is OutOfDomain:
         assert str(info.value) == "exponent 0 (log utility) is served by log_utility_value"
 
@@ -258,6 +259,8 @@ HORIZON_ENTRIES = {
     "value_at_mean": lambda t: value_at_mean(MODEL, PREFS, t),
     "corr_sensitivity": lambda t: corr_sensitivity(MODEL, PREFS, t, (0, 1)),
     "value_vs_kappa2_rho": lambda t: value_vs_kappa2_rho(MODEL, PREFS, t, [0.5], [0.2]),
+    # Every cell's model is singular, so only the horizon check can refuse.
+    "value_vs_kappa2_rho-singular": lambda t: value_vs_kappa2_rho(MODEL, PREFS, t, [0.5], [1.0]),
     "misspec_sweep": lambda t: misspec_sweep(MODEL, PREFS, t, [1.0], [1.0]),
 }
 

@@ -12,7 +12,9 @@ import pytest
 
 import meanrev
 from meanrev.cli import (
+    COMMANDS,
     DEFAULT_CONFIG,
+    EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -23,6 +25,7 @@ from meanrev.cli import (
     write_csv,
 )
 from meanrev.analysis import corr_sensitivity, value_at_mean
+from meanrev.errors import NonPositiveVariance
 from meanrev.riccati import single_mr_blowup_tau
 
 
@@ -109,6 +112,48 @@ def test_gamma_out_of_range_is_a_validation_error(tmp_path, capsys):
 
 def test_missing_config_is_io_error(tmp_path):
     assert main(["--config", str(tmp_path / "nope.json"), "validate"]) == 3
+
+
+@pytest.mark.parametrize("command, section, change", [
+    ("validate", "model", {"kappa": [1.0, 0.5, 0.2]}),
+    ("validate", "model", {"corr": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0]]}),
+    ("simulate", "simulate", {"n_paths": 0}),
+    ("simulate", "simulate", {"n_steps": 0}),
+], ids=["kappa-length", "corr-2x3", "zero-paths", "zero-steps"])
+def test_shapes_and_sizes_are_validation_errors(tmp_path, capsys, command, section, change):
+    cfg = base_config()
+    cfg[section] = {**cfg.get(section, {}), **change}
+    assert run(tmp_path, cfg, command) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error: ")
+
+
+def test_an_output_dir_that_cannot_be_made_is_io_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    cfg = write_config(tmp_path, base_config())
+    assert main(["--config", cfg, "--output-dir", str(tmp_path / "file" / "out"), "validate"]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: cannot create output dir: ")
+
+
+def test_a_failed_write_is_io_error(tmp_path, capsys):
+    (tmp_path / "out" / "a_solution.csv").mkdir(parents=True)
+    assert run(tmp_path, base_config(), "solve") == EXIT_IO
+    assert capsys.readouterr().err.startswith("I/O error: ")
+
+
+def test_a_config_without_a_model_is_a_config_error(tmp_path, capsys):
+    cfg = base_config()
+    del cfg["model"]
+    assert run(tmp_path, cfg, "validate") == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_other_numerical_failures_exit_2(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise NonPositiveVariance("variance estimate is zero")
+
+    monkeypatch.setitem(COMMANDS, "validate", fail)
+    assert run(tmp_path, base_config(), "validate") == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: NonPositiveVariance: variance estimate is zero\n"
 
 
 def test_solve_outputs(tmp_path):
@@ -348,8 +393,11 @@ def test_kappa_sweep_sweeps_the_configured_model(tmp_path, capsys):
         k2, rho, value = (float(v) for v in line.split(","))
         corr = params.corr.copy()
         corr[0, 1] = corr[1, 0] = rho
-        model = replace(params, kappa=[params.kappa[0], k2, params.kappa[2]], corr=corr)
-        assert math.isnan(value) if rho == -0.9 else value == value_at_mean(model, prefs, horizon)
+        if rho == -0.9:  # such a model cannot be made
+            assert math.isnan(value)
+        else:
+            model = replace(params, kappa=[params.kappa[0], k2, params.kappa[2]], corr=corr)
+            assert value == value_at_mean(model, prefs, horizon)
     reasons = [ln for ln in capsys.readouterr().err.splitlines() if " failed: " in ln]
     assert [ln.split(" failed: ")[0] for ln in reasons] == ["cell (0.3, -0.9)", "cell (1.5, -0.9)"]
     assert all("smallest correlation eigenvalue" in ln for ln in reasons)

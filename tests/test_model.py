@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from meanrev.errors import (
     NotSymmetric,
     NotUnitDiagonal,
     OutOfDomain,
+    ShapeMismatch,
 )
 from meanrev.model import (
     ExactStepper,
@@ -32,29 +35,25 @@ def test_validate_rejects_asymmetric_corr():
     p = two_asset()
     corr = p.corr.copy()
     corr[0, 1] = 0.3
-    bad = OUParams(n=2, kappa=p.kappa, sigma=p.sigma, theta=p.theta, corr=corr)
     with pytest.raises(NotSymmetric):
-        validate(bad)
+        OUParams(n=2, kappa=p.kappa, sigma=p.sigma, theta=p.theta, corr=corr)
 
 
 def test_validate_rejects_bad_diagonal():
     corr = np.array([[1.0, 0.2], [0.2, 0.9]])
-    bad = OUParams(n=2, kappa=[1.0, 1.0], sigma=[1.0, 1.0], theta=[0.0, 0.0], corr=corr)
     with pytest.raises(NotUnitDiagonal):
-        validate(bad)
+        OUParams(n=2, kappa=[1.0, 1.0], sigma=[1.0, 1.0], theta=[0.0, 0.0], corr=corr)
 
 
 def test_validate_rejects_rank_deficient_corr():
     corr = np.array([[1.0, 1.0], [1.0, 1.0]])
-    bad = OUParams(n=2, kappa=[1.0, 1.0], sigma=[1.0, 1.0], theta=[0.0, 0.0], corr=corr)
     with pytest.raises(NotPositiveDefinite):
-        validate(bad)
+        OUParams(n=2, kappa=[1.0, 1.0], sigma=[1.0, 1.0], theta=[0.0, 0.0], corr=corr)
 
 
 def test_validate_rejects_all_zero_kappa():
-    bad = two_asset(kappa=(0.0, 0.0))
     with pytest.raises(AllKappaZero):
-        validate(bad)
+        two_asset(kappa=(0.0, 0.0))
 
 
 def test_single_zero_kappa_is_allowed():
@@ -62,14 +61,13 @@ def test_single_zero_kappa_is_allowed():
 
 
 def test_validate_rejects_nonpositive_sigma():
-    bad = two_asset(sigma=(1.0, 0.0))
     with pytest.raises(NonPositiveSigma):
-        validate(bad)
+        two_asset(sigma=(1.0, 0.0))
 
 
 def test_negative_kappa_rejected():
     with pytest.raises(OutOfDomain):
-        validate(two_asset(kappa=(1.0, -0.5)))
+        two_asset(kappa=(1.0, -0.5))
 
 
 @pytest.mark.parametrize("field", ["kappa", "sigma", "theta", "corr"])
@@ -82,7 +80,42 @@ def test_validate_rejects_non_finite_entries(field, bad):
     else:
         values[field][0] = bad
     with pytest.raises(NonFinite):
-        validate(OUParams(n=2, **values))
+        OUParams(n=2, **values)
+
+
+@pytest.mark.parametrize("change, error", [
+    (dict(kappa=np.array([-1.0, 0.5])), OutOfDomain),
+    (dict(corr=np.array([[1.0, 0.5], [0.3, 1.0]])), NotSymmetric),
+    (dict(corr=np.array([[2.0, 0.5], [0.5, 2.0]])), NotUnitDiagonal),
+    (dict(corr=np.ones((2, 2))), NotPositiveDefinite),
+    (dict(kappa=np.array([np.nan, 0.5])), NonFinite),
+], ids=["negative-kappa", "asymmetric-corr", "corr-diagonal-two", "singular-corr", "nan-kappa"])
+@pytest.mark.parametrize("make", ["direct", "replace"])
+def test_an_invalid_model_cannot_be_made(make, change, error):
+    # Valid by construction: neither the constructor nor dataclasses.replace of
+    # a valid model hands out an invalid one, so no solver ever sees one.
+    good = two_asset()
+    with pytest.raises(error):
+        if make == "direct":
+            OUParams(**{"n": 2, "kappa": good.kappa, "sigma": good.sigma, "theta": good.theta,
+                        "corr": good.corr, **change})
+        else:
+            replace(good, **change)
+
+
+@pytest.mark.parametrize("change", [dict(kappa=[1.0, 0.5, 0.2]), dict(sigma=[1.0]),
+                                    dict(corr=np.eye(2, 3)), dict(corr=np.eye(3))],
+                         ids=["kappa-length", "sigma-length", "corr-2x3", "corr-3x3"])
+def test_wrong_shapes_raise_shape_mismatch(change):
+    with pytest.raises(ShapeMismatch):
+        replace(two_asset(), **change)
+
+
+@pytest.mark.parametrize("delta, error", [(0.0, OutOfDomain), (-1.0, OutOfDomain),
+                                          (np.nan, NonFinite), (np.inf, NonFinite)])
+def test_preferences_from_delta_refuses_a_bad_delta(delta, error):
+    with pytest.raises(error):
+        Preferences.from_delta(delta)
 
 
 @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])

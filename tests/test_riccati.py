@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from meanrev import misspec, oracles, riccati
+from meanrev.analysis import value_at_mean
 from meanrev.control import misspecified_strategy, optimal_strategy
 from meanrev.errors import BlowUpDetected, NonFinite, OutOfDomain, OutOfRange, TrigSingularity
 from meanrev.misspec import make_Q_operator, misspec_sweep, solve_Q
@@ -18,6 +19,11 @@ from conftest import assert_passes, random_params, two_asset
 def test_scalar_closed_form_initial_value():
     for delta in (0.2, 1.0, 2.0):
         assert d_scalar_closed_form(0.8, delta, 0.0) == pytest.approx(0.8 * delta)
+    # Without reversion D is 0 at every tau, as a float or as an array.
+    assert d_scalar_closed_form(0.0, 2.0, 1.5) == 0.0
+    assert isinstance(d_scalar_closed_form(0.0, 2.0, 1.5), float)
+    out = d_scalar_closed_form(0.0, 2.0, np.array([0.0, 0.5, 3.0]))
+    assert out.shape == (3,) and not out.any()
 
 
 def test_uncorrelated_oracle():
@@ -33,6 +39,10 @@ def test_single_mr_oracle_tanh_branch():
     for rho in oracles.RHOS:
         assert single_mr_blowup_tau(1.0, oracles.pair_corr(rho), -4.0) is None
     assert_passes(oracles.single_mr_oracle(deltas=(0.2,)))
+    # rho = 0.6, delta = 1/0.36 puts gamma zeta at 1, where tanh turns rational.
+    zeta = np.linalg.inv(oracles.pair_corr(0.6))[0, 0]
+    assert abs(Preferences.from_delta(1 / 0.36).gamma * zeta - 1.0) < 1e-12
+    assert_passes(oracles.single_mr_oracle(rhos=(0.6,), deltas=(1 / 0.36,)))
 
 
 def test_single_mr_constant_hedge_row():
@@ -130,7 +140,9 @@ def test_poles_match_the_radon_embedding():
     # Equal correlations near one and gamma in (0.5, 0.9) put a pole of the
     # S-equation inside the horizon for some draws and not for others.  The
     # linear embedding [U; V] = expm(tau H) [I; 0] solves no Riccati equation;
-    # the solve must agree with it on whether a pole exists and where.
+    # the solve must agree with it on whether a pole exists and where.  The
+    # embedding is the one analysis.value_at_mean steps through, which counts
+    # the poles of U step by step.
     rng = np.random.default_rng(20261018)
     seen = {True: 0, False: 0}
     for _ in range(12):
@@ -139,7 +151,11 @@ def test_poles_match_the_radon_embedding():
         np.fill_diagonal(corr, 1.0)
         params = oracles.unit_noise(rng.uniform(0.3, 2.0, n), corr)
         prefs = Preferences(gamma=float(rng.uniform(0.5, 0.9)))
-        pole = oracles.radon_pole(params, prefs, 3.0)
+        try:
+            value_at_mean(params, prefs, 3.0)
+            pole = None
+        except BlowUpDetected as exc:
+            pole = exc.tau_star
         try:
             solve_A(params, prefs, 3.0)
             tau_star = None
@@ -148,7 +164,7 @@ def test_poles_match_the_radon_embedding():
             assert 0.0 < exc.switch_tau < tau_star
         assert (pole is None) == (tau_star is None)
         if pole is not None:
-            assert abs(tau_star - pole) <= 1e-9 * pole
+            assert abs(tau_star - pole) <= oracles.POLE_TOL * pole
         seen[pole is not None] += 1
     assert seen[True] >= 5 and seen[False] >= 3
 
