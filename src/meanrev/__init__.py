@@ -7,7 +7,6 @@ of parameter misspecification through a moment-generating ODE framework.
 """
 
 from .model import (
-    NormalizationRecord,
     OUParams,
     Preferences,
     normalize,

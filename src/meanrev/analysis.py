@@ -34,6 +34,8 @@ def psi_closed_form(kappa: float, delta: float, tau) -> np.ndarray | float:
 
     Psi = kappa sqrt(d)(sqrt(d)-1)/2 * (e^{2u}-1)/(e^{2u}+omega), u = kappa
     sqrt(d) tau; evaluated with e^{-2u} so large horizons cannot overflow.
+    A closed form that no config reaches, so delta <= 0 raises a plain
+    ``ValueError``.
     """
     if np.any(np.asarray(delta) <= 0):
         raise ValueError("delta must be positive")
@@ -61,7 +63,8 @@ def psi_integral(kappa: float, delta: float, tau: float) -> float:
     """Definite integral of Psi over [0, tau].
 
     Antiderivative (d + sqrt(d))/2 kappa t - ln(e^{2u}+omega)/2, written
-    through log1p of e^{-2u} terms for stability.
+    through log1p of e^{-2u} terms for stability.  Like ``psi_closed_form``,
+    delta <= 0 raises a plain ``ValueError``.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")

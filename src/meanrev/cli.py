@@ -341,16 +341,10 @@ def cmd_misspec(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     meta = base_meta(config)
     meta["j_true"] = _fmt(grid.metadata["j_true"])
     header = [grid.axis1_name, grid.axis2_name, "value_shortfall"]
-    rows = []
-    sharpes = grid.metadata.get("sharpe")
+    rows = list(grid.rows())
     if with_sharpe:
         header.append("sharpe")
-    for i, a in enumerate(grid.axis1):
-        for j, b in enumerate(grid.axis2):
-            row = [a, b, grid.cells[i, j]]
-            if with_sharpe:
-                row.append(sharpes[i, j])
-            rows.append(row)
+        rows = [(*row, s) for row, s in zip(rows, grid.metadata["sharpe"].ravel())]
     write_csv(outdir / "misspec_sweep.csv", meta, header, rows)
     report_failed_cells(grid)
     for (i, j), reason in sorted(grid.metadata.get("sharpe_failures", {}).items()):

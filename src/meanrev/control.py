@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, OutOfDomain, OutOfHorizon
-from .model import NormalizationRecord, OUParams, Preferences
+from .model import OUParams, Preferences
 from .riccati import RiccatiSolution, solve_A, solve_D
 
 
@@ -28,12 +28,12 @@ class StrategySpec:
     feedback equation of the model the trader believes and ``frame`` = r r'
     with r = sigma / sigma-hat maps it into the true coordinates (all ones
     for the optimal rule).  The position is alpha = -w feedback(T - t) x
-    there, mapped back to original coordinates through ``normalization``,
-    the true model's record.
+    there, mapped back to original coordinates by ``params``, the true
+    model.
     """
 
     d_solution: RiccatiSolution
-    normalization: NormalizationRecord
+    params: OUParams
     frame: np.ndarray
 
     @property
@@ -53,10 +53,10 @@ class StrategySpec:
         _check_wealth(w)
         if not 0.0 <= t <= self.horizon:
             raise OutOfHorizon(f"t={t} outside [0, {self.horizon}]")
-        x_norm = self.normalization.state_to_unit_noise(x)
+        x_norm = self.params.state_to_unit_noise(x)
         # A stack of matrix-vector products, so each row equals D @ x to the last bit.
         alpha_norm = (-w * self.feedback(self.horizon - t) @ x_norm[..., None])[..., 0]
-        return self.normalization.position_from_unit_noise(alpha_norm)
+        return self.params.position_from_unit_noise(alpha_norm)
 
 
 def misspecified_strategy(true_params: OUParams, est: OUParams, prefs: Preferences,
@@ -72,8 +72,7 @@ def misspecified_strategy(true_params: OUParams, est: OUParams, prefs: Preferenc
     """
     r = true_params.sigma / est.sigma
     return StrategySpec(
-        d_solution=solve_D(est, prefs, horizon),
-        normalization=NormalizationRecord(true_params.sigma, true_params.theta), frame=np.outer(r, r),
+        d_solution=solve_D(est, prefs, horizon), params=true_params, frame=np.outer(r, r),
     )
 
 
@@ -124,7 +123,7 @@ def _exp_quadratic(w: float, x, t: float, epsilon: float, solution: RiccatiSolut
     if not 0.0 <= t <= solution.horizon:
         raise OutOfHorizon(f"t={t} outside [0, {solution.horizon}]")
     tau = solution.horizon - t
-    x_norm = NormalizationRecord(params.sigma, params.theta).state_to_unit_noise(x)
+    x_norm = params.state_to_unit_noise(x)
     return ValueReport(
         epsilon=epsilon,
         wealth_factor=w**epsilon / epsilon,
@@ -162,7 +161,7 @@ def log_utility_value(w: float, x, t: float, params: OUParams, horizon: float) -
     _check_wealth(w)
     if not 0.0 <= t <= horizon:
         raise OutOfHorizon(f"t={t} outside [0, {horizon}]")
-    x0 = NormalizationRecord(params.sigma, params.theta).state_to_unit_noise(x)
+    x0 = params.state_to_unit_noise(x)
     kappa, tau = params.kappa, horizon - t
     m = kappa[:, None] * params.corr_inv * kappa[None, :]
     k = kappa[:, None] + kappa[None, :]

@@ -11,7 +11,9 @@ import numpy as np
 class SensitivityGrid:
     """Scalar outputs over a 2D grid of swept parameters.
 
-    NaN cells are allowed only with a recorded reason in ``failures``.
+    NaN cells are allowed only with a recorded reason in ``failures``.  The
+    sweeps build every grid, so a wrong shape or an unexplained NaN is a
+    defect of the package, not of a config, and raises a plain ``ValueError``.
     """
 
     axis1_name: str

@@ -80,7 +80,7 @@ def sharpe(p1: ValueReport, p2: ValueReport) -> float:
     P_2 carries the 1/2 of its definition, hence the factor 2 under the root.
     """
     if p1.epsilon != 1.0 or p2.epsilon != 2.0:
-        raise ValueError("sharpe needs the epsilon = 1 and epsilon = 2 moments")
+        raise OutOfDomain("sharpe needs the epsilon = 1 and epsilon = 2 moments")
     mean = p1.total
     variance = 2.0 * p2.total - mean**2
     if variance <= 0:

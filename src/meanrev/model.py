@@ -4,13 +4,13 @@ Holds the parameter containers, their validation, the reduction to unit
 volatilities and zero long-term means, and exact-in-distribution stepping
 of the state process for simulation.  An ``OUParams`` validates itself when
 it is made (``dataclasses.replace`` included), so every model in hand is
-valid; unit-noise coordinates are a ``NormalizationRecord`` of the model's
-sigma and theta, not a second model.
+valid, and it maps states into and positions out of its own unit-noise
+coordinates: nothing else holds its sigma and theta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +35,13 @@ PD_TOL = 1e-10
 CLIP_TOL = -1e-12
 
 
+def _check_size(n) -> int:
+    """``n`` as an int; ``OutOfDomain`` unless it is an integer >= 1 (a bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise OutOfDomain(f"n must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 def _as_vector(v, n: int, name: str) -> np.ndarray:
     out = np.asarray(v, dtype=float).reshape(-1)
     if out.size != n:
@@ -48,8 +55,13 @@ class OUParams:
 
     kappa and sigma are per-asset (diagonal) reversion rates and
     volatilities; corr is the correlation matrix of the driving noise.
-    Construction ends with ``validate``: a wrong length or shape raises
+    Construction checks ``n`` first (``OutOfDomain`` unless an integer
+    >= 1) and ends with ``validate``: a wrong length or shape raises
     ``ShapeMismatch``, a violated invariant its own ``ValidationError``.
+
+    The unit-noise state is sigma^{-1}(x - theta), in which the optimal rule
+    is linear feedback; a unit-noise position alpha maps back to
+    alpha / sigma.
     """
 
     n: int
@@ -59,6 +71,7 @@ class OUParams:
     corr: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _check_size(self.n))
         object.__setattr__(self, "kappa", _as_vector(self.kappa, self.n, "kappa"))
         object.__setattr__(self, "sigma", _as_vector(self.sigma, self.n, "sigma"))
         object.__setattr__(self, "theta", _as_vector(self.theta, self.n, "theta"))
@@ -74,14 +87,20 @@ class OUParams:
     def corr_inv(self) -> np.ndarray:
         return np.linalg.inv(self.corr)
 
+    def state_to_unit_noise(self, x) -> np.ndarray:
+        return (np.asarray(x, dtype=float) - self.theta) / self.sigma
+
+    def position_from_unit_noise(self, alpha) -> np.ndarray:
+        return np.asarray(alpha, dtype=float) / self.sigma
+
     @classmethod
     def from_dict(cls, doc: dict) -> "OUParams":
-        n = int(doc["n"])
+        n = doc["n"]
         return cls(
             n=n,
             kappa=doc["kappa"],
             sigma=doc["sigma"],
-            theta=doc.get("theta", np.zeros(n)),
+            theta=doc["theta"] if "theta" in doc else np.zeros(_check_size(n)),
             corr=doc["corr"],
         )
 
@@ -113,32 +132,6 @@ class Preferences:
         if not delta > 0:
             raise OutOfDomain(f"delta must be positive, got {delta}")
         return cls(gamma=1.0 - 1.0 / delta)
-
-
-@dataclass(frozen=True)
-class NormalizationRecord:
-    """Maps states into, and positions out of, unit-noise coordinates.
-
-    The normalized state is sigma^{-1}(x - theta); a normalized position
-    sigma * alpha maps back to alpha.
-    """
-
-    original_sigma: np.ndarray
-    original_theta: np.ndarray
-
-    def __post_init__(self):
-        sigma = np.asarray(self.original_sigma, dtype=float).reshape(-1)
-        theta = np.asarray(self.original_theta, dtype=float).reshape(-1)
-        object.__setattr__(self, "original_sigma", sigma)
-        object.__setattr__(self, "original_theta", theta)
-        sigma.setflags(write=False)
-        theta.setflags(write=False)
-
-    def state_to_unit_noise(self, x) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.original_theta) / self.original_sigma
-
-    def position_from_unit_noise(self, alpha) -> np.ndarray:
-        return np.asarray(alpha, dtype=float) / self.original_sigma
 
 
 def check_horizon(horizon) -> float:
@@ -179,23 +172,15 @@ def validate(params: OUParams) -> OUParams:
     return params
 
 
-def normalize(params: OUParams) -> tuple[OUParams, NormalizationRecord]:
+def normalize(params: OUParams) -> tuple[OUParams, OUParams]:
     """Reduce to unit volatilities and zero long-term means.
 
-    The state substitution x -> sigma^{-1}(x - theta) leaves kappa and the
-    correlation matrix unchanged; the record maps states and positions back.
-    The package itself reads the model and its record directly: nothing it
-    solves depends on sigma or theta.
+    Returns the unit-noise copy and ``params`` itself, whose
+    ``state_to_unit_noise`` and ``position_from_unit_noise`` map states and
+    positions between the two.  Nothing the package solves reads sigma or
+    theta, so the package itself never calls this.
     """
-    record = NormalizationRecord(original_sigma=params.sigma, original_theta=params.theta)
-    normalized = OUParams(
-        n=params.n,
-        kappa=params.kappa,
-        sigma=np.ones(params.n),
-        theta=np.zeros(params.n),
-        corr=params.corr,
-    )
-    return normalized, record
+    return replace(params, sigma=np.ones(params.n), theta=np.zeros(params.n)), params
 
 
 def step_covariance(params: OUParams, dt: float) -> np.ndarray:
@@ -243,8 +228,10 @@ class ExactStepper:
     noise_factor: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if not np.isfinite(self.dt):
+            raise NonFinite(f"dt must be finite, got {self.dt}")
         if not self.dt > 0:
-            raise ValueError("dt must be positive")
+            raise OutOfDomain(f"dt must be positive, got {self.dt}")
         decay = np.exp(-self.params.kappa * self.dt)[:, None]
         factor = covariance_factor(step_covariance(self.params, self.dt))
         object.__setattr__(self, "decay", decay)

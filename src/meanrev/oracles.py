@@ -18,6 +18,10 @@ and Q-equations and the lambda ODE are integrated by ``reference_solve``
 symmetric form, the matrix-exponential propagator behind the correlation
 derivatives is held to ``phi_diagonal``, which is built from the closed forms
 of Psi and lambda and integrated by RK45.
+
+No config reaches an oracle directly, so its own argument checks raise a
+plain ``ValueError`` and a failed reference integration a ``RuntimeError``,
+not a ``ValidationError``.
 """
 
 from __future__ import annotations

@@ -309,7 +309,8 @@ def d_scalar_closed_form(kappa: float, delta: float, tau) -> np.ndarray | float:
 
     D(tau) = k sqrt(d) (sqrt(d) cosh u + sinh u) / (sqrt(d) sinh u + cosh u)
     with u = k sqrt(d) tau; evaluated via tanh for overflow safety.
-    Returns 0 identically at kappa = 0.
+    Returns 0 identically at kappa = 0.  A closed form that no config
+    reaches, so bad arguments raise a plain ``ValueError``.
     """
     if kappa < 0 or delta <= 0:
         raise ValueError("need kappa >= 0 and delta > 0")
@@ -357,6 +358,8 @@ def d_single_mr(kappa: float, corr: np.ndarray, gamma: float, tau: float) -> np.
     nonzero: rows below the first hold the constant hedge coefficients
     delta*kappa*(Theta^{-1})_{j1}; the (1,1) entry follows one of three
     branches selected by the sign of gamma - 1/zeta, zeta = (Theta^{-1})_11.
+    A closed form that no config reaches, so gamma >= 1 raises a plain
+    ``ValueError``.
     """
     if not gamma < 1:
         raise ValueError("gamma must be < 1")

@@ -15,8 +15,8 @@ import numpy as np
 
 from ._fork import fork_map, worker_count
 from .control import StrategySpec
-from .errors import NonFinite, OutOfDomain, OutOfRange
-from .model import ExactStepper, NormalizationRecord, OUParams, Preferences
+from .errors import NonFinite, OutOfDomain, OutOfHorizon, OutOfRange
+from .model import ExactStepper, OUParams, Preferences
 
 # |log W| beyond this is treated as a diverged path and excluded.
 LOG_WEALTH_GUARD = 700.0
@@ -134,8 +134,7 @@ def simulate(
     if n_steps < 1 or n_paths < 1:
         raise OutOfDomain("need n_steps >= 1 and n_paths >= 1")
     if spec.horizon < horizon:
-        raise ValueError("strategy horizon does not cover the simulation span")
-    record = NormalizationRecord(params.sigma, params.theta)
+        raise OutOfHorizon("strategy horizon does not cover the simulation span")
     n = params.n
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
@@ -153,7 +152,7 @@ def simulate(
     empty = np.empty if workers == 1 else _shared_empty
     run = _Run(
         stepper=ExactStepper(params=params, dt=dt),
-        x0=record.state_to_unit_noise(x0),
+        x0=params.state_to_unit_noise(x0),
         feedback=np.concatenate([quad_left, d_left], axis=1),
         seed=seed,
         terminal=empty((n_paths,), float),
@@ -298,16 +297,17 @@ def decompose(
 
     The split is that of the optimal rule's log wealth: ``term_a`` uses the
     true model's delta K Theta^{-1} K, so an ensemble of any other rule is
-    rejected with ValueError.  The rule is the optimal one when its frame is
-    all ones and its feedback starts at the true delta Theta^{-1} K.  Terms
+    rejected with ``OutOfDomain``.  The rule is the optimal one when its
+    frame is all ones and its feedback starts at the true delta Theta^{-1} K.
+    An ensemble without stored paths raises ``OutOfRange``.  Terms
     follow the stochastic-exponential solution of the wealth SDE, discretized
     with the same left-point convention as the simulation and the ensemble's
     ``delta``; ``total`` is read from the stored log-wealth and is exact.
     """
     if ensemble.states is None or ensemble.log_wealth is None:
-        raise ValueError("ensemble was simulated without stored paths")
+        raise OutOfRange("ensemble was simulated without stored paths")
     if not s < t:
-        raise ValueError("need s < t")
+        raise OutOfDomain("need s < t")
     i0 = _time_index(ensemble.times, s)
     i1 = _time_index(ensemble.times, t)
     spec = ensemble.spec
@@ -315,8 +315,8 @@ def decompose(
     # Both sides come from the same corr_inv, so the optimal rule matches exactly.
     if not (np.all(spec.frame == 1.0) and np.array_equal(
             spec.feedback(0.0), ensemble.delta * ensemble.params.corr_inv * kappa[None, :])):
-        raise ValueError("decompose splits the log wealth of the true model's optimal rule; "
-                         "the ensemble traded another rule")
+        raise OutOfDomain("decompose splits the log wealth of the true model's optimal rule; "
+                          "the ensemble traded another rule")
 
     xs = ensemble.states[path]  # (n_steps + 1, n)
     dt = ensemble.dt

@@ -15,22 +15,12 @@ from meanrev.analysis import corr_sensitivity
 from meanrev.cli import main
 from meanrev.control import misspecified_strategy, optimal_strategy, solve_value, value_function
 from meanrev.misspec import misspec_sweep, p_epsilon, solve_Q
-from meanrev.model import OUParams, Preferences
-from meanrev.oracles import CHECKS
+from meanrev.model import Preferences
+from meanrev.oracles import CHECKS, pair_corr, unit_noise
 from meanrev.riccati import solve_D
 from meanrev.wealth import decompose, simulate
 
 from conftest import assert_passes, random_params, two_asset
-
-
-def pair_corr(rho):
-    return np.array([[1.0, rho], [rho, 1.0]])
-
-
-def make_params(kappa, corr):
-    kappa = np.asarray(kappa, dtype=float)
-    n = kappa.size
-    return OUParams(n=n, kappa=kappa, sigma=np.ones(n), theta=np.zeros(n), corr=corr)
 
 
 def test_criterion_01_closed_form_oracle_suite():
@@ -77,7 +67,7 @@ def test_criterion_05_mc_value(gamma, n):
     start = time.perf_counter()
     kappa = [1.0] if n == 1 else [1.0, 0.5]
     corr = np.eye(1) if n == 1 else pair_corr(0.5)
-    params = make_params(kappa, corr)
+    params = unit_noise(kappa, corr)
     prefs = Preferences(gamma=gamma)
     horizon = 3.0
     spec = optimal_strategy(params, prefs, horizon)
@@ -160,7 +150,7 @@ def test_criterion_07_misspecification_framework():
 def test_criterion_08_correlation_sensitivity_signs():
     assert_passes(CHECKS["correlation_minimum_trio"]())
     # Mixed second partials across distinct pairs vanish.
-    params3 = make_params([1.0, 0.5, 2.0], np.eye(3))
+    params3 = unit_noise([1.0, 0.5, 2.0], np.eye(3))
     for gamma in (-4.0, 0.5):
         r = corr_sensitivity(params3, Preferences(gamma=gamma), 1.5, (0, 1))
         assert r.mixed_derivatives

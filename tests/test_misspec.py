@@ -164,7 +164,7 @@ def test_sharpe_rejects_wrong_exponents():
     prefs = Preferences(gamma=-1.0)
     q1 = solve_Q(1.0, params, misspecified_strategy(params, params, prefs, 1.0))
     p1 = p_epsilon(1.0, params.theta, 0.0, 1.0, q1, params)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain, match="epsilon = 1 and epsilon = 2"):
         sharpe(p1, p1)
 
 

@@ -111,6 +111,24 @@ def test_wrong_shapes_raise_shape_mismatch(change):
         replace(two_asset(), **change)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: OUParams.from_dict({"n": -1, "kappa": [1.0], "sigma": [1.0], "corr": [[1.0]]}),
+    lambda: OUParams(n=0, kappa=[], sigma=[], theta=[], corr=np.ones((0, 0))),
+    lambda: OUParams.from_dict({"n": 1.5, "kappa": [1.0], "sigma": [1.0], "corr": [[1.0]]}),
+], ids=["negative", "zero", "fractional"])
+def test_a_model_size_must_be_a_positive_integer(make):
+    # Checked before any length, and before from_dict builds a default theta.
+    with pytest.raises(OutOfDomain, match="n must be an integer >= 1"):
+        make()
+
+
+@pytest.mark.parametrize("dt, error", [(0.0, OutOfDomain), (-0.1, OutOfDomain),
+                                       (np.nan, NonFinite)])
+def test_exact_stepper_refuses_a_bad_step(dt, error):
+    with pytest.raises(error):
+        ExactStepper(params=two_asset(), dt=dt)
+
+
 @pytest.mark.parametrize("delta, error", [(0.0, OutOfDomain), (-1.0, OutOfDomain),
                                           (np.nan, NonFinite), (np.inf, NonFinite)])
 def test_preferences_from_delta_refuses_a_bad_delta(delta, error):

@@ -8,7 +8,7 @@ import pytest
 
 import meanrev.wealth as wealth_mod
 from meanrev.control import misspecified_strategy, optimal_strategy, solve_value, value_function
-from meanrev.errors import NonFinite, OutOfRange
+from meanrev.errors import NonFinite, OutOfDomain, OutOfHorizon, OutOfRange
 from meanrev.model import (OUParams, Preferences, covariance_factor, normalize,
                            step_covariance)
 from meanrev.wealth import decompose, default_steps, path_rng, simulate
@@ -125,6 +125,16 @@ def test_decompose_requires_grid_times():
     ens = simulate(params, prefs, spec, 1.0, 64, 1, 1, store_paths=True)
     with pytest.raises(OutOfRange):
         decompose(ens, 0, 0.0, 0.5 + 1e-4)
+    with pytest.raises(OutOfDomain, match="need s < t"):
+        decompose(ens, 0, 0.5, 0.5)
+
+
+def test_simulate_needs_a_strategy_covering_the_span():
+    params = two_asset()
+    prefs = Preferences(gamma=-1.0)
+    spec = optimal_strategy(params, prefs, 1.0)
+    with pytest.raises(OutOfHorizon, match="does not cover"):
+        simulate(params, prefs, spec, 1.5, 8, 1, 1)
 
 
 def test_decompose_needs_stored_paths():
@@ -132,7 +142,7 @@ def test_decompose_needs_stored_paths():
     prefs = Preferences(gamma=-1.0)
     spec = optimal_strategy(params, prefs, 1.0)
     ens = simulate(params, prefs, spec, 1.0, 8, 1, 1, store_paths=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange, match="without stored paths"):
         decompose(ens, 0, 0.0, 1.0)
 
 
@@ -147,7 +157,7 @@ def test_decompose_rejects_a_misspecified_rule(estimate):
     prefs = Preferences(gamma=-4.0)
     spec = misspecified_strategy(params, replace(params, **estimate), prefs, 1.0)
     ens = simulate(params, prefs, spec, 1.0, 512, 4, 23, store_paths=True)
-    with pytest.raises(ValueError, match="optimal rule"):
+    with pytest.raises(OutOfDomain, match="optimal rule"):
         decompose(ens, 0, 0.0, 1.0)
 
 
