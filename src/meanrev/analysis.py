@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BlowUpDetected, NotPositiveDefinite, OutOfDomain, OutOfHorizon
+from .errors import BlowUpDetected, NotPositiveDefinite, OutOfDomain, OutOfHorizon, ValueOverflow
 from .grids import SensitivityGrid
-from .model import OUParams, Preferences, check_horizon
+from .model import OUParams, Preferences, check_positive
 from .riccati import d_scalar_closed_form, make_S_operator
 
 
@@ -221,7 +221,7 @@ def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs:
     the step count except near a nilpotent H (one mean-reverting asset with
     gamma (Theta^{-1})_11 close to 1).
     """
-    horizon = check_horizon(horizon)
+    horizon = check_positive(horizon, "horizon")
     if prefs.gamma == 0.0:
         raise OutOfDomain("exponent 0 (log utility) is served by log_utility_value")
     from scipy.linalg import expm, lapack  # imported on first use, not with the package
@@ -276,8 +276,14 @@ def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs:
 
 
 def value_at_mean(params: OUParams, prefs: Preferences, horizon: float) -> float:
-    """J(1, theta, 0), the value at the mean, from the embedding pass with no pairs."""
-    return float(np.exp(_embedding_pass(params, prefs, horizon, [])[0])) / prefs.gamma
+    """J(1, theta, 0), the value at the mean, from the embedding pass with no pairs;
+    ``ValueOverflow`` where J is past the largest double."""
+    log_value = _embedding_pass(params, prefs, horizon, [])[0]  # log|gamma J|
+    with np.errstate(over="ignore"):
+        value = float(np.exp(log_value)) / prefs.gamma
+    if not np.isfinite(value):
+        raise ValueOverflow(f"J overflows a double: log|gamma J| = {log_value:.6g}")
+    return value
 
 
 def corr_sensitivity(
@@ -324,11 +330,12 @@ def value_vs_kappa2_rho(params: OUParams, prefs: Preferences, horizon: float, ka
     """Cell (i, j) is ``value_at_mean`` of ``params`` with kappa[1] set to kappa2_grid[i]
     and the ``pair`` entry of Theta to rho_grid[j]; n >= 2 (``OutOfDomain``).
 
-    A cell whose Theta is not positive definite, or whose S has a pole before
-    the horizon, is NaN with its reason in ``failures``.  The horizon is
-    checked first, so a grid of failing cells cannot hide a bad one.
+    A cell whose Theta is not positive definite, whose S has a pole before
+    the horizon, or whose value overflows is NaN with its reason in
+    ``failures``.  The horizon is checked first, so a grid of failing cells
+    cannot hide a bad one.
     """
-    check_horizon(horizon)
+    check_positive(horizon, "horizon")
     if params.n < 2:
         raise OutOfDomain("the sweep sets a second reversion rate; need n >= 2")
     p, q = check_pair(params.n, pair)
@@ -344,7 +351,7 @@ def value_vs_kappa2_rho(params: OUParams, prefs: Preferences, horizon: float, ka
             corr[p, q] = corr[q, p] = r
             try:
                 cells[i, j] = value_at_mean(replace(params, kappa=kappa, corr=corr), prefs, horizon)
-            except (NotPositiveDefinite, BlowUpDetected) as exc:
+            except (NotPositiveDefinite, BlowUpDetected, ValueOverflow) as exc:
                 cells[i, j] = np.nan
                 failures[(i, j)] = str(exc)
     return SensitivityGrid(
@@ -360,6 +367,7 @@ def d_curve_1d(kappa: float, gammas, horizon: float, times) -> SensitivityGrid:
     Flat at kappa for the log-utility trader, decreasing toward the terminal
     time for gamma < 0, increasing for 0 < gamma < 1.
     """
+    horizon = check_positive(horizon, "horizon")
     g = np.asarray(gammas, dtype=float)
     t = np.asarray(times, dtype=float)
     if not np.all((t >= 0.0) & (t <= horizon)):

@@ -21,9 +21,9 @@ import numpy as np
 from . import __version__
 from .analysis import check_pair, corr_sensitivity, d_curve_1d, value_vs_kappa2_rho
 from .control import optimal_strategy
-from .errors import BlowUpDetected, MeanrevError, NonFinite, ValidationError
+from .errors import BlowUpDetected, MeanrevError, ValidationError
 from .misspec import misspec_sweep
-from .model import OUParams, Preferences, check_horizon
+from .model import OUParams, Preferences, check_positive
 from .riccati import make_S_operator, s_view, solve
 from .wealth import default_steps, simulate
 
@@ -61,7 +61,7 @@ def config_hash(config: dict) -> str:
 def parse_model(config: dict) -> tuple[OUParams, Preferences, float]:
     params = OUParams.from_dict(config["model"])
     prefs = Preferences(gamma=float(config.get("gamma", -4.0)))
-    return params, prefs, check_horizon(config.get("horizon", 3.0))
+    return params, prefs, check_positive(config.get("horizon", 3.0), "horizon")
 
 
 def _fmt(v) -> str:
@@ -288,8 +288,7 @@ def cmd_positions(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     wealth = float(section.get("wealth", 1.0))
     states = np.atleast_2d(np.asarray(section.get("states", [params.theta.tolist()]), dtype=float))
     times = np.asarray(section.get("times", [0.0]), dtype=float)
-    if not np.all(np.isfinite(states)):
-        raise NonFinite("positions.states has a non-finite entry")
+    params.state_to_unit_noise(states)  # refuses a bad state even when no time is asked for
     spec = optimal_strategy(params, prefs, horizon)
     rows = []
     for t in times:
@@ -309,12 +308,9 @@ def cmd_simulate(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     section = config.get("simulate", {})
     n_paths = int(section.get("n_paths", 1000))
     n_steps = int(section.get("n_steps", default_steps(horizon)))
-    x0 = section.get("x0")
     spec = optimal_strategy(params, prefs, horizon)
-    ens = simulate(
-        params, prefs, spec, horizon, n_steps, n_paths, seed,
-        x0=None if x0 is None else np.asarray(x0, dtype=float), store_paths=False,
-    )
+    ens = simulate(params, prefs, spec, horizon, n_steps, n_paths, seed,
+                   x0=section.get("x0"), store_paths=False)
     mean, se = ens.utility_estimate(prefs.gamma)
     meta = base_meta(config, seed)
     meta.update({

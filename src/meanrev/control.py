@@ -1,4 +1,8 @@
-"""Position rule and value function evaluation from Riccati solutions."""
+"""Position rule and value function evaluation from Riccati solutions.
+
+The model checks a query's wealth (``check_positive``) and its state; only
+0 <= t <= horizon is checked here.
+"""
 
 from __future__ import annotations
 
@@ -6,17 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, OutOfDomain, OutOfHorizon
-from .model import OUParams, Preferences
+from .errors import OutOfDomain, OutOfHorizon
+from .model import OUParams, Preferences, check_positive
 from .riccati import RiccatiSolution, solve_A, solve_D
 
 
-def _check_wealth(w) -> None:
-    """``NonFinite`` for NaN or infinite wealth, ``OutOfDomain`` for w <= 0."""
-    if not np.isfinite(w):
-        raise NonFinite(f"wealth must be finite, got {w}")
-    if not w > 0:
-        raise OutOfDomain(f"wealth must be positive, got {w}")
+def _time_to_go(w, t: float, horizon: float) -> float:
+    """horizon - t, after refusing a bad wealth and a t outside [0, horizon] (``OutOfHorizon``)."""
+    check_positive(w, "wealth")
+    if not 0.0 <= t <= horizon:
+        raise OutOfHorizon(f"t={t} outside [0, {horizon}]")
+    return horizon - t
 
 
 @dataclass(frozen=True)
@@ -50,12 +54,10 @@ class StrategySpec:
     def position(self, w: float, x, t: float) -> np.ndarray:
         """Position at wealth w > 0 and time t: a vector for a state x of shape (n,),
         one row per state for a stack x of shape (m, n), from one feedback read."""
-        _check_wealth(w)
-        if not 0.0 <= t <= self.horizon:
-            raise OutOfHorizon(f"t={t} outside [0, {self.horizon}]")
+        tau = _time_to_go(w, t, self.horizon)
         x_norm = self.params.state_to_unit_noise(x)
         # A stack of matrix-vector products, so each row equals D @ x to the last bit.
-        alpha_norm = (-w * self.feedback(self.horizon - t) @ x_norm[..., None])[..., 0]
+        alpha_norm = (-w * self.feedback(tau) @ x_norm[..., None])[..., 0]
         return self.params.position_from_unit_noise(alpha_norm)
 
 
@@ -117,12 +119,9 @@ def _exp_quadratic(w: float, x, t: float, epsilon: float, solution: RiccatiSolut
                    params: OUParams, divisor: float) -> ValueReport:
     """``ValueReport`` of ``solution`` (M and its trace integral T) at (w, x, t),
     tau = T - t, with x mapped to the unit-noise coordinates of ``params``."""
-    _check_wealth(w)
+    tau = _time_to_go(w, t, solution.horizon)
     if epsilon == 0.0:
         raise OutOfDomain("exponent 0 (log utility) is served by log_utility_value")
-    if not 0.0 <= t <= solution.horizon:
-        raise OutOfHorizon(f"t={t} outside [0, {solution.horizon}]")
-    tau = solution.horizon - t
     x_norm = params.state_to_unit_noise(x)
     return ValueReport(
         epsilon=epsilon,
@@ -158,11 +157,9 @@ def log_utility_value(w: float, x, t: float, params: OUParams, horizon: float) -
     (tau - g_ij) / k_ij] / 2, k_ij = kappa_i + kappa_j, g_ij = (1 - exp(-k_ij tau)) / k_ij.
     M_ij = 0 wherever k_ij = 0.
     """
-    _check_wealth(w)
-    if not 0.0 <= t <= horizon:
-        raise OutOfHorizon(f"t={t} outside [0, {horizon}]")
+    tau = _time_to_go(w, t, check_positive(horizon, "horizon"))
     x0 = params.state_to_unit_noise(x)
-    kappa, tau = params.kappa, horizon - t
+    kappa = params.kappa
     m = kappa[:, None] * params.corr_inv * kappa[None, :]
     k = kappa[:, None] + kappa[None, :]
     safe = np.where(k > 0.0, k, 1.0)

@@ -74,6 +74,10 @@ class TrigSingularity(BlowUpDetected):
     """The risk-seeking closed-form branch hit its trigonometric pole."""
 
 
+class ValueOverflow(MeanrevError):
+    """A value is past the largest double, though its logarithm is finite."""
+
+
 class OutOfHorizon(ValidationError):
     """A time query lies outside the horizon covered by a solution."""
 

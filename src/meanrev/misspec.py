@@ -4,7 +4,8 @@ A trader who believes the estimates trades the rule that would be optimal
 if they were true.  Under the actual dynamics, every power moment of the
 resulting terminal wealth solves another matrix Riccati ODE, which makes
 expected utility, first and second moments, Sharpe ratios, and whole
-misspecification sweeps cheap to evaluate without Monte Carlo.
+misspecification sweeps cheap to evaluate without Monte Carlo.  A rule
+holds its true model, so the moment solvers take no second one.
 """
 
 from __future__ import annotations
@@ -33,14 +34,10 @@ def beta_matrix(spec: StrategySpec, tau: float) -> np.ndarray:
     return -spec.feedback(tau)
 
 
-def make_Q_operator(
-    epsilon: float,
-    true_params: OUParams,
-    spec: StrategySpec,
-) -> QuadraticOperator:
-    """Moment-generating operator for S_Q = Q + Q': M = eps beta' Theta - K and
+def make_Q_operator(epsilon: float, spec: StrategySpec) -> QuadraticOperator:
+    """Moment operator for S_Q = Q + Q' under ``spec.params``: M = eps beta' Theta - K and
     C = eps (eps - 1) beta' Theta beta - eps (beta' K + K beta), through beta(tau)."""
-    corr, kappa = true_params.corr, true_params.kappa
+    corr, kappa = spec.params.corr, spec.params.kappa
     kmat = np.diag(kappa)
 
     def coefficients(tau):
@@ -52,12 +49,12 @@ def make_Q_operator(
     return symmetric_operator(corr, coefficients)
 
 
-def solve_Q(epsilon: float, true_params: OUParams, spec: StrategySpec) -> RiccatiSolution:
+def solve_Q(epsilon: float, spec: StrategySpec) -> RiccatiSolution:
     """Solve the moment system at wealth exponent epsilon under the rule ``spec``
-    (e.g. ``misspecified_strategy(...)``) over its horizon.  The solution presents
-    Q = S_Q / 2, the symmetric part of the moment matrix, and the trace integral
-    of Q Theta."""
-    s_q = solve(make_Q_operator(epsilon, true_params, spec), spec.horizon)
+    (e.g. ``misspecified_strategy(...)``) and its true model over its horizon.  The
+    solution presents Q = S_Q / 2, the symmetric part of the moment matrix, and the
+    trace integral of Q Theta."""
+    s_q = solve(make_Q_operator(epsilon, spec), spec.horizon)
     return s_q.view(scale=0.5)
 
 
@@ -192,7 +189,7 @@ def _sweep_cell(true_params: OUParams, est: OUParams, prefs: Preferences, horizo
     try:
         spec = misspecified_strategy(true_params, est, prefs, horizon)
         solved.append(spec.d_solution.diagnostics)
-        q_g = solve_Q(prefs.gamma, true_params, spec)
+        q_g = solve_Q(prefs.gamma, spec)
         solved.append(q_g.diagnostics)
         p_g = p_epsilon(1.0, true_params.theta, 0.0, prefs.gamma, q_g, true_params)
     except BlowUpDetected as exc:
@@ -200,9 +197,9 @@ def _sweep_cell(true_params: OUParams, est: OUParams, prefs: Preferences, horizo
     ratio, sharpe_failure = np.nan, None
     if with_sharpe:
         try:
-            q1 = solve_Q(1.0, true_params, spec)
+            q1 = solve_Q(1.0, spec)
             solved.append(q1.diagnostics)
-            q2 = solve_Q(2.0, true_params, spec)
+            q2 = solve_Q(2.0, spec)
             solved.append(q2.diagnostics)
             ratio = sharpe(
                 p_epsilon(1.0, true_params.theta, 0.0, 1.0, q1, true_params),

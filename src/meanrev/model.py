@@ -5,7 +5,8 @@ volatilities and zero long-term means, and exact-in-distribution stepping
 of the state process for simulation.  An ``OUParams`` validates itself when
 it is made (``dataclasses.replace`` included), so every model in hand is
 valid, and it maps states into and positions out of its own unit-noise
-coordinates: nothing else holds its sigma and theta.
+coordinates: nothing else holds its sigma and theta.  The rules for a positive
+scalar (``check_positive``) and a state live here too, so no caller checks one.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class OUParams:
 
     The unit-noise state is sigma^{-1}(x - theta), in which the optimal rule
     is linear feedback; a unit-noise position alpha maps back to
-    alpha / sigma.
+    alpha / sigma.  Two models are equal when n and all four arrays are.
     """
 
     n: int
@@ -83,12 +84,24 @@ class OUParams:
             arr.setflags(write=False)
         validate(self)
 
+    def __eq__(self, other):
+        return isinstance(other, OUParams) and self.n == other.n and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("kappa", "sigma", "theta", "corr"))
+
     @property
     def corr_inv(self) -> np.ndarray:
         return np.linalg.inv(self.corr)
 
     def state_to_unit_noise(self, x) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.theta) / self.sigma
+        """sigma^{-1}(x - theta) for a state of shape (n,) or a stack of shape (m, n);
+        ``ShapeMismatch`` for any other shape, ``NonFinite`` for a NaN or infinite entry."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n:
+            raise ShapeMismatch(f"a state must be ({self.n},) or (m, {self.n}), got {x.shape}")
+        if not np.isfinite(x).all():
+            raise NonFinite("a state has a non-finite entry")
+        return (x - self.theta) / self.sigma
 
     def position_from_unit_noise(self, alpha) -> np.ndarray:
         return np.asarray(alpha, dtype=float) / self.sigma
@@ -127,21 +140,17 @@ class Preferences:
 
     @classmethod
     def from_delta(cls, delta: float) -> "Preferences":
-        if not np.isfinite(delta):
-            raise NonFinite(f"delta must be finite, got {delta}")
-        if not delta > 0:
-            raise OutOfDomain(f"delta must be positive, got {delta}")
-        return cls(gamma=1.0 - 1.0 / delta)
+        return cls(gamma=1.0 - 1.0 / check_positive(delta, "delta"))
 
 
-def check_horizon(horizon) -> float:
-    """``horizon`` as a float; ``NonFinite`` for NaN or an infinity, ``OutOfDomain`` if <= 0."""
-    horizon = float(horizon)
-    if not np.isfinite(horizon):
-        raise NonFinite(f"horizon must be finite, got {horizon}")
-    if not horizon > 0.0:
-        raise OutOfDomain(f"horizon must be positive, got {horizon}")
-    return horizon
+def check_positive(value, name: str) -> float:
+    """``value`` as a float; ``NonFinite`` for NaN or an infinity, ``OutOfDomain`` if <= 0."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise NonFinite(f"{name} must be finite, got {value}")
+    if not value > 0.0:
+        raise OutOfDomain(f"{name} must be positive, got {value}")
+    return value
 
 
 def validate(params: OUParams) -> OUParams:
@@ -228,10 +237,7 @@ class ExactStepper:
     noise_factor: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not np.isfinite(self.dt):
-            raise NonFinite(f"dt must be finite, got {self.dt}")
-        if not self.dt > 0:
-            raise OutOfDomain(f"dt must be positive, got {self.dt}")
+        object.__setattr__(self, "dt", check_positive(self.dt, "dt"))
         decay = np.exp(-self.params.kappa * self.dt)[:, None]
         factor = covariance_factor(step_covariance(self.params, self.dt))
         object.__setattr__(self, "decay", decay)

@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BlowUpDetected, OutOfRange, TrigSingularity
-from .model import OUParams, Preferences, check_horizon
+from .model import OUParams, Preferences, check_positive
 
 # Settings of every solve: relative and absolute tolerance, first step as a
 # fraction of the horizon, the switch level to the inverse chart as a multiple
@@ -238,7 +238,7 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
     """
     from scipy.integrate import RK45, solve_ivp  # imported on first use, not with the package
 
-    horizon = check_horizon(horizon)
+    horizon = check_positive(horizon, "horizon")
     corr = op.corr
     n = corr.shape[0]
     level = switch_level(op, horizon)

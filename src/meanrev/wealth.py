@@ -15,8 +15,8 @@ import numpy as np
 
 from ._fork import fork_map, worker_count
 from .control import StrategySpec
-from .errors import NonFinite, OutOfDomain, OutOfHorizon, OutOfRange
-from .model import ExactStepper, OUParams, Preferences
+from .errors import OutOfDomain, OutOfHorizon, OutOfRange
+from .model import ExactStepper, OUParams, Preferences, check_positive
 
 # |log W| beyond this is treated as a diverged path and excluded.
 LOG_WEALTH_GUARD = 700.0
@@ -48,7 +48,6 @@ class SimulationEnsemble:
     ``workers`` the run used.
     """
 
-    params: OUParams
     spec: StrategySpec
     delta: float
     seed: int
@@ -117,7 +116,8 @@ def simulate(
     The state steps are exact in distribution; log-wealth is advanced by the
     Ito (left-point) discretization of d log W = -x'D' dX - x'D'ThetaD x dt/2
     using the exact state increment.  ``prefs.delta`` is recorded on the
-    ensemble for ``decompose``.
+    ensemble for ``decompose``.  ``params`` must equal ``spec.params``
+    (``OutOfDomain``); the model checks the horizon and ``x0``, flattened.
 
     Paths run in chunks of ``_CHUNK``.  A chunk holds its states
     asset-major, as (n, paths) arrays, so a step is a few small matrix
@@ -131,14 +131,15 @@ def simulate(
     this process; a run of one chunk, or on one CPU or without fork, runs
     here.  Either way each chunk runs ``_simulate_chunk``.
     """
+    horizon = check_positive(horizon, "horizon")
+    if params != spec.params:
+        raise OutOfDomain("simulate's model is not the true model of its rule, spec.params")
     if n_steps < 1 or n_paths < 1:
         raise OutOfDomain("need n_steps >= 1 and n_paths >= 1")
     if spec.horizon < horizon:
         raise OutOfHorizon("strategy horizon does not cover the simulation span")
     n = params.n
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    if not np.all(np.isfinite(x0)):
-        raise NonFinite("x0 has a non-finite entry")
+    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     dt = horizon / n_steps
     times = np.linspace(0.0, horizon, n_steps + 1)
 
@@ -164,7 +165,6 @@ def simulate(
 
     finite = np.isfinite(run.terminal)
     return SimulationEnsemble(
-        params=params,
         spec=spec,
         delta=prefs.delta,
         seed=seed,
@@ -310,11 +310,11 @@ def decompose(
         raise OutOfDomain("need s < t")
     i0 = _time_index(ensemble.times, s)
     i1 = _time_index(ensemble.times, t)
-    spec = ensemble.spec
-    kappa = ensemble.params.kappa
+    spec, params = ensemble.spec, ensemble.spec.params
+    kappa = params.kappa
     # Both sides come from the same corr_inv, so the optimal rule matches exactly.
     if not (np.all(spec.frame == 1.0) and np.array_equal(
-            spec.feedback(0.0), ensemble.delta * ensemble.params.corr_inv * kappa[None, :])):
+            spec.feedback(0.0), ensemble.delta * params.corr_inv * kappa[None, :])):
         raise OutOfDomain("decompose splits the log wealth of the true model's optimal rule; "
                           "the ensemble traded another rule")
 
@@ -322,7 +322,7 @@ def decompose(
     dt = ensemble.dt
     d_k = ensemble.feedback[i0:i1]
 
-    m = ensemble.delta * (kappa[:, None] * ensemble.params.corr_inv * kappa[None, :])
+    m = ensemble.delta * (kappa[:, None] * params.corr_inv * kappa[None, :])
 
     x_left = xs[i0:i1]
     dx = xs[i0 + 1 : i1 + 1] - x_left
@@ -340,7 +340,7 @@ def decompose(
     # D - D' = delta (Theta^{-1} K - K Theta^{-1}) is constant in tau and
     # vanishes exactly when Theta commutes with K, where the sum would still
     # carry the roundoff of the computed inverse.
-    if np.all(ensemble.params.corr * (kappa[:, None] - kappa[None, :]) == 0.0):
+    if np.all(params.corr * (kappa[:, None] - kappa[None, :]) == 0.0):
         term_c = 0.0
     else:
         asym = d_k - np.swapaxes(d_k, 1, 2)

@@ -112,7 +112,7 @@ def test_criterion_07_misspecification_framework():
 
     # Truth reproduces the value function.
     truth = misspecified_strategy(params, params, prefs, horizon)
-    q = solve_Q(prefs.gamma, params, truth)
+    q = solve_Q(prefs.gamma, truth)
     a = solve_value(params, prefs, horizon)
     for t, x in ((0.0, params.theta), (0.4, params.theta + 0.2)):
         p = p_epsilon(1.5, x, t, prefs.gamma, q, params).total
@@ -131,7 +131,7 @@ def test_criterion_07_misspecification_framework():
         ens = simulate(params, prefs, spec, horizon, 512, 8000, 100 + k,
                        x0=x0, store_paths=False)
         for eps in (1.0, 2.0):
-            qe = solve_Q(eps, params, spec)
+            qe = solve_Q(eps, spec)
             analytic = p_epsilon(1.0, x0, 0.0, eps, qe, params).total
             mc, se = ens.utility_estimate(eps)
             assert abs(mc - analytic) < 3.0 * se

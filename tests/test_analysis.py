@@ -14,7 +14,14 @@ from meanrev.analysis import (
     value_vs_kappa2_rho,
 )
 from meanrev.control import solve_value, value_function
-from meanrev.errors import AllKappaZero, BlowUpDetected, NonFinite, NotPositiveDefinite, OutOfDomain
+from meanrev.errors import (
+    AllKappaZero,
+    BlowUpDetected,
+    NonFinite,
+    NotPositiveDefinite,
+    OutOfDomain,
+    ValueOverflow,
+)
 from meanrev.misspec import misspec_sweep
 from meanrev.model import OUParams, Preferences
 from meanrev.oracles import phi_diagonal
@@ -252,6 +259,56 @@ def test_corr_sensitivity_rejects_invalid_models(model, gamma, error):
         corr_sensitivity(two_asset(**model), Preferences(gamma=gamma), 3.0, (0, 1))
     if error is OutOfDomain:
         assert str(info.value) == "exponent 0 (log utility) is served by log_utility_value"
+
+
+def test_a_zero_reversion_asset_never_lowers_the_value():
+    # The paper's question: is an asset that does not mean-revert worth
+    # adding?  Never to a loss: J(1, theta, 0) with a kappa = 0 asset added
+    # is at least J without it, and the same when the asset is uncorrelated
+    # with the rest.  Held through the embedding pass (value_at_mean) and,
+    # as a second code path, through solve_A's trace integral.
+    kept = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           gamma=st.sampled_from([-4.0, -1.0, -0.3, 0.3, 0.6]), horizon=st.floats(0.2, 3.0),
+           correlated=st.booleans())
+    def check(seed, n, gamma, horizon, correlated):
+        rng = np.random.default_rng(seed)
+        corr = random_corr(rng, n + 1)
+        if not correlated:
+            corr[n, :n] = corr[:n, n] = 0.0
+        added = OUParams(n=n + 1, kappa=np.append(rng.uniform(0.3, 2.0, n), 0.0),
+                         sigma=rng.uniform(0.2, 1.5, n + 1), theta=rng.uniform(-0.5, 0.5, n + 1),
+                         corr=corr)
+        base = OUParams(n=n, kappa=added.kappa[:n], sigma=added.sigma[:n],
+                        theta=added.theta[:n], corr=corr[:n, :n])
+        prefs = Preferences(gamma=gamma)
+        try:
+            j0, j1 = (value_at_mean(p, prefs, horizon) for p in (base, added))
+            v0, v1 = (value_function(1.0, p.theta, 0.0, solve_value(p, prefs, horizon), prefs,
+                                     p).total for p in (base, added))
+        except BlowUpDetected:
+            assume(False)
+        change = (j1 - j0) / abs(j0)
+        assert change >= -1e-12
+        if not correlated:
+            assert abs(change) <= 1e-12
+        assert (v1 - v0) / abs(v0) >= -1e-8
+        kept.append(change)
+
+    check()
+    assert len(kept) >= 30
+
+
+def test_an_overflowing_value_is_refused_by_name():
+    # At T = 2000 and gamma = 0.5, log|gamma J| passes log(max double) = 709.78
+    # between kappa2 = 1.4 (J = 3.5e305) and 1.6; a sweep records the refusal
+    # as a failed cell (test_cli holds that).
+    prefs = Preferences(gamma=0.5)
+    assert np.isfinite(value_at_mean(two_asset(rho=0.0, kappa=(1.0, 1.4)), prefs, 2000.0))
+    with pytest.raises(ValueOverflow, match=r"^J overflows a double: log\|gamma J\| = 761\.4"):
+        value_at_mean(two_asset(rho=0.0, kappa=(1.0, 1.6)), prefs, 2000.0)
 
 
 MODEL, PREFS = two_asset(), Preferences(gamma=-4.0)

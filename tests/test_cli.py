@@ -379,6 +379,25 @@ def test_kappa_sweep_outputs(tmp_path, capsys):
     assert reasons[0].startswith("cell (0, 0.9) failed: Riccati solution blew up near tau = ")
 
 
+@pytest.mark.parametrize("command, section, csv, failed", [
+    ("kappa-sweep", {"kappa_sweep": {"kappa2_grid": [0.2, 1.6], "rho_grid": [0.0, 0.5]}},
+     "value_surface.csv", ["cell (1.6, 0)", "cell (1.6, 0.5)"]),
+    ("corr-sweep", {"corr_sweep": {"rho_grid": [0.0, 0.9]}}, "corr_sweep.csv", ["row rho=0.9"]),
+], ids=["kappa-sweep", "corr-sweep"])
+def test_sweeps_record_an_overflowing_value_as_a_failure(tmp_path, capsys, command, section, csv,
+                                                          failed):
+    # At T = 2000 and gamma = 0.5, J passes the largest double in these cells:
+    # each is written as nan with its reason, never as inf after a RuntimeWarning.
+    cfg = base_config(gamma=0.5, horizon=2000.0, **section)
+    assert run(tmp_path, cfg, command) == EXIT_OK
+    body = read_body(tmp_path / "out" / csv)
+    assert sum(ln.endswith(",nan") for ln in body) == len(failed)
+    assert not any("inf" in ln for ln in body)
+    reasons = [ln for ln in capsys.readouterr().err.splitlines() if " failed: " in ln]
+    assert [ln.split(" failed: ")[0] for ln in reasons] == failed
+    assert all("J overflows a double: log|gamma J| = " in ln for ln in reasons)
+
+
 def test_kappa_sweep_sweeps_the_configured_model(tmp_path, capsys):
     # Every cell is the value at the mean of the configured three-asset model
     # with kappa_2 and Theta_01 replaced.  At Theta_01 = -0.9 the matrix is
@@ -433,7 +452,14 @@ def test_positions_reject_zero_wealth(tmp_path):
     ("positions", {"positions": {"times": [5.0]}}, "OutOfHorizon"),
     ("positions", {"positions": {"times": [math.nan]}}, "OutOfHorizon"),
     ("simulate", {"simulate": {"n_paths": 4, "n_steps": 8, "x0": [math.nan, 0.0]}}, "NonFinite"),
-], ids=["nan-state", "time-past-horizon", "nan-time", "nan-x0"])
+    # The model's state rule: no broadcast of a short state, and no time needed to refuse one.
+    ("positions", {"positions": {"states": [[0.1]]}}, "ShapeMismatch"),
+    ("positions", {"positions": {"states": [[math.nan, 0.1]], "times": []}}, "NonFinite"),
+    ("simulate", {"simulate": {"n_paths": 4, "n_steps": 8, "x0": [0.5]}}, "ShapeMismatch"),
+    ("simulate", {"simulate": {"n_paths": 4, "n_steps": 8, "x0": [[0.1, 0.2], [0.3, 0.4]]}},
+     "ShapeMismatch"),
+], ids=["nan-state", "time-past-horizon", "nan-time", "nan-x0", "short-state",
+        "nan-state-no-times", "short-x0", "stacked-x0"])
 def test_invalid_states_and_times_are_validation_errors(tmp_path, capsys, command, section, error):
     assert run(tmp_path, base_config(**section), command) == EXIT_VALIDATION
     assert f"validation error: {error}" in capsys.readouterr().err

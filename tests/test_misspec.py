@@ -83,7 +83,7 @@ def test_moment_solve_matches_non_symmetric_q_equation():
             spec = misspecified_strategy(params, est, prefs, taus[-1])
             for eps in (gamma, 1.0, 2.0):
                 try:
-                    sol = solve_Q(eps, params, spec)
+                    sol = solve_Q(eps, spec)
                 except BlowUpDetected:
                     continue
                 solved += 1
@@ -108,7 +108,7 @@ def test_p_gamma_equals_value_at_truth(seed, n, gamma, horizon):
     params = random_params(rng, n)
     prefs = Preferences(gamma=gamma)
     try:
-        q = solve_Q(gamma, params, optimal_strategy(params, prefs, horizon))
+        q = solve_Q(gamma, optimal_strategy(params, prefs, horizon))
         a = solve_value(params, prefs, horizon)
     except BlowUpDetected:
         assume(False)
@@ -122,7 +122,7 @@ def test_p_gamma_equals_value_at_truth(seed, n, gamma, horizon):
 def test_zeroth_moment_is_trivial():
     params = correlated_pair()
     est = replace(params, kappa=params.kappa * 1.3)
-    q0 = solve_Q(0.0, params, misspecified_strategy(params, est, Preferences(gamma=-1.0), 1.0))
+    q0 = solve_Q(0.0, misspecified_strategy(params, est, Preferences(gamma=-1.0), 1.0))
     assert np.max(np.abs(q0.at_many(q0.tau_grid))) == 0.0
     assert q0.trace_integral_at(1.0) == 0.0
     with pytest.raises(OutOfDomain, match="exponent 0"):
@@ -140,7 +140,7 @@ def test_moments_match_monte_carlo():
     ens = simulate(params, prefs, spec, horizon, 512, 8000, 42, x0=x0, store_paths=False)
     assert ens.n_excluded == 0
     for eps in (prefs.gamma, 1.0, 2.0):
-        q = solve_Q(eps, params, spec)
+        q = solve_Q(eps, spec)
         analytic = p_epsilon(1.0, x0, 0.0, eps, q, params).total
         mc, se = ens.utility_estimate(eps)
         assert abs(mc - analytic) < 3.0 * se
@@ -150,8 +150,8 @@ def test_sharpe_positive_at_truth():
     params = correlated_pair()
     prefs = Preferences(gamma=-1.0)
     spec = misspecified_strategy(params, params, prefs, 1.5)
-    q1 = solve_Q(1.0, params, spec)
-    q2 = solve_Q(2.0, params, spec)
+    q1 = solve_Q(1.0, spec)
+    q2 = solve_Q(2.0, spec)
     sr = sharpe(
         p_epsilon(1.0, params.theta, 0.0, 1.0, q1, params),
         p_epsilon(1.0, params.theta, 0.0, 2.0, q2, params),
@@ -162,7 +162,7 @@ def test_sharpe_positive_at_truth():
 def test_sharpe_rejects_wrong_exponents():
     params = correlated_pair()
     prefs = Preferences(gamma=-1.0)
-    q1 = solve_Q(1.0, params, misspecified_strategy(params, params, prefs, 1.0))
+    q1 = solve_Q(1.0, misspecified_strategy(params, params, prefs, 1.0))
     p1 = p_epsilon(1.0, params.theta, 0.0, 1.0, q1, params)
     with pytest.raises(OutOfDomain, match="epsilon = 1 and epsilon = 2"):
         sharpe(p1, p1)
@@ -263,7 +263,7 @@ def test_a_failing_cell_reaches_the_caller_as_the_loop_raises_it(monkeypatch):
 
     def mean_of_cell(a, b):
         est = replace(params, kappa=params.kappa * np.array([a, b]))
-        q1 = solve_Q(1.0, params, misspecified_strategy(params, est, prefs, horizon))
+        q1 = solve_Q(1.0, misspecified_strategy(params, est, prefs, horizon))
         return p_epsilon(1.0, params.theta, 0.0, 1.0, q1, params).total
 
     seeded = {mean_of_cell(0.5, 1.0): "cell 1", mean_of_cell(0.5, 2.0): "cell 2"}

@@ -56,6 +56,16 @@ def test_validate_rejects_all_zero_kappa():
         two_asset(kappa=(0.0, 0.0))
 
 
+def test_models_compare_by_value():
+    p = two_asset(sigma=(0.5, 2.0), theta=(0.1, -0.3))
+    assert p == two_asset(sigma=(0.5, 2.0), theta=(0.1, -0.3))
+    assert p == replace(p, kappa=p.kappa.copy())
+    assert p != replace(p, theta=(0.1, -0.2))
+    assert p != two_asset(rho=0.4, sigma=(0.5, 2.0), theta=(0.1, -0.3))
+    assert p != normalize(p)[0]
+    assert p != "two_asset"
+
+
 def test_single_zero_kappa_is_allowed():
     validate(two_asset(kappa=(1.0, 0.0)))
 

@@ -265,9 +265,9 @@ def test_pole_search_returns_the_s_chart_solution(monkeypatch):
 
     for eps in (prefs.gamma, 1.0, 2.0):
         with monkeypatch.context() as patch:
-            _force_switch(patch, make_Q_operator(eps, params, spec), horizon)
-            q = solve_Q(eps, params, spec)
-        _assert_reads_alike(q, solve_Q(eps, params, spec))
+            _force_switch(patch, make_Q_operator(eps, spec), horizon)
+            q = solve_Q(eps, spec)
+        _assert_reads_alike(q, solve_Q(eps, spec))
         taus = taus_around(q)
         on_grid = q.at_many(q.tau_grid)
         assert np.array_equal(on_grid, on_grid.transpose(0, 2, 1))
