@@ -10,13 +10,12 @@ one, so a slow item does not hold up a queue of items behind it.
 ``multiprocessing`` is imported on first use, which keeps it out of the
 package's import.
 
-The package imports scipy where it first uses it, not with the package.
 A module that is first imported inside a forked worker is imported again
 by every worker, and the parent waits for the slowest.  So a caller of
 ``fork_map`` imports, before the call, every module its items import
-lazily: ``misspec_sweep`` imports scipy.integrate for its cells' solves,
-``cmd_verify`` imports ``oracles`` and with it scipy, and ``simulate``'s
-chunks need numpy alone.
+lazily.  Only ``oracles`` imports scipy, and ``cmd_verify`` imports it
+before ``run_verification`` forks; ``misspec_sweep``'s cells and
+``simulate``'s chunks need numpy alone.
 """
 
 from __future__ import annotations

@@ -6,14 +6,16 @@ there carries the sign of the risk-aversion exponent.  This module
 implements the diagonal-limit closed forms (Psi, lambda) used to establish
 those facts, and takes the value at the mean and its exact correlation
 derivatives from the linear embedding of the S-equation, stepped with
-matrix exponentials.  The same steps count the poles of S (the positive
+matrix exponentials (``_expm``: Higham's scaling-and-squaring [13/13] Pade
+approximant, in numpy).  The same steps count the poles of S (the positive
 eigenvalues of G^{-1} Phi_12 per step) and locate the first one inside the
-step that counts it, so no RK45 solve of S runs here.  It also produces
+step that counts it, so no Riccati solve of S runs here.  It also produces
 the sweep data behind the position-multiplier and value-surface figures.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,7 +23,21 @@ import numpy as np
 from .errors import BlowUpDetected, NotPositiveDefinite, OutOfDomain, OutOfHorizon, ValueOverflow
 from .grids import SensitivityGrid
 from .model import OUParams, Preferences, check_positive
-from .riccati import d_scalar_closed_form, make_S_operator
+from .riccati import brent_root, d_scalar_closed_form, make_S_operator
+
+# The [13/13] Pade approximant to exp (Higham, SIAM J. Matrix Anal. Appl.
+# 26(4), 2005): its coefficients b_0 .. b_13 as the rows of U = a (a6 W_0 + W_1)
+# and V = a6 W_2 + W_3, W_i = _PADE13 @ (I, a2, a4, a6); the bound on the norm
+# of a that it takes unscaled; and 1 / |c_27|, c_27 the leading coefficient of
+# its backward-error series (Al-Mohy and Higham, ibid. 31(3), 2009).
+_PADE13 = np.array([
+    [0.0, 40840800.0, 16380.0, 1.0],
+    [32382376266240000.0, 1187353796428800.0, 10559470521600.0, 33522128640.0],
+    [0.0, 1323241920.0, 960960.0, 182.0],
+    [64764752532480000.0, 7771770303897600.0, 129060195264000.0, 670442572800.0],
+])
+_THETA13 = 4.25
+_C27_RECIPROCAL = 113250775606021113483283660800000000.0
 
 
 def _omega(delta: float) -> float:
@@ -142,6 +158,58 @@ def check_pair(n: int, pair) -> tuple[int, int]:
     return int(p[0]), int(p[1])
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by the [13/13] Pade approximant r = (V - U)^{-1} (V + U) of a / 2^k,
+    squared k = ``_squarings`` times."""
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    k = _squarings(a, a4, a6)
+    if k:
+        a, a2, a4, a6 = a / 2.0**k, a2 / 4.0**k, a4 / 16.0**k, a6 / 64.0**k
+    n = a.shape[0]
+    w = (_PADE13 @ np.stack((np.eye(n), a2, a4, a6)).reshape(4, n * n)).reshape(4, n, n)
+    u = a @ (a6 @ w[0] + w[1])
+    v = a6 @ w[2] + w[3]
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(k):
+        r = r @ r
+    return r
+
+
+def _squarings(a: np.ndarray, a4: np.ndarray, a6: np.ndarray) -> int:
+    """The k of ``_expm``, after Al-Mohy and Higham (2009), with d_j = |a^j|_1^(1/j).
+
+    None while |a|_1 <= theta_13.  Else the least k with eta / 2^k <= theta_13,
+    eta = min(max(d6, d8), max(d8, d10)) bounded above by d8 <= d4 and
+    d10 <= (|a^4|_1 |a^6|_1)^(1/10); for a non-normal a, eta is far below
+    |a|_1, which saves squarings that would amplify rounding.  Then the
+    halvings that bring the backward-error bound |c_27| |m^27|_1 / |m|_1,
+    m = |a / 2^k|, below the unit roundoff 2^-53; none are needed while
+    |m|_1 <= theta_13, and where m^27 could overflow, k is the least with
+    |a / 2^k|_1 <= theta_13 instead (Higham's 2005 rule).
+    """
+    norm, norm4, norm6 = np.abs(np.stack((a, a4, a6))).sum(axis=1).max(axis=1).tolist()
+    if norm <= _THETA13:
+        return 0
+    d4, d6 = norm4 ** (1 / 4), norm6 ** (1 / 6)
+    eta = min(max(d6, d4), max(d4, (norm4 * norm6) ** (1 / 10)))
+    k = math.ceil(math.log2(eta / _THETA13)) if eta > _THETA13 else 0
+    scaled = norm / 2.0**k
+    if scaled <= _THETA13:
+        return k
+    if scaled >= 2.0**37:  # |m^27|_1 could pass the largest double
+        return math.ceil(math.log2(norm / _THETA13))
+    m = np.abs(a) / 2.0**k
+    m3 = m @ m @ m
+    m9 = m3 @ m3 @ m3
+    power = float((m9 @ m9 @ m9).sum(axis=0).max())
+    if power == 0.0:
+        return k
+    log_alpha = math.log2(power) - math.log2(scaled * _C27_RECIPROCAL)
+    return k + max(math.ceil((log_alpha + 53) / 26), 0)
+
+
 def _pole_in_step(h: np.ndarray, s: np.ndarray, step: float) -> float:
     """r* in (0, step]: the first pole of S restarted from S(0) = s in a step of
     ``_embedding_pass``, as the zero of f(r) = lambda_max(N(r) + s),
@@ -151,26 +219,23 @@ def _pole_in_step(h: np.ndarray, s: np.ndarray, step: float) -> float:
     point, and ~ -Theta^{-1} / r as r -> 0+ (see ``_embedding_pass``); so f
     rises from -inf and crosses 0 first at the first pole, also when two
     poles share the step.  Halving r from ``step`` brackets that zero from
-    below, and ``brentq`` finds it to the spacing of doubles.  f(step) <= 0,
-    which only rounding can give after the step counted a pole, returns
-    ``step``.
+    below, and ``brent_root`` finds it to the spacing of doubles.
+    f(step) <= 0, which only rounding can give after the step counted a pole,
+    returns ``step``.
     """
-    from scipy.linalg import expm, lapack
-    from scipy.optimize import brentq  # only a pole needs it
-
     n = len(s)
 
     def f(r):
-        phi = expm(r * h)
+        phi = _expm(r * h)
         q = np.linalg.solve(phi[:n, n:], phi[:n, :n]) + s
-        return lapack.dsyevd(0.5 * (q + q.T), compute_v=False)[0][-1]
+        return np.linalg.eigvalsh(0.5 * (q + q.T))[-1]
 
     if f(step) <= 0.0:
         return step
     lo = 0.5 * step
     while f(lo) >= 0.0:
         lo *= 0.5
-    return brentq(f, lo, step, xtol=np.finfo(float).eps * step)
+    return brent_root(f, lo, step, xtol=np.finfo(float).eps * step)
 
 
 def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs: list):
@@ -224,8 +289,6 @@ def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs:
     horizon = check_positive(horizon, "horizon")
     if prefs.gamma == 0.0:
         raise OutOfDomain("exponent 0 (log utility) is served by log_utility_value")
-    from scipy.linalg import expm, lapack  # imported on first use, not with the package
-
     n = params.n
     e = np.array([pair_matrix(n, a) for a in pairs]).reshape(-1, n, n)  # (m, n, n)
     ci, kk, c = params.corr_inv, np.outer(params.kappa, params.kappa), prefs.delta * (prefs.delta - 1.0)
@@ -239,12 +302,12 @@ def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs:
     omega = np.sqrt(max(-np.trace(w @ w), 0.0) / 2.0)
     rate = max(np.abs(np.linalg.eigvals(h)).max(), prefs.delta * omega / 3.0)
     steps = max(1, int(np.ceil(horizon * rate)))
-    phi = expm(horizon / steps * h)
+    phi = _expm(horizon / steps * h)
     z = np.zeros_like(h)
     # Top block row of each pair's exponential: Phi, Phi_a, Phi_0, Phi_0a.
     tops = np.array([
-        expm(horizon / steps * np.block([[h, ha, h1[0], h0a], [z, h, z, h1[0]],
-                                         [z, z, h, ha], [z, z, z, h]]))[:2 * n]
+        _expm(horizon / steps * np.block([[h, ha, h1[0], h0a], [z, h, z, h1[0]],
+                                          [z, z, h, ha], [z, z, z, h]]))[:2 * n]
         for ha, h0a in zip(h1, h2)
     ]).reshape(len(e), 2 * n, 4, 2 * n).swapaxes(1, 2)
     phi1, phi0, phi2 = tops[:, 1], tops[:1, 2], tops[:, 3]
@@ -256,8 +319,8 @@ def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs:
         p = phi @ y  # [G; Phi_21 + Phi_22 S]
         sign, log_det = np.linalg.slogdet(p[:n])
         g_inv = np.linalg.inv(p[:n]) if sign else None
-        # P's largest eigenvalue; np.linalg.eigvalsh's wrapper costs 3x this LAPACK call at this size.
-        if g_inv is None or lapack.dsyevd(g_inv @ phi[:n, n:], compute_v=False)[0][-1] > 0.0:
+        # P's largest eigenvalue, read from its upper triangle.
+        if g_inv is None or np.linalg.eigvalsh(g_inv @ phi[:n, n:], UPLO="U")[-1] > 0.0:
             r = _pole_in_step(h, s, horizon / steps) if g_inv is not None else horizon / steps
             raise BlowUpDetected(min(k * horizon / steps + r, horizon))
         d0 += log_det
@@ -275,15 +338,19 @@ def _embedding_pass(params: OUParams, prefs: Preferences, horizon: float, pairs:
     return log_trace, (-d1 / (2.0 * prefs.delta)).tolist(), (-d2 / (2.0 * prefs.delta)).tolist()
 
 
-def value_at_mean(params: OUParams, prefs: Preferences, horizon: float) -> float:
-    """J(1, theta, 0), the value at the mean, from the embedding pass with no pairs;
-    ``ValueOverflow`` where J is past the largest double."""
-    log_value = _embedding_pass(params, prefs, horizon, [])[0]  # log|gamma J|
+def _value_from_log(log_value: float, gamma: float) -> float:
+    """J from log|gamma J|; ``ValueOverflow`` where J is past the largest double."""
     with np.errstate(over="ignore"):
-        value = float(np.exp(log_value)) / prefs.gamma
+        value = float(np.exp(log_value)) / gamma
     if not np.isfinite(value):
         raise ValueOverflow(f"J overflows a double: log|gamma J| = {log_value:.6g}")
     return value
+
+
+def value_at_mean(params: OUParams, prefs: Preferences, horizon: float) -> float:
+    """J(1, theta, 0), the value at the mean, from the embedding pass with no pairs;
+    ``ValueOverflow`` where J is past the largest double."""
+    return _value_from_log(_embedding_pass(params, prefs, horizon, [])[0], prefs.gamma)
 
 
 def corr_sensitivity(
@@ -298,7 +365,9 @@ def corr_sensitivity(
     one ``_embedding_pass``.  Its steps count the poles of S as the positive
     eigenvalues of G^{-1} Phi_12, exactly while a step is shorter than
     pi / (delta |Omega|), and the step that counts one locates the first pole
-    inside itself and raises ``BlowUpDetected`` with its tau*.
+    inside itself and raises ``BlowUpDetected`` with its tau*.  Where J is
+    past the largest double it raises ``ValueOverflow``, as ``value_at_mean``
+    does.
 
     Two curvatures are reported.  ``second_derivative`` is the curvature of
     J itself, positive on both sides of gamma = 0 at Theta = I (the
@@ -312,7 +381,7 @@ def corr_sensitivity(
     key = tuple(sorted(check_pair(n, pair)))
     others = [(p, q) for p in range(n) for q in range(p + 1, n) if (p, q) != key]
     log_trace, l1, l2 = _embedding_pass(params, prefs, horizon, [key, *others])  # log|gamma J|
-    value = float(np.exp(log_trace)) / prefs.gamma
+    value = _value_from_log(log_trace, prefs.gamma)
     return CorrSensitivityReport(
         pair=pair, value=value, log_value=log_trace - float(np.log(abs(prefs.gamma))),
         # + 0.0 turns the signed zero of a vanishing derivative into 0.0.

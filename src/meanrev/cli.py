@@ -265,18 +265,18 @@ def cmd_solve(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     n = params.n
     meta = base_meta(config)
     entry_names = [f"{i}{j}" for i in range(n) for j in range(n)]
-    matrices = {}
+    tables = {}
     for name, sol in (("a_solution", a), ("d_solution", d)):
-        matrices[name] = [sol.interpolate(tau) for tau in taus]
-        rows = [[tau, *m.ravel(), sol.trace_integral_at(tau)] for tau, m in zip(taus, matrices[name])]
+        matrices = np.array([sol.interpolate(tau) for tau in taus]).reshape(samples, n * n)
+        tables[name] = np.column_stack([taus, matrices, [sol.trace_integral_at(tau) for tau in taus]])
         write_csv(
             outdir / f"{name}.csv", meta,
-            ["tau", *(f"{name[0]}_{e}" for e in entry_names), "trace_integral"], rows,
+            ["tau", *(f"{name[0]}_{e}" for e in entry_names), "trace_integral"], tables[name].tolist(),
         )
     if plot:
         plot_lines(
             outdir / "d_solution.svg", taus,
-            {f"D_{i}{i}": [m[i, i] for m in matrices["d_solution"]] for i in range(n)}, "tau", "feedback",
+            {f"D_{i}{i}": tables["d_solution"][:, 1 + i * (n + 1)] for i in range(n)}, "tau", "feedback",
         )
     print(f"wrote a_solution.csv, d_solution.csv to {outdir}")
     return EXIT_OK
@@ -290,14 +290,13 @@ def cmd_positions(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     times = np.asarray(section.get("times", [0.0]), dtype=float)
     params.state_to_unit_noise(states)  # refuses a bad state even when no time is asked for
     spec = optimal_strategy(params, prefs, horizon)
-    rows = []
-    for t in times:
-        for x, alpha in zip(states, spec.position(wealth, states, float(t))):
-            rows.append([t, *x, *alpha])
     n = params.n
+    blocks = [np.column_stack([np.full(len(states), t), states, spec.position(wealth, states, float(t))])
+              for t in times]
+    table = np.concatenate([np.empty((0, 1 + 2 * n)), *blocks])
     write_csv(
         outdir / "positions.csv", base_meta(config),
-        ["t", *(f"x_{i}" for i in range(n)), *(f"alpha_{i}" for i in range(n))], rows,
+        ["t", *(f"x_{i}" for i in range(n)), *(f"alpha_{i}" for i in range(n))], table.tolist(),
     )
     print(f"wrote positions.csv to {outdir}")
     return EXIT_OK
@@ -317,10 +316,10 @@ def cmd_simulate(config: dict, outdir: Path, seed: int, plot: bool) -> int:
         "n_paths": n_paths, "n_steps": n_steps, "excluded": ens.n_excluded,
         "utility_mean": _fmt(mean), "utility_se": _fmt(se),
     })
+    table = np.column_stack([np.arange(n_paths), ens.terminal_log_wealth, ens.excluded])
     write_csv(
         outdir / "terminal_wealth.csv", meta,
-        ["path", "terminal_log_wealth", "excluded"],
-        ([i, ens.terminal_log_wealth[i], int(ens.excluded[i])] for i in range(n_paths)),
+        ["path", "terminal_log_wealth", "excluded"], table.tolist(),
     )
     print(f"wrote terminal_wealth.csv to {outdir} "
           f"(utility {mean:.6g} +- {se:.2g}, {ens.n_excluded} excluded)")
@@ -408,7 +407,7 @@ def cmd_kappa_sweep(config: dict, outdir: Path, seed: int, plot: bool) -> int:
 
 def cmd_verify(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     # Imported here, before run_verification forks, so its workers inherit
-    # oracles' scipy modules; the other commands never load them.
+    # oracles' scipy modules; no other command loads scipy.
     from .oracles import run_verification
 
     checks = run_verification()

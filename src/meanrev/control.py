@@ -122,7 +122,7 @@ def _exp_quadratic(w: float, x, t: float, epsilon: float, solution: RiccatiSolut
     tau = _time_to_go(w, t, solution.horizon)
     if epsilon == 0.0:
         raise OutOfDomain("exponent 0 (log utility) is served by log_utility_value")
-    x_norm = params.state_to_unit_noise(x)
+    x_norm = params.state_to_unit_noise(x, stack=False)
     return ValueReport(
         epsilon=epsilon,
         wealth_factor=w**epsilon / epsilon,
@@ -158,7 +158,7 @@ def log_utility_value(w: float, x, t: float, params: OUParams, horizon: float) -
     M_ij = 0 wherever k_ij = 0.
     """
     tau = _time_to_go(w, t, check_positive(horizon, "horizon"))
-    x0 = params.state_to_unit_noise(x)
+    x0 = params.state_to_unit_noise(x, stack=False)
     kappa = params.kappa
     m = kappa[:, None] * params.corr_inv * kappa[None, :]
     k = kappa[:, None] + kappa[None, :]

@@ -106,7 +106,8 @@ def misspec_sweep(
 
     The cells are independent and run through ``fork_map``, spread over
     forked workers like ``simulate``'s chunks; each worker is handed the
-    next cell as soon as it is free.  Any other error of a cell reaches the
+    next cell as soon as it is free.  A cell needs numpy alone, so no worker
+    imports a module of its own.  Any other error of a cell reaches the
     caller as the sequential loop would raise it.
     ``metadata["diagnostics"]`` holds the ``workers`` used and, summed over
     the Riccati solves of every cell that returned a solution, ``solves``,
@@ -127,11 +128,6 @@ def misspec_sweep(
         kappa_hat[1] *= m2[k % m2.size]
         return _sweep_cell(true_params, replace(true_params, kappa=kappa_hat), prefs, horizon, j_true,
                            with_sharpe)
-
-    # The cells' Riccati solves import scipy.integrate on first use; importing it
-    # here, before the fork, lets every forked cell inherit it instead of
-    # importing it again (value_at_mean above loaded only scipy.linalg).
-    import scipy.integrate  # noqa: F401
 
     count = m1.size * m2.size
     results = fork_map(cell, count)

@@ -12,6 +12,7 @@ scalar (``check_positive``) and a state live here too, so no caller checks one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -89,16 +90,21 @@ class OUParams:
             np.array_equal(getattr(self, f), getattr(other, f))
             for f in ("kappa", "sigma", "theta", "corr"))
 
-    @property
+    @cached_property
     def corr_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.corr)
+        """Theta^{-1}, computed on first use and read-only."""
+        inv = np.linalg.inv(self.corr)
+        inv.setflags(write=False)
+        return inv
 
-    def state_to_unit_noise(self, x) -> np.ndarray:
-        """sigma^{-1}(x - theta) for a state of shape (n,) or a stack of shape (m, n);
-        ``ShapeMismatch`` for any other shape, ``NonFinite`` for a NaN or infinite entry."""
+    def state_to_unit_noise(self, x, stack: bool = True) -> np.ndarray:
+        """sigma^{-1}(x - theta) for a state of shape (n,) or, with ``stack``, a stack
+        of shape (m, n); ``ShapeMismatch`` for any other shape, ``NonFinite`` for a
+        NaN or infinite entry."""
         x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.n:
-            raise ShapeMismatch(f"a state must be ({self.n},) or (m, {self.n}), got {x.shape}")
+        if x.ndim not in ((1, 2) if stack else (1,)) or x.shape[-1] != self.n:
+            shapes = f"({self.n},) or (m, {self.n})" if stack else f"({self.n},)"
+            raise ShapeMismatch(f"a state must be {shapes}, got {x.shape}")
         if not np.isfinite(x).all():
             raise NonFinite("a state has a non-finite entry")
         return (x - self.theta) / self.sigma

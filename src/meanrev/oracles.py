@@ -14,10 +14,11 @@ infinite error.
 
 Every reference is independent of the code path it checks: the D-, F-
 and Q-equations and the lambda ODE are integrated by ``reference_solve``
-(DOP853 at rtol = atol = 1e-12), not by the package's RK45 solve of the
-symmetric form, the matrix-exponential propagator behind the correlation
-derivatives is held to ``phi_diagonal``, which is built from the closed forms
-of Psi and lambda and integrated by RK45.
+(scipy's DOP853 at rtol = atol = 1e-12), not by the package's own
+Dormand-Prince solve of the symmetric form; the matrix-exponential
+propagator behind the correlation derivatives is held to ``phi_diagonal``,
+which is built from the closed forms of Psi and lambda and integrated by
+scipy's RK45.  This module alone imports scipy.
 
 No config reaches an oracle directly, so its own argument checks raise a
 plain ``ValueError`` and a failed reference integration a ``RuntimeError``,

@@ -28,6 +28,12 @@ meets no pole of its own.  A pole of S is the first zero of det P, found as
 a root, not as a threshold crossing.  When P reaches the horizon instead,
 S is finite on the whole span, and the one S integration steps on to it.
 
+Both charts run on the package's own Dormand-Prince 5(4) stepper
+(``_dormand_prince``), which repeats scipy RK45's arithmetic step for step,
+and a pole is located by ``brent_root``, Brent's method as scipy's
+``brentq`` runs it; so a solve needs numpy alone and reads what the scipy
+integrator gave, bit for bit.
+
 The explicitly solvable special cases (scalar, uncorrelated, common
 reversion rate, single mean-reverting asset hedged by Brownian motions)
 are provided as independent closed forms so the integrator can always be
@@ -39,7 +45,7 @@ from __future__ import annotations
 import copy
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,6 +61,143 @@ ATOL = 1e-10
 FIRST_STEP_FRACTION = 1e-3
 SWITCH_SCALE = 10.0
 DENSE_POINTS = 1024
+
+# The Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6(1), 1980) with
+# Shampine's quartic dense output (Math. Comp. 46(173), 1986), as scipy's RK45
+# tabulates it, and RK45's step-size control: a safety factor, the bounds of one
+# change of the step, and the error exponent -1 / (error order + 1).
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10, -1 / 5
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+# Relative tolerance of ``brent_root``, scipy's smallest for ``brentq``; the
+# pole search takes it as its absolute tolerance too, as ``solve_ivp``'s event
+# search does.
+ROOT_RTOL = 4 * np.finfo(float).eps
+
+
+class _Step(NamedTuple):
+    """One accepted step from t_old to t, y_old to y, with dense-output coefficients Q."""
+
+    t_old: float
+    t: float
+    y_old: np.ndarray
+    y: np.ndarray
+    Q: np.ndarray
+
+
+def _dense_read(t_old: float, t: float, y_old: np.ndarray, q: np.ndarray, tau: float) -> np.ndarray:
+    """y(tau) on the step from t_old to t: its quartic interpolant, with the
+    operations of scipy's ``RkDenseOutput`` for a scalar tau."""
+    h = t - t_old
+    x = (tau - t_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    return h * np.dot(q, np.array((x, x2, x3, x3 * x))) + y_old
+
+
+def _dormand_prince(fun, t, y, t_bound, h_abs):
+    """The accepted steps, as ``_Step``, of the Dormand-Prince pair from (t, y)
+    forward to t_bound, with first step ``h_abs``, RTOL and ATOL.
+
+    Each step repeats scipy RK45's ``_step_impl`` and ``rk_step`` operation for
+    operation, so every step, dense output and evaluation of ``fun`` (one at
+    the start, six per attempted step) is scipy's.  A step size below ten
+    spacings of doubles at t raises ``BlowUpDetected`` at t, with scipy's text.
+    """
+    f = fun(t, y)
+    K = np.empty((_C.size + 1, y.size))
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise BlowUpDetected(t, f"integrator failed near tau = {t:.6g}: {TOO_SMALL_STEP}")
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            K[0] = f
+            for s in range(1, _C.size):
+                dy = np.dot(K[:s].T, _A[s, :s]) * h
+                K[s] = fun(t + _C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+            x = np.dot(K.T, _E) * h / scale
+            error_norm = np.linalg.norm(x) / x.size ** 0.5
+            if error_norm < 1:
+                factor = MAX_FACTOR if error_norm == 0 else min(
+                    MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+        yield _Step(t, t_new, y, y_new, K.T.dot(_P))
+        t, y, f = t_new, y_new, f_new
+
+
+def brent_root(f, a: float, b: float, xtol: float) -> float:
+    """A zero of f between a and b, where f(a) and f(b) differ in sign, by Brent's
+    method: scipy's ``brentq``, step for step, so it makes the same evaluations.
+
+    It stops once half the bracket is below (xtol + ROOT_RTOL |x|) / 2, or after
+    100 iterations; ends of one sign return b.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0 or (fpre < 0) == (fcur < 0):
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    return xcur
 
 
 @dataclass(frozen=True)
@@ -72,7 +215,7 @@ class RiccatiSolution:
     """A matrix function of tau in [0, T], read from the integrator's dense output.
 
     The state y is S, flattened, followed by its running trace integral T.
-    Over step k, of length h = ts[k + 1] - ts[k], RK45's quartic interpolant is
+    Over step k, of length h = ts[k + 1] - ts[k], the stepper's quartic interpolant is
 
         y(tau) = y_old[k] + h * Q[k] @ (x, x^2, x^3, x^4),  x = (tau - ts[k]) / h,
 
@@ -118,11 +261,7 @@ class RiccatiSolution:
         if not 0.0 <= tau <= self.horizon:
             raise OutOfRange(f"tau={tau} outside [0, {self.horizon}]")
         k = min(max(bisect_left(self._ts, tau) - 1, 0), len(self._ts) - 2)
-        h = self._ts[k + 1] - self._ts[k]
-        x = (tau - self._ts[k]) / h
-        x2 = x * x
-        x3 = x2 * x
-        return h * np.dot(self.Q[k], np.array((x, x2, x3, x3 * x))) + self.y_old[k]
+        return _dense_read(self._ts[k], self._ts[k + 1], self.y_old[k], self.Q[k], tau)
 
     def interpolate(self, tau: float) -> np.ndarray:
         n = self.n
@@ -222,72 +361,89 @@ def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
     """Integrate a matrix Riccati ODE from S(0) = 0 over tau in [0, horizon].
 
     The running trace integral is carried as an extra state component so it
-    shares the stepper's quadrature order.  One RK45 solver steps S from 0;
-    from the end tau_s of its first step with max|S| >= L = ``switch_level``,
-    it integrates W = L P, P = (S - Z)^{-1} the shifted inverse with Z = -L I,
-    so the tolerances act on entries of order one.  With Z substituted, W solves
-
-        W' = -(W C~ W / L + L Theta + M~' W + W M~),
-        M~ = M - L Theta,  C~ = op.rhs(tau, -L I) = C - L (M + M') + L^2 Theta.
-
-    A pole of S is where det W first vanishes, the root of W's smallest
-    eigenvalue (a sign change even where eigenvalues vanish together);
-    BlowUpDetected carries it and tau_s, as it carries a failed step.  W only
-    looks for a pole: if it reaches the horizon, the S solver steps on to it,
-    so every solution returned is the one a solve that never switches gives.
+    shares the stepper's quadrature order.  One Dormand-Prince pass
+    (``_dormand_prince``) steps S from 0; from the end tau_s of its first step
+    with max|S| >= L = ``switch_level``, ``_pole_search`` integrates the
+    inverse chart W = L (S + L I)^{-1} on the same stepper.  W only looks for a
+    pole: if it reaches the horizon, the S pass steps on to it, so every
+    solution returned is the one a solve that never switches gives.  A pole,
+    or a step size that underflows on either chart, raises ``BlowUpDetected``
+    with tau_s.
     """
-    from scipy.integrate import RK45, solve_ivp  # imported on first use, not with the package
-
     horizon = check_positive(horizon, "horizon")
     corr = op.corr
     n = corr.shape[0]
     level = switch_level(op, horizon)
-
     corr_t = corr.T
+    s_evals = 0
 
     def rhs_flat(tau, y):
+        nonlocal s_evals
+        s_evals += 1
         s = y[: n * n].reshape(n, n)
         out = np.empty(n * n + 1)
         out[:-1] = op.rhs(tau, s).ravel()
         out[-1] = np.add.reduce(s * corr_t, axis=None)  # Tr(S @ Theta), as np.sum adds it
         return out
 
+    steps = []
+    diagnostics = {"p_evals": 0, "switch_tau": None, "w_min": None}
+    try:
+        for step in _dormand_prince(rhs_flat, 0.0, np.zeros(n * n + 1), horizon,
+                                    FIRST_STEP_FRACTION * horizon):
+            steps.append(step)
+            if diagnostics["switch_tau"] is None and np.abs(step.y[: n * n]).max() >= level:
+                diagnostics["switch_tau"] = float(step.t)
+                diagnostics.update(_pole_search(op, level, step, horizon))
+    except BlowUpDetected as exc:
+        exc.switch_tau = diagnostics["switch_tau"]
+        raise
+    return RiccatiSolution(steps, n, horizon, {"s_evals": s_evals, **diagnostics})
+
+
+def _pole_search(op: QuadraticOperator, level: float, step: _Step, horizon: float) -> dict:
+    """Follow W = L P, P = (S - Z)^{-1} the shifted inverse with Z = -L I, from the
+    end tau_s of ``step`` to the horizon, so the tolerances act on entries of
+    order one.  With Z substituted, W solves
+
+        W' = -(W C~ W / L + L Theta + M~' W + W M~),
+        M~ = M - L Theta,  C~ = op.rhs(tau, -L I) = C - L (M + M') + L^2 Theta.
+
+    W starts positive definite.  A pole of S is where det W first vanishes,
+    the root of W's smallest eigenvalue (a sign change even where eigenvalues
+    vanish together): the first step that ends with it at or below 0 locates
+    the root on its dense output with ``brent_root`` and raises
+    ``BlowUpDetected`` there.  Otherwise returns ``p_evals`` and ``w_min``, the
+    smallest eigenvalue of W at the ends of its accepted steps (at tau_s when
+    tau_s is the horizon, so there are none).
+    """
+    corr = op.corr
+    n = corr.shape[0]
+    shift = -level * np.eye(n)
+    p_evals = 0
+
     def inverse_flat(tau, y):
+        nonlocal p_evals
+        p_evals += 1
         m, c = op.coefficients(tau)
         c_shift = _symmetric_rhs(shift, corr, m, c)  # C~: the S right-hand side at Z
         dw = _symmetric_rhs(y.reshape(n, n), c_shift / level, (m - level * corr).T, level * corr)
         return -dw.ravel()
 
-    def pole_event(tau, y):
+    def lowest(y):
         return np.linalg.eigvalsh(y.reshape(n, n))[0]
 
-    pole_event.terminal, pole_event.direction = True, -1
+    w0 = level * np.linalg.inv(step.y[: n * n].reshape(n, n) - shift)
+    lows = []
+    for w_step in _dormand_prince(inverse_flat, step.t, w0.ravel(), horizon,
+                                  FIRST_STEP_FRACTION * (horizon - step.t)):
+        lows.append(lowest(w_step.y))
+        if lows[-1] <= 0.0:
+            def crossing(tau):
+                return lowest(_dense_read(w_step.t_old, w_step.t, w_step.y_old, w_step.Q, tau))
 
-    solver = RK45(rhs_flat, 0.0, np.zeros(n * n + 1), horizon, rtol=RTOL, atol=ATOL,
-                  first_step=FIRST_STEP_FRACTION * horizon)
-    steps = []
-    diagnostics = {"p_evals": 0, "switch_tau": None, "w_min": None}
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise BlowUpDetected(solver.t, f"integrator failed near tau = {solver.t:.6g}: {message}",
-                                 switch_tau=diagnostics["switch_tau"])
-        steps.append(solver.dense_output())
-        if diagnostics["switch_tau"] is None and np.abs(solver.y[: n * n]).max() >= level:
-            tau_s = diagnostics["switch_tau"] = float(solver.t)
-            shift = -level * np.eye(n)
-            w0 = level * np.linalg.inv(solver.y[: n * n].reshape(n, n) - shift)
-            inverse = solve_ivp(inverse_flat, (tau_s, horizon), w0.ravel(), method="RK45", rtol=RTOL,
-                                atol=ATOL, events=pole_event)
-            if inverse.status < 0:
-                raise BlowUpDetected(inverse.t[-1], f"integrator failed near tau = {inverse.t[-1]:.6g}: "
-                                     f"{inverse.message}", switch_tau=tau_s)
-            if inverse.status == 1:
-                raise BlowUpDetected(inverse.t[-1], switch_tau=tau_s)
-            diagnostics["p_evals"] = int(inverse.nfev)
-            accepted = inverse.y[:, 1:].T.reshape(-1, n, n)
-            diagnostics["w_min"] = float(np.linalg.eigvalsh(accepted)[:, 0].min())
-    return RiccatiSolution(steps, n, horizon, {"s_evals": solver.nfev, **diagnostics})
+            raise BlowUpDetected(brent_root(crossing, w_step.t_old, w_step.t, xtol=ROOT_RTOL))
+    return {"p_evals": p_evals, "w_min": float(min(lows, default=lowest(w0)))}
 
 
 def solve_A(params: OUParams, prefs: Preferences, horizon: float) -> RiccatiSolution:

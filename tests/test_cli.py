@@ -398,6 +398,17 @@ def test_sweeps_record_an_overflowing_value_as_a_failure(tmp_path, capsys, comma
     assert all("J overflows a double: log|gamma J| = " in ln for ln in reasons)
 
 
+def test_corr_sweep_refuses_an_overflowing_header(tmp_path, capsys):
+    # At T = 4000 and gamma = 0.5, J at the model's own correlation passes the
+    # largest double, so its derivatives would be inf: the command fails typed,
+    # under this suite's warnings-as-errors setting, and writes no header.
+    cfg = base_config(gamma=0.5, horizon=4000.0, corr_sweep={"rho_grid": [0.0]})
+    assert run(tmp_path, cfg, "corr-sweep") == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: ValueOverflow: J overflows a double: log|gamma J| = 918.2" in err
+    assert not (tmp_path / "out" / "corr_sweep.csv").exists()
+
+
 def test_kappa_sweep_sweeps_the_configured_model(tmp_path, capsys):
     # Every cell is the value at the mean of the configured three-asset model
     # with kappa_2 and Theta_01 replaced.  At Theta_01 = -0.9 the matrix is

@@ -1,21 +1,36 @@
-"""Start-up cost: the package and the CLI load scipy only where a command uses
-it, and every caller of ``fork_map`` imports what its items need before it
-forks, so no forked worker imports scipy itself.
+"""Start-up cost: only ``meanrev verify`` loads scipy, through ``oracles``; every
+other command, and every item it forks, runs on numpy alone.  ``cmd_verify``
+imports ``oracles`` before it forks, so no forked worker imports scipy itself.
 
 Each test runs a fresh interpreter, because this suite's own process has
 long since imported scipy.
 """
 
+import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import meanrev
+from meanrev.cli import DEFAULT_CONFIG
 
 SRC = str(Path(meanrev.__file__).resolve().parents[1])
-DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
+
+# Every command but verify, on the default model; misspec on a 2x2 Sharpe
+# grid and simulate on 2000 paths, so each run stays short.
+COMMANDS = {
+    "validate": {},
+    "solve": {},
+    "positions": {},
+    "simulate": {"simulate": {"n_paths": 2000}},
+    "misspec": {"misspec": {"multipliers1": [0.5, 1.0], "multipliers2": [1.0, 2.0], "sharpe": True}},
+    "kappa-sweep": {},
+    "corr-sweep": {},
+}
 
 
 def run_fresh(script: str, tmp_path) -> subprocess.CompletedProcess:
@@ -25,27 +40,38 @@ def run_fresh(script: str, tmp_path) -> subprocess.CompletedProcess:
                           text=True, timeout=120, env=env, cwd=tmp_path)
 
 
-def test_cli_import_and_validate_load_no_scipy_solver(tmp_path):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_but_verify_loads_scipy(tmp_path, command):
+    (tmp_path / "config.json").write_text(json.dumps({**DEFAULT_CONFIG, **COMMANDS[command]}))
     proc = run_fresh(f"""
+        import resource
         import sys
+
         import meanrev.cli
-        deferred = {DEFERRED!r}
-        print(sorted(m for m in deferred if m in sys.modules))
-        assert meanrev.cli.main(["--output-dir", "out", "validate"]) == 0
-        print(sorted(m for m in deferred if m in sys.modules))
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        print("import:", scipy_modules())
+        assert meanrev.cli.main(["--config", "config.json", "--output-dir", "out", {command!r}]) == 0
+        print("run:", scipy_modules())
+        print("ru_maxrss:", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
         """, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    after_import, after_validate = proc.stdout.splitlines()[0], proc.stdout.splitlines()[-1]
-    assert after_import == "[]", f"import meanrev.cli loaded {after_import}"
-    assert after_validate == "[]", f"meanrev validate loaded {after_validate}"
+    report = dict(line.split(": ", 1) for line in proc.stdout.splitlines()
+                  if line.startswith(("import: ", "run: ", "ru_maxrss: ")))
+    assert report["import"] == "[]", f"import meanrev.cli loaded {report['import']}"
+    assert report["run"] == "[]", f"meanrev {command} loaded {report['run']}"
+    print(f"meanrev {command}: ru_maxrss {int(report['ru_maxrss']) / 1024:.1f} MB")
 
 
 def test_forked_items_inherit_scipy_from_their_caller(tmp_path):
-    # Wrap the fork_map that misspec_sweep and run_verification look up: at
-    # the call, the caller must already hold scipy.integrate and scipy.linalg,
-    # and no item may import a scipy module that the caller did not hold.
-    # The sweep runs first, before oracles (which imports scipy at its top)
-    # is loaded.
+    # Wrap the fork_map that misspec_sweep and run_verification look up.  The
+    # sweep's caller and its items hold no scipy module at all.  At
+    # run_verification's call the caller already holds scipy.integrate and
+    # scipy.linalg, and no item imports a scipy module that the caller did not
+    # hold.  The sweep runs first, before oracles (which imports scipy at its
+    # top) is loaded.
     proc = run_fresh("""
         import sys
 
@@ -55,15 +81,15 @@ def test_forked_items_inherit_scipy_from_their_caller(tmp_path):
         from meanrev.model import OUParams, Preferences
 
         def scipy_modules():
-            return {m for m in sys.modules if m.startswith("scipy.")}
+            return {m for m in sys.modules if m == "scipy" or m.startswith("scipy.")}
 
-        def guard(module):
+        def guard(module, required):
             real = module.fork_map
 
             def fork_map(func, count):
-                missing = [m for m in ("scipy.integrate", "scipy.linalg") if m not in sys.modules]
-                assert not missing, f"{module.__name__} calls fork_map before importing {missing}"
                 held = scipy_modules()
+                assert required <= held, f"{module.__name__} forks before importing {required - held}"
+                assert required or not held, f"{module.__name__} forks holding {sorted(held)}"
 
                 def item(k):
                     out = func(k)
@@ -77,18 +103,22 @@ def test_forked_items_inherit_scipy_from_their_caller(tmp_path):
             module.fork_map = fork_map
 
         calls = []
-        guard(meanrev.misspec)
+        guard(meanrev.misspec, set())
         params = OUParams(n=2, kappa=np.array([1.0, 0.5]), sigma=np.ones(2), theta=np.zeros(2),
                           corr=np.array([[1.0, 0.5], [0.5, 1.0]]))
         grid = meanrev.misspec.misspec_sweep(params, Preferences(gamma=-4.0), 1.0, [0.8, 1.2],
                                              [0.9, 1.1], with_sharpe=True)
         assert np.isfinite(grid.cells).all(), grid.failures
+        # A sweep with blow-up cells also runs the pole search and the embedding pass.
+        grid = meanrev.misspec.misspec_sweep(params, Preferences(gamma=-4.0), 3.0, [0.5, 2.0],
+                                             [0.5, 2.0], with_sharpe=True)
+        assert grid.failures
 
         import meanrev.oracles
-        guard(meanrev.oracles)
+        guard(meanrev.oracles, {"scipy.integrate", "scipy.linalg"})
         report = meanrev.oracles.run_verification()
         assert all(c["passed"] for c in report.values()), report
         print(calls)
         """, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['meanrev.misspec', 'meanrev.oracles']"
+    assert proc.stdout.strip() == "['meanrev.misspec', 'meanrev.misspec', 'meanrev.oracles']"

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
-from meanrev import misspec, oracles, riccati
+from meanrev import analysis, misspec, oracles, riccati
 from meanrev.analysis import value_at_mean
 from meanrev.control import misspecified_strategy, optimal_strategy
 from meanrev.errors import BlowUpDetected, NonFinite, OutOfDomain, OutOfRange, TrigSingularity
@@ -188,9 +189,10 @@ def _assert_matches(sol, matrices, traces, taus, scale):
             getattr(sol, lookup)(arg)
 
 
-def _scipy_dense_output(op, horizon):
-    """scipy's OdeSolution of the S-equation with its trace integral, from the
-    settings ``riccati.solve`` uses, built here with solve_ivp."""
+def _scipy_solve(op, horizon):
+    """scipy's RK45 solve of the S-equation with its trace integral, from the
+    settings ``riccati.solve`` uses: ``sol`` is its OdeSolution, ``nfev`` its
+    right-hand-side evaluations."""
     n = op.corr.shape[0]
 
     def rhs_flat(tau, y):
@@ -199,21 +201,17 @@ def _scipy_dense_output(op, horizon):
 
     return solve_ivp(rhs_flat, (0.0, horizon), np.zeros(n * n + 1), method="RK45",
                      rtol=riccati.RTOL, atol=riccati.ATOL,
-                     first_step=riccati.FIRST_STEP_FRACTION * horizon, dense_output=True).sol
+                     first_step=riccati.FIRST_STEP_FRACTION * horizon, dense_output=True)
 
 
-@pytest.mark.parametrize("gamma", [-4.0, -1.0, 0.5])
-@pytest.mark.parametrize("n", [1, 2, 5])
-def test_reads_equal_scipys_dense_output(n, gamma):
-    # The stacked steps give every read of scipy's OdeSolution bit for bit:
-    # random taus, every accept point, both ends, scalar and batched.
-    rng = np.random.default_rng(100 * n + int(4 * gamma))
-    params, _ = normalize(random_params(rng, n))
-    op = riccati.make_S_operator(params, Preferences(gamma=gamma))
-    horizon = 0.3 if gamma > 0 else 2.0  # short of any pole at gamma = 0.5
-    sol = riccati.solve(op, horizon)
-    assert sol.diagnostics["switch_tau"] is None
-    dense = _scipy_dense_output(op, horizon)
+def _assert_reads_equal_scipys(sol, op, horizon, rng):
+    """Every read of ``sol`` is scipy's OdeSolution's bit for bit (random taus,
+    every accept point, both ends, scalar and batched), and the S pass made
+    scipy's number of evaluations."""
+    n = op.corr.shape[0]
+    reference = _scipy_solve(op, horizon)
+    assert sol.diagnostics["s_evals"] == reference.nfev
+    dense = reference.sol
     taus = np.concatenate([rng.uniform(0.0, horizon, 200), sol.tau_grid, [0.0, horizon]])
     for tau in taus:
         y = dense(tau)
@@ -222,6 +220,73 @@ def test_reads_equal_scipys_dense_output(n, gamma):
     ys = dense(taus)
     assert np.array_equal(sol.at_many(taus), np.moveaxis(ys[: n * n].reshape(n, n, -1), 2, 0))
     assert np.array_equal(sol.at_many(taus[:1]), dense(taus[:1])[: n * n].reshape(1, n, n))
+
+
+@pytest.mark.parametrize("gamma", [-4.0, -1.0, 0.5])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_reads_equal_scipys_dense_output(n, gamma):
+    # The package's own stepper repeats scipy's RK45 step for step.
+    rng = np.random.default_rng(100 * n + int(4 * gamma))
+    params, _ = normalize(random_params(rng, n))
+    op = riccati.make_S_operator(params, Preferences(gamma=gamma))
+    horizon = 0.3 if gamma > 0 else 2.0  # short of any pole at gamma = 0.5
+    sol = riccati.solve(op, horizon)
+    assert sol.diagnostics["switch_tau"] is None
+    _assert_reads_equal_scipys(sol, op, horizon, rng)
+
+
+@pytest.mark.parametrize("eps", [-4.0, 1.0, 2.0])
+def test_q_reads_equal_scipys_dense_output(eps):
+    # A moment operator, whose coefficients vary with tau through the rule's
+    # feedback, at every exponent the sweep solves.
+    rng = np.random.default_rng(7)
+    params, _ = normalize(random_params(rng, 3))
+    est = replace(params, kappa=params.kappa * np.array([1.5, 0.8, 1.2]))
+    spec = misspecified_strategy(params, est, Preferences(gamma=-4.0), 0.9)  # short of a pole
+    op = make_Q_operator(eps, spec)
+    sol = riccati.solve(op, spec.horizon)
+    assert sol.diagnostics["switch_tau"] is None
+    _assert_reads_equal_scipys(sol, op, spec.horizon, rng)
+
+
+def test_switched_reads_equal_scipys_dense_output(monkeypatch):
+    # A solve forced through the inverse chart returns the S pass, still
+    # scipy's bit for bit, with the same S evaluations.
+    params = oracles.unit_noise([1.0, 2.0], oracles.pair_corr(0.4))
+    prefs, horizon = Preferences(gamma=0.5), 1.0
+    spec = misspecified_strategy(params, replace(params, kappa=params.kappa * np.array([1.5, 0.8])),
+                                 prefs, horizon)
+    for op in (riccati.make_S_operator(params, prefs), make_Q_operator(2.0, spec)):
+        with monkeypatch.context() as patch:
+            _force_switch(patch, op, horizon)
+            sol = riccati.solve(op, horizon)
+        assert sol.diagnostics["switch_tau"] is not None and sol.diagnostics["p_evals"] > 0
+        _assert_reads_equal_scipys(sol, op, horizon, np.random.default_rng(8))
+
+
+@pytest.mark.parametrize("module", [riccati, analysis], ids=["inverse-chart", "embedding-pass"])
+def test_pole_root_finder_makes_no_more_calls_than_brentq(monkeypatch, module):
+    # The single-MR pole at rho = 0.9, gamma = 0.5 (tau* = 0.8749), located by
+    # the inverse chart of riccati.solve and by analysis's embedding pass: each
+    # bracket's root is scipy's brentq's, found in no more evaluations.
+    real, seen = riccati.brent_root, []
+
+    def counting(f, a, b, xtol):
+        calls = []
+        root = real(lambda x: calls.append(x) or f(x), a, b, xtol)
+        reference, info = brentq(f, a, b, xtol=xtol, rtol=riccati.ROOT_RTOL, full_output=True)
+        seen.append((len(calls), info.function_calls, root, reference))
+        return root
+
+    monkeypatch.setattr(module, "brent_root", counting)
+    params, prefs = two_asset(rho=0.9, kappa=(1.0, 0.0)), Preferences(gamma=0.5)
+    with pytest.raises(BlowUpDetected) as info:
+        solve_A(params, prefs, 3.0) if module is riccati else value_at_mean(params, prefs, 3.0)
+    pole = single_mr_blowup_tau(1.0, params.corr, 0.5)
+    assert info.value.tau_star == pytest.approx(pole, rel=oracles.POLE_TOL)
+    assert len(seen) == 1
+    ours, theirs, root, reference = seen[0]
+    assert ours <= theirs and root == reference
 
 
 def _assert_reads_alike(sol, base):

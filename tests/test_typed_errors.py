@@ -141,6 +141,16 @@ def test_every_state_entry_refuses_a_bad_state(entry, state, error, message):
         STATE_ENTRIES[entry](state)
 
 
+@pytest.mark.parametrize("entry", sorted(set(STATE_ENTRIES) - {"position"}))
+def test_an_entry_of_one_state_refuses_a_stack(entry):
+    # Only the position rule reads a stack of states, one row each; the
+    # others evaluate one state, and simulate flattens its start to four entries.
+    stack = [[0.1, 0.2], [0.3, 0.4]]
+    with pytest.raises(ShapeMismatch, match="^a state must be"):
+        STATE_ENTRIES[entry](stack)
+    assert STATE_ENTRIES["position"](stack).shape == (2, 2)
+
+
 HORIZON_ENTRIES = {
     "simulate": lambda h: simulate(MODEL, PREFS, SPEC, h, 4, 2, 0),
     "log_utility_value": lambda h: log_utility_value(1.0, MODEL.theta, 0.0, MODEL, h),
