@@ -1,7 +1,7 @@
 """Independent items of work spread over forked worker processes.
 
-``simulate`` runs its path chunks, ``misspec_sweep`` its grid cells and
-``run_verification`` (``meanrev verify``) its checks through ``fork_map``.
+``simulate`` runs its path chunks and ``run_verification`` (``meanrev
+verify``) its checks through ``fork_map``.
 A forked child starts with the parent's memory, so the work function and
 everything it reads need no pickling; only item indices, results and errors
 travel, through one pipe per worker.  Work is handed out claim-next: each
@@ -14,8 +14,7 @@ A module that is first imported inside a forked worker is imported again
 by every worker, and the parent waits for the slowest.  So a caller of
 ``fork_map`` imports, before the call, every module its items import
 lazily.  Only ``oracles`` imports scipy, and ``cmd_verify`` imports it
-before ``run_verification`` forks; ``misspec_sweep``'s cells and
-``simulate``'s chunks need numpy alone.
+before ``run_verification`` forks; ``simulate``'s chunks need numpy alone.
 """
 
 from __future__ import annotations

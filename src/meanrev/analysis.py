@@ -401,7 +401,7 @@ def value_vs_kappa2_rho(params: OUParams, prefs: Preferences, horizon: float, ka
 
     A cell whose Theta is not positive definite, whose S has a pole before
     the horizon, or whose value overflows is NaN with its reason in
-    ``failures``.  The horizon is checked first, so a grid of failing cells
+    ``failures``; an empty axis raises ``OutOfDomain``.  The horizon is checked first, so a grid of failing cells
     cannot hide a bad one.
     """
     check_positive(horizon, "horizon")
@@ -410,6 +410,8 @@ def value_vs_kappa2_rho(params: OUParams, prefs: Preferences, horizon: float, ka
     p, q = check_pair(params.n, pair)
     k2 = np.asarray(kappa2_grid, dtype=float)
     rho = np.asarray(rho_grid, dtype=float)
+    if k2.size == 0 or rho.size == 0:
+        raise OutOfDomain("the kappa2 and rho axes need at least one value each")
     cells = np.empty((k2.size, rho.size))
     failures: dict = {}
     for i, k in enumerate(k2):

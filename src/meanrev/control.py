@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import OutOfDomain, OutOfHorizon
 from .model import OUParams, Preferences, check_positive
-from .riccati import RiccatiSolution, solve_A, solve_D
+from .riccati import RiccatiSolution, s_view, solve_A, solve_D
 
 
 def _time_to_go(w, t: float, horizon: float) -> float:
@@ -62,20 +62,20 @@ class StrategySpec:
 
 
 def misspecified_strategy(true_params: OUParams, est: OUParams, prefs: Preferences,
-                          horizon: float) -> StrategySpec:
+                          horizon: float, s_solution: RiccatiSolution | None = None) -> StrategySpec:
     """Position rule of a trader who takes the estimates ``est`` for the truth.
 
     The feedback ODE is solved with the estimates (it reads only the
-    reversion rates and the correlation); the frame r r', r = s / sh, carries
-    that solution into the true model's unit-noise coordinates, so positions
-    come out exactly as the estimate-believing trader computes them.  The
-    estimated means ``est.theta`` are never read: positions use the true
-    means (their estimation is out of scope).
+    reversion rates and the correlation), or read from ``s_solution``, a
+    solve of the estimates' S-equation over the horizon; the frame r r',
+    r = s / sh, carries that solution into the true model's unit-noise
+    coordinates, so positions come out exactly as the estimate-believing
+    trader computes them.  The estimated means ``est.theta`` are never read:
+    positions use the true means (their estimation is out of scope).
     """
     r = true_params.sigma / est.sigma
-    return StrategySpec(
-        d_solution=solve_D(est, prefs, horizon), params=true_params, frame=np.outer(r, r),
-    )
+    d_solution = solve_D(est, prefs, horizon) if s_solution is None else s_view(s_solution, "D", est, prefs)
+    return StrategySpec(d_solution=d_solution, params=true_params, frame=np.outer(r, r))
 
 
 def optimal_strategy(params: OUParams, prefs: Preferences, horizon: float) -> StrategySpec:

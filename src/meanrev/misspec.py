@@ -11,17 +11,16 @@ holds its true model, so the moment solvers take no second one.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import NamedTuple
 
 import numpy as np
 
-from ._fork import fork_map, worker_count
 from .analysis import value_at_mean
 from .control import StrategySpec, ValueReport, _exp_quadratic, misspecified_strategy
 from .errors import BlowUpDetected, NonPositiveVariance, OutOfDomain
 from .grids import SensitivityGrid
 from .model import OUParams, Preferences
-from .riccati import QuadraticOperator, RiccatiSolution, solve, symmetric_operator
+from .riccati import (QuadraticOperator, RiccatiSolution, make_S_operator, solve, solve_stack,
+                      stacked_reader, symmetric_operator)
 
 
 def beta_matrix(spec: StrategySpec, tau: float) -> np.ndarray:
@@ -34,17 +33,34 @@ def beta_matrix(spec: StrategySpec, tau: float) -> np.ndarray:
     return -spec.feedback(tau)
 
 
-def make_Q_operator(epsilon: float, spec: StrategySpec) -> QuadraticOperator:
+def make_Q_operator(epsilon, spec) -> QuadraticOperator:
     """Moment operator for S_Q = Q + Q' under ``spec.params``: M = eps beta' Theta - K and
-    C = eps (eps - 1) beta' Theta beta - eps (beta' K + K beta), through beta(tau)."""
-    corr, kappa = spec.params.corr, spec.params.kappa
+    C = eps (eps - 1) beta' Theta beta - eps (beta' K + K beta), through beta(tau).
+
+    ``epsilon`` and ``spec`` may instead be an array of exponents and a list of
+    rules with one true model, for the operator of their stack: one stacked
+    read of the rules' feedback solutions gives every system's beta."""
+    if isinstance(spec, StrategySpec):
+        eps, params = epsilon, spec.params
+
+        def beta_of(tau):
+            return beta_matrix(spec, tau)
+    else:
+        eps, params = np.reshape(epsilon, (-1, 1, 1)), spec[0].params
+        read, frame = stacked_reader([s.d_solution for s in spec]), np.stack([s.frame for s in spec])
+
+        def beta_of(tau):
+            return -(frame * read(tau))
+
+    corr, kappa = params.corr, params.kappa
     kmat = np.diag(kappa)
 
     def coefficients(tau):
-        beta = beta_matrix(spec, tau)
-        bt_corr, bk = beta.T @ corr, beta.T * kappa
-        return (epsilon * bt_corr - kmat,
-                epsilon * (epsilon - 1.0) * bt_corr @ beta - epsilon * (bk + bk.T))
+        beta = beta_of(tau)
+        beta_t = beta.swapaxes(-1, -2)
+        bt_corr, bk = beta_t @ corr, beta_t * kappa
+        return (eps * bt_corr - kmat,
+                eps * (eps - 1.0) * bt_corr @ beta - eps * (bk + bk.swapaxes(-1, -2)))
 
     return symmetric_operator(corr, coefficients)
 
@@ -102,48 +118,71 @@ def misspec_sweep(
     also gets the Sharpe ratio of its terminal wealth in
     ``metadata["sharpe"]``; a Q_1 or Q_2 blow-up leaves the cell's value
     standing, sets only its Sharpe ratio to NaN and records the reason in
-    ``metadata["sharpe_failures"]``.
+    ``metadata["sharpe_failures"]``.  An empty multiplier axis raises
+    ``OutOfDomain``.
 
-    The cells are independent and run through ``fork_map``, spread over
-    forked workers like ``simulate``'s chunks; each worker is handed the
-    next cell as soon as it is free.  A cell needs numpy alone, so no worker
-    imports a module of its own.  Any other error of a cell reaches the
-    caller as the sequential loop would raise it.
-    ``metadata["diagnostics"]`` holds the ``workers`` used and, summed over
-    the Riccati solves of every cell that returned a solution, ``solves``,
-    ``s_evals``, ``p_evals`` and ``switched`` (solves that reached the
-    switch level).
+    The cells run in this process as stacked solves (``riccati.solve_stack``):
+    every cell's Dh, then Q_gamma of the cells whose Dh converged, then Q_1
+    and Q_2 of the cells whose Q_gamma converged.  Each cell's numbers are
+    bit for bit those of the loop ``misspecified_strategy`` -> ``solve_Q`` ->
+    ``p_epsilon`` -> ``sharpe``, and the moments are read cell by cell, so an
+    error other than a blow-up is the lowest cell's, as the loop raises it.
+    ``metadata["diagnostics"]`` sums, over the Riccati solves that returned
+    a solution, ``solves``, ``s_evals``, ``p_evals``, ``switched`` (solves
+    that reached the switch level), ``accepted`` and ``rejected`` steps, and
+    holds the shortest accepted step, ``min_step``.
     """
     if true_params.n < 2:
         raise OutOfDomain("the sweep varies two per-asset multipliers; need n >= 2")
     m1 = np.asarray(multipliers1, dtype=float)
     m2 = np.asarray(multipliers2, dtype=float)
+    if m1.size == 0 or m2.size == 0:
+        raise OutOfDomain("each multiplier axis needs at least one value")
     if np.any(m1 <= 0) or np.any(m2 <= 0):
         raise OutOfDomain("multipliers must be positive")
     j_true = value_at_mean(true_params, prefs, horizon)
 
-    def cell(k):
+    ests = []
+    for k in range(m1.size * m2.size):
         kappa_hat = true_params.kappa.copy()
         kappa_hat[0] *= m1[k // m2.size]
         kappa_hat[1] *= m2[k % m2.size]
-        return _sweep_cell(true_params, replace(true_params, kappa=kappa_hat), prefs, horizon, j_true,
-                           with_sharpe)
+        ests.append(replace(true_params, kappa=kappa_hat))
+    d_hats = solve_stack(lambda rows: make_S_operator([ests[k] for k in rows], prefs), len(ests), horizon)
+    rules = {k: misspecified_strategy(true_params, ests[k], prefs, horizon, s_solution=d)
+             for k, d in enumerate(d_hats) if not isinstance(d, BlowUpDetected)}
+    q_g = dict(zip(rules, _moments([prefs.gamma] * len(rules), list(rules.values()), horizon)))
+    failures = {k: d for k, d in enumerate(d_hats) if isinstance(d, BlowUpDetected)}
+    failures.update((k, q) for k, q in q_g.items() if isinstance(q, BlowUpDetected))
+    converged = [k for k in rules if k not in failures]
+    moments = {}
+    if with_sharpe:
+        both = _moments([1.0] * len(converged) + [2.0] * len(converged),
+                        [rules[k] for k in converged] * 2, horizon)
+        moments = {k: (q1, q2) for k, q1, q2 in zip(converged, both, both[len(converged):])}
+    solved = [s for s in (*d_hats, *q_g.values(), *(q for pair in moments.values() for q in pair))
+              if not isinstance(s, BlowUpDetected)]
 
-    count = m1.size * m2.size
-    results = fork_map(cell, count)
-    cells = np.array([r.value for r in results]).reshape(m1.size, m2.size)
-    sharpes = np.array([r.sharpe for r in results]).reshape(m1.size, m2.size)
-    failures = {divmod(k, m2.size): r.failure for k, r in enumerate(results)
-                if r.failure is not None}
-    sharpe_failures = {divmod(k, m2.size): r.sharpe_failure for k, r in enumerate(results)
-                       if r.sharpe_failure is not None}
-    solved = [d for r in results for d in r.solved]
+    cells = np.full(len(ests), np.nan)
+    sharpes = np.full(len(ests), np.nan)
+    sharpe_failures = {}
+    theta = true_params.theta
+    for k in converged:
+        cells[k] = p_epsilon(1.0, theta, 0.0, prefs.gamma, q_g[k], true_params).total - j_true
+        if with_sharpe:
+            lost = next((q for q in moments[k] if isinstance(q, BlowUpDetected)), None)
+            if lost is not None:
+                sharpe_failures[divmod(k, m2.size)] = str(lost)
+                continue
+            q1, q2 = moments[k]
+            sharpes[k] = sharpe(p_epsilon(1.0, theta, 0.0, 1.0, q1, true_params),
+                                p_epsilon(1.0, theta, 0.0, 2.0, q2, true_params))
     diagnostics = {
-        "workers": worker_count(count),
         "solves": len(solved),
-        "s_evals": sum(d["s_evals"] for d in solved),
-        "p_evals": sum(d["p_evals"] for d in solved),
-        "switched": sum(d["switch_tau"] is not None for d in solved),
+        **{key: sum(d.diagnostics[key] for d in solved)
+           for key in ("s_evals", "p_evals", "accepted", "rejected")},
+        "switched": sum(d.diagnostics["switch_tau"] is not None for d in solved),
+        "min_step": min(d.diagnostics["min_step"] for d in solved) if solved else None,
     }
 
     grid = SensitivityGrid(
@@ -151,7 +190,7 @@ def misspec_sweep(
         axis1=m1,
         axis2_name="kappa2_multiplier",
         axis2=m2,
-        cells=cells,
+        cells=cells.reshape(m1.size, m2.size),
         metadata={
             "quantity": "p_gamma_minus_j_true",
             "j_true": j_true,
@@ -159,48 +198,18 @@ def misspec_sweep(
             "horizon": horizon,
             "diagnostics": diagnostics,
         },
-        failures=failures,
+        failures={divmod(k, m2.size): str(exc) for k, exc in sorted(failures.items())},
     )
     if with_sharpe:
-        grid.metadata["sharpe"] = sharpes
+        grid.metadata["sharpe"] = sharpes.reshape(m1.size, m2.size)
         grid.metadata["sharpe_failures"] = sharpe_failures
     return grid
 
 
-class _Cell(NamedTuple):
-    """One ``misspec_sweep`` cell as a worker sends it back: the value shortfall
-    and the Sharpe ratio (NaN where they failed), each failure's reason or
-    None, and the diagnostics of every solve that returned."""
-
-    value: float
-    failure: str | None
-    sharpe: float
-    sharpe_failure: str | None
-    solved: list
-
-
-def _sweep_cell(true_params: OUParams, est: OUParams, prefs: Preferences, horizon: float,
-                j_true: float, with_sharpe: bool) -> _Cell:
-    solved = []
-    try:
-        spec = misspecified_strategy(true_params, est, prefs, horizon)
-        solved.append(spec.d_solution.diagnostics)
-        q_g = solve_Q(prefs.gamma, spec)
-        solved.append(q_g.diagnostics)
-        p_g = p_epsilon(1.0, true_params.theta, 0.0, prefs.gamma, q_g, true_params)
-    except BlowUpDetected as exc:
-        return _Cell(np.nan, str(exc), np.nan, None, solved)
-    ratio, sharpe_failure = np.nan, None
-    if with_sharpe:
-        try:
-            q1 = solve_Q(1.0, spec)
-            solved.append(q1.diagnostics)
-            q2 = solve_Q(2.0, spec)
-            solved.append(q2.diagnostics)
-            ratio = sharpe(
-                p_epsilon(1.0, true_params.theta, 0.0, 1.0, q1, true_params),
-                p_epsilon(1.0, true_params.theta, 0.0, 2.0, q2, true_params),
-            )
-        except BlowUpDetected as exc:
-            sharpe_failure = str(exc)
-    return _Cell(p_g.total - j_true, None, ratio, sharpe_failure, solved)
+def _moments(epsilons: list, specs: list, horizon: float) -> list:
+    """[solve_Q(epsilons[i], specs[i])] as one stacked solve, with the
+    ``BlowUpDetected`` of a solve that blew up in its place."""
+    eps = np.asarray(epsilons, dtype=float)
+    solved = solve_stack(lambda rows: make_Q_operator(eps[rows], [specs[i] for i in rows]),
+                         len(specs), horizon) if specs else []
+    return [q if isinstance(q, BlowUpDetected) else q.view(scale=0.5) for q in solved]

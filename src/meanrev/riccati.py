@@ -32,7 +32,11 @@ Both charts run on the package's own Dormand-Prince 5(4) stepper
 (``_dormand_prince``), which repeats scipy RK45's arithmetic step for step,
 and a pole is located by ``brent_root``, Brent's method as scipy's
 ``brentq`` runs it; so a solve needs numpy alone and reads what the scipy
-integrator gave, bit for bit.
+integrator gave, bit for bit.  The stepper advances a stack of systems in
+lock step: ``solve_stack`` solves many equations of one size and one Theta
+with one stacked product per stage, each system keeping its own steps, and
+``solve`` is the stack of one.  Every system's solution is bit for bit the
+one its solve alone gives.
 
 The explicitly solvable special cases (scalar, uncorrelated, common
 reversion rate, single mean-reverting asset hedged by Brownian motions)
@@ -43,6 +47,7 @@ cross-checked.
 from __future__ import annotations
 
 import copy
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -105,6 +110,13 @@ class _Step(NamedTuple):
     Q: np.ndarray
 
 
+class _Pass(NamedTuple):
+    """The accepted steps of one system's pass and the number of steps it rejected."""
+
+    steps: list
+    rejected: int
+
+
 def _dense_read(t_old: float, t: float, y_old: np.ndarray, q: np.ndarray, tau: float) -> np.ndarray:
     """y(tau) on the step from t_old to t: its quartic interpolant, with the
     operations of scipy's ``RkDenseOutput`` for a scalar tau."""
@@ -115,45 +127,123 @@ def _dense_read(t_old: float, t: float, y_old: np.ndarray, q: np.ndarray, tau: f
     return h * np.dot(q, np.array((x, x2, x3, x3 * x))) + y_old
 
 
-def _dormand_prince(fun, t, y, t_bound, h_abs):
-    """The accepted steps, as ``_Step``, of the Dormand-Prince pair from (t, y)
-    forward to t_bound, with first step ``h_abs``, RTOL and ATOL.
+# Stage s of a step reads the stage sum _A[s, :s] @ K[:s] at t + _C[s] h.
+_STAGES = tuple((s, _A[s, :s]) for s in range(1, _C.size))
+_C_LIST = _C.tolist()
 
-    Each step repeats scipy RK45's ``_step_impl`` and ``rk_step`` operation for
-    operation, so every step, dense output and evaluation of ``fun`` (one at
-    the start, six per attempted step) is scipy's.  A step size below ten
-    spacings of doubles at t raises ``BlowUpDetected`` at t, with scipy's text.
+
+def _dormand_prince(fun, t, y, t_bound, h_abs, check):
+    """Step a stack of systems with the Dormand-Prince pair in lock step, each
+    from its time t[b] and state y[b] forward to t_bound, with first step
+    h_abs[b], RTOL and ATOL.
+
+    Each round attempts one step of every live system.  The stage sums, the
+    right-hand sides, the error estimates and the dense-output coefficients
+    of all of them are each one stacked call; ``fun(rows, t, y, out)`` writes
+    the derivatives of the live systems ``rows`` at times t, shape (k,), and
+    states y, shape (k, d), into ``out``.  A stack of one system drops the
+    stack axis, so its products are the cheaper two-dimensional ones: t is a
+    scalar and y has shape (d,).  Each system keeps its own time, step size,
+    accept or reject state and steps, and its step-size control is Python
+    float arithmetic, so every step, dense output and evaluation of a system
+    is the one scipy RK45's ``_step_impl`` and ``rk_step`` make for it alone:
+    one evaluation at the start, six per attempted step.
+
+    ``check(b, step)`` sees each accepted ``_Step`` of system b as it is
+    taken; a ``BlowUpDetected`` it raises stops b.  So does a step size below
+    ten spacings of doubles at t, with scipy's text, at t.  Returns, per
+    system, its ``_Pass`` or the error that stopped it.
     """
-    f = fun(t, y)
-    K = np.empty((_C.size + 1, y.size))
-    while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise BlowUpDetected(t, f"integrator failed near tau = {t:.6g}: {TOO_SMALL_STEP}")
-            t_new = min(t + h_abs, t_bound)
-            h = h_abs = t_new - t
-            K[0] = f
-            for s in range(1, _C.size):
-                dy = np.dot(K[:s].T, _A[s, :s]) * h
-                K[s] = fun(t + _C[s] * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, _B)
-            f_new = fun(t + h, y_new)
-            K[-1] = f_new
-            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-            x = np.dot(K.T, _E) * h / scale
-            error_norm = np.linalg.norm(x) / x.size ** 0.5
+    y = np.array(y, dtype=float)
+    count, dim = y.shape
+    single = count == 1
+    if single:
+        y = y[0]
+    t = np.broadcast_to(np.asarray(t, dtype=float), (count,)).tolist()
+    min_step = [10 * abs(math.nextafter(tb, math.inf) - tb) for tb in t]
+    h = [max(hb, low) for hb, low in zip(np.broadcast_to(h_abs, (count,)).tolist(), min_step)]
+    k = np.empty((*y.shape[:-1], _C.size + 1, dim))
+    fun(np.arange(count), t[0] if single else np.array(t), y, k[..., -1, :])  # copied to stage 0 below
+    steps = [[] for _ in range(count)]
+    rejected = [0] * count
+    results: list = [_Pass(steps[b], 0) for b in range(count)]
+    retry = [False] * count
+    root_dim = dim ** 0.5
+    live = [tb < t_bound for tb in t]
+    rows, moved, size = np.arange(count), True, -1
+    abs_y = np.abs(y)
+    while True:
+        if not all(live):
+            keep = np.flatnonzero(live)
+            if not keep.size:
+                return results
+            rows, y, abs_y, k = rows[keep], y[keep], abs_y[keep], k[keep]
+            t, h, retry, min_step = ([v[i] for i in keep.tolist()] for v in (t, h, retry, min_step))
+            moved = moved if isinstance(moved, bool) else moved[keep]
+        if size != rows.size:  # views of the stage array, made once per stack
+            size = rows.size
+            stages = [(a, k[..., :s, :], k[..., s, :]) for s, a in _STAGES]
+            first, last, all_but_last = k[..., 0, :], k[..., -1, :], k[..., :-1, :]
+        if moved is True:
+            first[...] = last
+        elif moved is not False:
+            k[moved, 0] = k[moved, -1]
+        t_new = [min(tb + hb, t_bound) for tb, hb in zip(t, h)]
+        h = [te - tb for te, tb in zip(t_new, t)]
+        if single:
+            hc = h[0]
+            t_stage = [t[0] + c * hc for c in _C_LIST]
+        else:
+            hc = np.array(h)[:, None]
+            t_stage = hc.T * _C[:, None] + t
+        for s, (a, done, out) in enumerate(stages, 1):
+            fun(rows, t_stage[s], y + (a @ done) * hc, out)
+        y_new = y + hc * (_B @ all_but_last)
+        fun(rows, t_stage[-1], y_new, last)  # at t + h, as _C[-1] = 1
+        abs_new = np.abs(y_new)
+        x = (_E @ k) * hc / (ATOL + np.maximum(abs_y, abs_new) * RTOL)
+        squares = (x[..., None, :] @ x[..., None]).ravel().tolist()
+        q = k.swapaxes(-1, -2) @ _P
+        y_rows, new_rows = y, y_new
+        if single:
+            y_rows, new_rows, q = [y], [y_new], [q]
+        live = [True] * size
+        taken = [False] * size
+        for i, b in enumerate(rows.tolist()):
+            error_norm = math.sqrt(squares[i]) / root_dim
             if error_norm < 1:
                 factor = MAX_FACTOR if error_norm == 0 else min(
                     MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-            rejected = True
-        yield _Step(t, t_new, y, y_new, K.T.dot(_P))
-        t, y, f = t_new, y_new, f_new
+                h[i] *= min(1, factor) if retry[i] else factor
+                min_step[i] = 10 * abs(math.nextafter(t_new[i], math.inf) - t_new[i])
+                h[i] = max(h[i], min_step[i])
+                retry[i], taken[i] = False, True
+                step = _Step(t[i], t_new[i], y_rows[i], new_rows[i], q[i])
+                steps[b].append(step)
+                try:
+                    check(b, step)
+                except BlowUpDetected as exc:  # kept without its frames, which hold every step
+                    results[b], live[i] = exc.with_traceback(None), False
+                    continue
+                if t_new[i] >= t_bound:
+                    results[b], live[i] = _Pass(steps[b], rejected[b]), False
+            else:
+                h[i] *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                retry[i] = True
+                rejected[b] += 1
+                if h[i] < min_step[i]:
+                    live[i] = False
+                    results[b] = BlowUpDetected(
+                        t[i], f"integrator failed near tau = {t[i]:.6g}: {TOO_SMALL_STEP}")
+        if all(taken):
+            t, y, abs_y, moved = t_new, y_new, abs_new, True
+        elif any(taken):
+            moved = np.array(taken)
+            t = [te if go else tb for te, tb, go in zip(t_new, t, taken)]
+            y = np.where(moved[:, None], y_new, y)
+            abs_y = np.where(moved[:, None], abs_new, abs_y)
+        else:
+            moved = False
 
 
 def brent_root(f, a: float, b: float, xtol: float) -> float:
@@ -204,7 +294,11 @@ def brent_root(f, a: float, b: float, xtol: float) -> float:
 class QuadraticOperator:
     """Right-hand side S -> S' of a symmetric Riccati ODE with S(0) = 0; ``corr``
     (Theta) weights its quadratic term and the running trace integral of Tr(S Theta),
-    and ``coefficients(tau)`` returns the (M, C) that ``rhs`` is built from."""
+    and ``coefficients(tau)`` returns the (M, C) that ``rhs`` is built from.
+
+    The operator of a stack of k systems that share Theta takes tau of shape
+    (k,) and S of shape (k, n, n), one system per row, and returns (M, C) and
+    S' stacked alike."""
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
     corr: np.ndarray
@@ -297,10 +391,48 @@ class RiccatiSolution:
         return self._matrix(np.moveaxis(y[: n * n].reshape(n, n, -1), 2, 0))
 
 
+def stacked_reader(solutions: list) -> Callable[[np.ndarray], np.ndarray]:
+    """A function of taus that returns [solutions[i].interpolate(taus[i])], shape
+    (k, n, n), for solutions of one size: the step each tau falls on, then one
+    stacked dense read, bit for bit what ``interpolate`` reads."""
+    n = solutions[0].n
+    ts = [sol._ts for sol in solutions]
+    first = np.cumsum([0] + [len(t) - 1 for t in ts[:-1]]).tolist()
+    t_old = np.concatenate([sol.ts[:-1] for sol in solutions])
+    # Per step: its start, its length and y_old, so one gather reads all three.
+    steps = np.column_stack([t_old, np.concatenate([sol.ts[1:] for sol in solutions]) - t_old,
+                             np.concatenate([sol.y_old[:, : n * n] for sol in solutions])])
+    q = np.concatenate([sol.Q[:, : n * n] for sol in solutions])
+    offset = np.stack([np.broadcast_to(sol.offset, (n, n)) for sol in solutions])
+    scale = np.array([sol.scale for sol in solutions])[:, None]
+    horizons = np.array([sol.horizon for sol in solutions])
+
+    def read(taus) -> np.ndarray:
+        if len(solutions) == 1:  # one solution, as the pole search reads it: a scalar read
+            return solutions[0].interpolate(float(np.reshape(taus, -1)[0]))[None]
+        taus = np.atleast_1d(taus)
+        if not ((taus >= 0.0) & (taus <= horizons)).all():
+            raise OutOfRange("tau values outside solution span")
+        at = [first[i] + min(max(bisect_left(t, tau) - 1, 0), len(t) - 2)
+              for i, (t, tau) in enumerate(zip(ts, taus.tolist()))]
+        read_steps = steps[at]
+        length = read_steps[:, 1]
+        powers = np.empty((len(at), 4, 1))  # x, x^2, x^3, x^4 as _dense_read forms them
+        x = powers[:, 0, 0] = (taus - read_steps[:, 0]) / length
+        np.multiply(x, x, out=powers[:, 1, 0])
+        np.multiply(powers[:, 1, 0], x, out=powers[:, 2, 0])
+        np.multiply(powers[:, 2, 0], x, out=powers[:, 3, 0])
+        y = length[:, None] * (q[at] @ powers)[..., 0] + read_steps[:, 2:]
+        return offset + (scale * y).reshape(-1, n, n)
+
+    return read
+
+
 def _symmetric_rhs(s: np.ndarray, weight: np.ndarray, m: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(s W s + c) symmetrized plus m s + (m s)': exactly symmetric."""
+    """(s W s + c) symmetrized plus m s + (m s)': exactly symmetric, for one
+    matrix or a stack."""
     q, ms = s @ weight @ s + c, m @ s
-    return 0.5 * (q + q.T) + (ms + ms.T)
+    return 0.5 * (q + q.swapaxes(-1, -2)) + (ms + ms.swapaxes(-1, -2))
 
 
 def symmetric_operator(corr: np.ndarray, coefficients: Callable) -> QuadraticOperator:
@@ -313,12 +445,17 @@ def symmetric_operator(corr: np.ndarray, coefficients: Callable) -> QuadraticOpe
     return QuadraticOperator(rhs=rhs, corr=corr, coefficients=coefficients)
 
 
-def make_S_operator(params: OUParams, prefs: Preferences) -> QuadraticOperator:
-    """Operator of the S-equation: M = -delta K, C = delta (delta - 1) K Theta^{-1} K."""
-    kappa, delta = params.kappa, prefs.delta
-    m = -delta * np.diag(kappa)
-    c = delta * (delta - 1.0) * (kappa[:, None] * params.corr_inv * kappa[None, :])
-    return symmetric_operator(params.corr, lambda tau: (m, c))
+def make_S_operator(params, prefs: Preferences) -> QuadraticOperator:
+    """Operator of the S-equation: M = -delta K, C = delta (delta - 1) K Theta^{-1} K.
+
+    ``params`` is one ``OUParams``, or a list of models that share Theta for
+    the operator of their stack."""
+    models = [params] if isinstance(params, OUParams) else params
+    delta = prefs.delta
+    m = [-delta * np.diag(p.kappa) for p in models]
+    c = [delta * (delta - 1.0) * (p.kappa[:, None] * p.corr_inv * p.kappa[None, :]) for p in models]
+    m, c = (m[0], c[0]) if models is not params else (np.stack(m), np.stack(c))
+    return symmetric_operator(models[0].corr, lambda tau: (m, c))
 
 
 def s_view(s: RiccatiSolution, which: str, params: OUParams, prefs: Preferences) -> RiccatiSolution:
@@ -338,10 +475,11 @@ def s_view(s: RiccatiSolution, which: str, params: OUParams, prefs: Preferences)
     return s.view(**view)
 
 
-def switch_level(op: QuadraticOperator, horizon: float) -> float:
+def switch_level(op: QuadraticOperator, horizon: float, count: int = 1):
     """The max|S| at which ``solve`` leaves the S chart: SWITCH_SCALE times the
     scale s = |M| / l + sqrt(|C| / l) (spectral norms, l the smallest eigenvalue
-    of Theta), the larger at tau = 0 and at the horizon.
+    of Theta), the larger at tau = 0 and at the horizon; for an operator of a
+    stack of ``count`` systems, one level each.
 
     Along an eigenvalue mu of S at either end of its spectrum,
     mu' >= l mu^2 - 2 |mu| |M| - |C|, which is positive once |mu| > 2 s.  So the
@@ -352,53 +490,81 @@ def switch_level(op: QuadraticOperator, horizon: float) -> float:
     low = float(np.linalg.eigvalsh(op.corr)[0])
     scale = 0.0
     for tau in (0.0, horizon):
-        m, c = op.coefficients(tau)
-        scale = max(scale, np.linalg.norm(m, 2) / low + np.sqrt(np.linalg.norm(c, 2) / low))
-    return SWITCH_SCALE * scale if scale > 0.0 else np.inf
+        m, c = op.coefficients(tau if count == 1 else np.full(count, tau))
+        norm = np.linalg.norm(m, 2, axis=(-2, -1)) / low + np.sqrt(np.linalg.norm(c, 2, axis=(-2, -1)) / low)
+        scale = np.fmax(scale, norm)
+    level = np.broadcast_to(np.where(scale > 0.0, SWITCH_SCALE * scale, np.inf), (count,))
+    return float(level[0]) if count == 1 else level
 
 
 def solve(op: QuadraticOperator, horizon: float) -> RiccatiSolution:
-    """Integrate a matrix Riccati ODE from S(0) = 0 over tau in [0, horizon].
+    """Integrate a matrix Riccati ODE from S(0) = 0 over tau in [0, horizon]:
+    ``solve_stack`` of the one system, with ``op.rhs`` read once per
+    evaluation.  A pole, or a step size that underflows on either chart,
+    raises ``BlowUpDetected`` with tau_s."""
+    solution, = solve_stack(lambda rows: op, 1, horizon)
+    if isinstance(solution, BlowUpDetected):
+        raise solution
+    return solution
+
+
+def solve_stack(operator_of: Callable, count: int, horizon: float) -> list:
+    """Integrate ``count`` matrix Riccati ODEs of one size from S(0) = 0 over tau in
+    [0, horizon], in lock step on one stepper; ``operator_of(rows)`` is the
+    operator of the stack of systems ``rows`` (an index array), built anew
+    whenever a system leaves the stack.
 
     The running trace integral is carried as an extra state component so it
     shares the stepper's quadrature order.  One Dormand-Prince pass
-    (``_dormand_prince``) steps S from 0; from the end tau_s of its first step
-    with max|S| >= L = ``switch_level``, ``_pole_search`` integrates the
-    inverse chart W = L (S + L I)^{-1} on the same stepper.  W only looks for a
-    pole: if it reaches the horizon, the S pass steps on to it, so every
-    solution returned is the one a solve that never switches gives.  A pole,
-    or a step size that underflows on either chart, raises ``BlowUpDetected``
-    with tau_s.
+    (``_dormand_prince``) steps every S from 0, and each system's steps,
+    reads and evaluations are those of its solve alone.  From the end tau_s
+    of a system's first step with max|S| >= L = ``switch_level``,
+    ``_pole_search`` integrates its inverse chart W = L (S + L I)^{-1} on the
+    same stepper, as a stack of one.  W only looks for a pole: if it reaches
+    the horizon, the S pass steps on to it, so every solution returned is
+    the one a solve that never switches gives.  Returns, per system, its
+    ``RiccatiSolution`` or the ``BlowUpDetected``, with tau_s, of a pole or of
+    a step size that underflowed on either chart.
     """
     horizon = check_positive(horizon, "horizon")
-    corr = op.corr
+    everyone = np.arange(count)
+    current = [everyone, operator_of(everyone)]
+    corr = current[1].corr
     n = corr.shape[0]
-    level = switch_level(op, horizon)
-    corr_t = corr.T
-    s_evals = 0
+    nn = n * n
+    corr_flat = corr.T.ravel()
+    levels = np.broadcast_to(switch_level(current[1], horizon, count), (count,)).tolist()
 
-    def rhs_flat(tau, y):
-        nonlocal s_evals
-        s_evals += 1
-        s = y[: n * n].reshape(n, n)
-        out = np.empty(n * n + 1)
-        out[:-1] = op.rhs(tau, s).ravel()
-        out[-1] = np.add.reduce(s * corr_t, axis=None)  # Tr(S @ Theta), as np.sum adds it
-        return out
+    def rhs_flat(rows, tau, y, out):
+        if rows is not current[0]:
+            current[:] = rows, operator_of(rows)
+        lead = y.shape[:-1]
+        s = y[..., :nn]
+        out[..., :nn] = current[1].rhs(tau, s.reshape(lead + (n, n))).reshape(lead + (nn,))
+        out[..., nn] = np.add.reduce(s * corr_flat, axis=-1)  # Tr(S @ Theta), as np.sum adds it
 
-    steps = []
-    diagnostics = {"p_evals": 0, "switch_tau": None, "w_min": None}
-    try:
-        for step in _dormand_prince(rhs_flat, 0.0, np.zeros(n * n + 1), horizon,
-                                    FIRST_STEP_FRACTION * horizon):
-            steps.append(step)
-            if diagnostics["switch_tau"] is None and np.abs(step.y[: n * n]).max() >= level:
-                diagnostics["switch_tau"] = float(step.t)
-                diagnostics.update(_pole_search(op, level, step, horizon))
-    except BlowUpDetected as exc:
-        exc.switch_tau = diagnostics["switch_tau"]
-        raise
-    return RiccatiSolution(steps, n, horizon, {"s_evals": s_evals, **diagnostics})
+    switch_tau: list = [None] * count
+    searched: list = [{"p_evals": 0, "w_min": None}] * count
+
+    def check(b, step):
+        if switch_tau[b] is None and np.abs(step.y[:nn]).max() >= levels[b]:
+            switch_tau[b] = float(step.t)
+            searched[b] = _pole_search(operator_of(everyone[b:b + 1]), levels[b], step, horizon)
+
+    passes = _dormand_prince(rhs_flat, 0.0, np.zeros((count, nn + 1)), horizon,
+                             FIRST_STEP_FRACTION * horizon, check)
+    out = []
+    for b, result in enumerate(passes):
+        if isinstance(result, BlowUpDetected):
+            result.switch_tau = switch_tau[b]
+            out.append(result)
+            continue
+        steps = result.steps
+        out.append(RiccatiSolution(steps, n, horizon, {
+            "s_evals": 1 + 6 * (len(steps) + result.rejected), **searched[b],
+            "switch_tau": switch_tau[b], "accepted": len(steps), "rejected": result.rejected,
+            "min_step": min(step.t - step.t_old for step in steps)}))
+    return out
 
 
 def _pole_search(op: QuadraticOperator, level: float, step: _Step, horizon: float) -> dict:
@@ -420,30 +586,34 @@ def _pole_search(op: QuadraticOperator, level: float, step: _Step, horizon: floa
     corr = op.corr
     n = corr.shape[0]
     shift = -level * np.eye(n)
-    p_evals = 0
 
-    def inverse_flat(tau, y):
-        nonlocal p_evals
-        p_evals += 1
+    def inverse_flat(rows, tau, y, out):
         m, c = op.coefficients(tau)
         c_shift = _symmetric_rhs(shift, corr, m, c)  # C~: the S right-hand side at Z
-        dw = _symmetric_rhs(y.reshape(n, n), c_shift / level, (m - level * corr).T, level * corr)
-        return -dw.ravel()
+        dw = _symmetric_rhs(y.reshape(n, n), c_shift / level, (m - level * corr).swapaxes(-1, -2),
+                            level * corr)
+        np.negative(dw.reshape(n * n), out=out)
 
     def lowest(y):
         return np.linalg.eigvalsh(y.reshape(n, n))[0]
 
-    w0 = level * np.linalg.inv(step.y[: n * n].reshape(n, n) - shift)
     lows = []
-    for w_step in _dormand_prince(inverse_flat, step.t, w0.ravel(), horizon,
-                                  FIRST_STEP_FRACTION * (horizon - step.t)):
+
+    def check(b, w_step):
         lows.append(lowest(w_step.y))
         if lows[-1] <= 0.0:
             def crossing(tau):
                 return lowest(_dense_read(w_step.t_old, w_step.t, w_step.y_old, w_step.Q, tau))
 
             raise BlowUpDetected(brent_root(crossing, w_step.t_old, w_step.t, xtol=ROOT_RTOL))
-    return {"p_evals": p_evals, "w_min": float(min(lows, default=lowest(w0)))}
+
+    w0 = level * np.linalg.inv(step.y[: n * n].reshape(n, n) - shift)
+    result, = _dormand_prince(inverse_flat, step.t, w0.reshape(1, -1), horizon,
+                              FIRST_STEP_FRACTION * (horizon - step.t), check)
+    if isinstance(result, BlowUpDetected):
+        raise result
+    return {"p_evals": 1 + 6 * (len(result.steps) + result.rejected),
+            "w_min": float(min(lows, default=lowest(w0)))}
 
 
 def solve_A(params: OUParams, prefs: Preferences, horizon: float) -> RiccatiSolution:

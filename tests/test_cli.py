@@ -568,3 +568,14 @@ def test_plot_flat_series_is_drawn_flat(tmp_path):
     (line,) = root.iter("{http://www.w3.org/2000/svg}polyline")
     ys = {pt.split(",")[1] for pt in line.get("points").split()}
     assert len(ys) == 1
+
+
+@pytest.mark.parametrize("command, section", [
+    ("misspec", {"misspec": {"multipliers1": [], "multipliers2": [1.0]}}),
+    ("kappa-sweep", {"kappa_sweep": {"kappa2_grid": []}}),
+])
+def test_an_empty_sweep_axis_exits_1_before_writing(tmp_path, capsys, command, section):
+    # Once a ZeroDivisionError traceback from plot_heatmap, or a header-only CSV.
+    assert run(tmp_path, base_config(**section), "--plot", command) == EXIT_VALIDATION
+    assert "OutOfDomain" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))

@@ -1,6 +1,7 @@
 """Start-up cost: only ``meanrev verify`` loads scipy, through ``oracles``; every
-other command, and every item it forks, runs on numpy alone.  ``cmd_verify``
-imports ``oracles`` before it forks, so no forked worker imports scipy itself.
+other command, and every item it forks, runs on numpy alone.  ``misspec``
+forks nothing; ``cmd_verify`` imports ``oracles`` before it forks, so no
+forked worker imports scipy itself.
 
 Each test runs a fresh interpreter, because this suite's own process has
 long since imported scipy.
@@ -65,14 +66,15 @@ def test_no_command_but_verify_loads_scipy(tmp_path, command):
     print(f"meanrev {command}: ru_maxrss {int(report['ru_maxrss']) / 1024:.1f} MB")
 
 
-def test_forked_items_inherit_scipy_from_their_caller(tmp_path):
-    # Wrap the fork_map that misspec_sweep and run_verification look up.  The
-    # sweep's caller and its items hold no scipy module at all.  At
-    # run_verification's call the caller already holds scipy.integrate and
-    # scipy.linalg, and no item imports a scipy module that the caller did not
-    # hold.  The sweep runs first, before oracles (which imports scipy at its
-    # top) is loaded.
+def test_misspec_forks_nothing_and_verify_forks_after_scipy(tmp_path):
+    # The sweep solves its cells in this process: it forks nothing and loads
+    # no scipy module, with or without blow-up cells.  At run_verification's
+    # fork_map call the caller already holds scipy.integrate and scipy.linalg,
+    # and no item imports a scipy module that the caller did not hold.  The
+    # sweep runs first, before oracles (which imports scipy at its top) is
+    # loaded.
     proc = run_fresh("""
+        import os
         import sys
 
         import numpy as np
@@ -83,27 +85,9 @@ def test_forked_items_inherit_scipy_from_their_caller(tmp_path):
         def scipy_modules():
             return {m for m in sys.modules if m == "scipy" or m.startswith("scipy.")}
 
-        def guard(module, required):
-            real = module.fork_map
-
-            def fork_map(func, count):
-                held = scipy_modules()
-                assert required <= held, f"{module.__name__} forks before importing {required - held}"
-                assert required or not held, f"{module.__name__} forks holding {sorted(held)}"
-
-                def item(k):
-                    out = func(k)
-                    new = scipy_modules() - held
-                    assert not new, f"{module.__name__} item {k} imported {sorted(new)}"
-                    return out
-
-                calls.append(module.__name__)
-                return real(item, count)
-
-            module.fork_map = fork_map
-
-        calls = []
-        guard(meanrev.misspec, set())
+        forks = []
+        real_fork = os.fork
+        os.fork = lambda: forks.append(1) or real_fork()
         params = OUParams(n=2, kappa=np.array([1.0, 0.5]), sigma=np.ones(2), theta=np.zeros(2),
                           corr=np.array([[1.0, 0.5], [0.5, 1.0]]))
         grid = meanrev.misspec.misspec_sweep(params, Preferences(gamma=-4.0), 1.0, [0.8, 1.2],
@@ -113,12 +97,32 @@ def test_forked_items_inherit_scipy_from_their_caller(tmp_path):
         grid = meanrev.misspec.misspec_sweep(params, Preferences(gamma=-4.0), 3.0, [0.5, 2.0],
                                              [0.5, 2.0], with_sharpe=True)
         assert grid.failures
+        assert not forks, f"misspec_sweep forked {len(forks)} times"
+        assert not scipy_modules(), f"misspec_sweep loaded {sorted(scipy_modules())}"
 
         import meanrev.oracles
-        guard(meanrev.oracles, {"scipy.integrate", "scipy.linalg"})
+        real = meanrev.oracles.fork_map
+        required = {"scipy.integrate", "scipy.linalg"}
+
+        def fork_map(func, count):
+            held = scipy_modules()
+            assert required <= held, f"oracles forks before importing {required - held}"
+
+            def item(k):
+                out = func(k)
+                new = scipy_modules() - held
+                assert not new, f"oracles item {k} imported {sorted(new)}"
+                return out
+
+            print("fork_map")
+            return real(item, count)
+
+        meanrev.oracles.fork_map = fork_map
         report = meanrev.oracles.run_verification()
         assert all(c["passed"] for c in report.values()), report
-        print(calls)
+        # verify forks wherever more than one CPU is available.
+        from meanrev._fork import worker_count
+        print("forks:", (len(forks) > 0) == (worker_count(len(report)) > 1))
         """, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['meanrev.misspec', 'meanrev.misspec', 'meanrev.oracles']"
+    assert proc.stdout.split() == ["fork_map", "forks:", "True"]

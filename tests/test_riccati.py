@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -14,7 +15,7 @@ from meanrev.misspec import make_Q_operator, misspec_sweep, solve_Q
 from meanrev.model import Preferences, normalize
 from meanrev.riccati import d_scalar_closed_form, d_single_mr, single_mr_blowup_tau, solve_A, solve_D
 
-from conftest import assert_passes, random_params, two_asset
+from conftest import assert_passes, random_corr, random_params, two_asset
 
 
 def test_scalar_closed_form_initial_value():
@@ -223,16 +224,86 @@ def _assert_reads_equal_scipys(sol, op, horizon, rng):
 
 
 @pytest.mark.parametrize("gamma", [-4.0, -1.0, 0.5])
-@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 20])
 def test_reads_equal_scipys_dense_output(n, gamma):
     # The package's own stepper repeats scipy's RK45 step for step.
     rng = np.random.default_rng(100 * n + int(4 * gamma))
     params, _ = normalize(random_params(rng, n))
     op = riccati.make_S_operator(params, Preferences(gamma=gamma))
-    horizon = 0.3 if gamma > 0 else 2.0  # short of any pole at gamma = 0.5
+    horizon = (0.3 if n <= 10 else 0.1) if gamma > 0 else 2.0  # short of any pole at gamma = 0.5
     sol = riccati.solve(op, horizon)
     assert sol.diagnostics["switch_tau"] is None
     _assert_reads_equal_scipys(sol, op, horizon, rng)
+
+
+def _assert_solved_alike(got, want):
+    """A system of a stacked solve ended as its solve alone did: the same
+    steps, dense output and diagnostics, or the same blow-up."""
+    if isinstance(want, BlowUpDetected):
+        assert isinstance(got, BlowUpDetected), got
+        assert (got.tau_star, got.switch_tau, str(got)) == (want.tau_star, want.switch_tau, str(want))
+        return
+    assert np.array_equal(got.ts, want.ts)
+    assert np.array_equal(got.y_old, want.y_old) and np.array_equal(got.Q, want.Q)
+    assert got.diagnostics == want.diagnostics
+
+
+def test_a_stacked_solve_equals_the_single_solves():
+    # Random stacks of S-equations with one Theta: some systems converge, some
+    # reach the switch level and search the inverse chart in vain, some hit a
+    # pole.  Each system of the stack ends as its solve alone does, bit for bit.
+    outcomes = set()
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 5]),
+           gamma=st.sampled_from([-4.0, -1.0, 0.5]), size=st.integers(2, 4),
+           switch_scale=st.sampled_from([riccati.SWITCH_SCALE, 1.0, 0.1]))
+    def stacked_alike(seed, n, gamma, size, switch_scale):
+        rng = np.random.default_rng(seed)
+        corr = random_corr(rng, n)
+        if n > 1 and rng.integers(2):  # strong correlation: poles at gamma = 0.5
+            corr = np.full((n, n), rng.uniform(0.85, 0.97))
+            np.fill_diagonal(corr, 1.0)
+        models = []
+        for _ in range(size):
+            kappa = rng.uniform(0.3, 2.0, n)
+            if n > 1 and rng.integers(2):
+                kappa[1:] = 0.0  # one mean-reverting asset, hedged
+            models.append(oracles.unit_noise(kappa, corr))
+        prefs, horizon = Preferences(gamma=gamma), float(rng.uniform(0.5, 3.0))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(riccati, "SWITCH_SCALE", switch_scale)
+            stacked = riccati.solve_stack(
+                lambda rows: riccati.make_S_operator([models[k] for k in rows], prefs), size, horizon)
+            for model, got in zip(models, stacked):
+                try:
+                    want = riccati.solve(riccati.make_S_operator(model, prefs), horizon)
+                    outcomes.add("switched" if want.diagnostics["switch_tau"] is not None else "plain")
+                except BlowUpDetected as exc:
+                    want = exc
+                    outcomes.add("pole")
+                _assert_solved_alike(got, want)
+
+    stacked_alike()
+    assert outcomes == {"plain", "switched", "pole"}
+
+
+def test_stacked_moment_solves_equal_the_single_solves():
+    # Q_1 and Q_2 of three rules in one stack, read through one stacked read
+    # of the rules' feedback solutions, as the sweep solves them.
+    params, prefs, horizon = two_asset(rho=0.6), Preferences(gamma=-4.0), 3.0
+    specs = [misspecified_strategy(params, replace(params, kappa=params.kappa * np.array(m)), prefs,
+                                   horizon) for m in ([0.5, 1.0], [1.0, 1.0], [2.0, 0.5])]
+    eps = np.array([1.0, 2.0] * len(specs))
+    pairs = [spec for spec in specs for _ in range(2)]
+    stacked = riccati.solve_stack(lambda rows: make_Q_operator(eps[rows], [pairs[i] for i in rows]),
+                                  len(pairs), horizon)
+    for e, spec, got in zip(eps, pairs, stacked):
+        try:
+            want = riccati.solve(make_Q_operator(float(e), spec), horizon)
+        except BlowUpDetected as exc:
+            want = exc
+        _assert_solved_alike(got, want)
 
 
 @pytest.mark.parametrize("eps", [-4.0, 1.0, 2.0])
@@ -391,9 +462,8 @@ def test_a_failed_step_raises_where_the_integration_stopped(start, switched):
 def test_sweeps_and_strategies_never_switch(monkeypatch):
     # A solve that reaches the switch level without a pole pays for an inverse
     # pass; no solve on the misspecification sweep or the optimal rule of the
-    # default model may take that path.  The sweep's cells may run in forked
-    # workers, out of a parent-side recorder's reach, so its solves are read
-    # from the diagnostics the cells send back.
+    # default model may take that path.  The sweep's stacked solves do not go
+    # through riccati.solve, so its solves are read from its diagnostics.
     returned = []
 
     def recording(solve):

@@ -31,7 +31,8 @@ from meanrev.errors import (
     OutOfDomain,
     ShapeMismatch,
 )
-from meanrev.misspec import p_epsilon, solve_Q
+from meanrev.analysis import value_vs_kappa2_rho
+from meanrev.misspec import misspec_sweep, p_epsilon, solve_Q
 from meanrev.model import OUParams, Preferences
 from meanrev.wealth import simulate
 
@@ -163,6 +164,22 @@ HORIZON_ENTRIES = {
 def test_simulate_and_log_utility_refuse_a_bad_horizon(entry, horizon, error):
     with pytest.raises(error, match="^horizon must be"):
         HORIZON_ENTRIES[entry](horizon)
+
+
+# Every sweep entry with an axis, called with one axis empty.
+EMPTY_AXES = {
+    "misspec_sweep multipliers1": lambda: misspec_sweep(MODEL, PREFS, HORIZON, [], [1.0]),
+    "misspec_sweep multipliers2": lambda: misspec_sweep(MODEL, PREFS, HORIZON, [1.0], []),
+    "value_vs_kappa2_rho kappa2": lambda: value_vs_kappa2_rho(MODEL, PREFS, HORIZON, [], [0.5]),
+    "value_vs_kappa2_rho rho": lambda: value_vs_kappa2_rho(MODEL, PREFS, HORIZON, [0.5], []),
+}
+
+
+@pytest.mark.parametrize("entry", EMPTY_AXES)
+def test_a_sweep_refuses_an_empty_axis(entry):
+    # Not a header-only grid, which plot_heatmap divided by zero on.
+    with pytest.raises(OutOfDomain, match="at least one value"):
+        EMPTY_AXES[entry]()
 
 
 def test_simulate_refuses_another_models_rule():
