@@ -23,7 +23,7 @@ from .analysis import check_pair, corr_sensitivity, d_curve_1d, value_vs_kappa2_
 from .control import optimal_strategy
 from .errors import BlowUpDetected, MeanrevError, ValidationError
 from .misspec import misspec_sweep
-from .model import OUParams, Preferences, check_positive
+from .model import OUParams, Preferences, _check_size, check_positive
 from .riccati import make_S_operator, s_view, solve
 from .wealth import default_steps, simulate
 
@@ -260,15 +260,15 @@ def cmd_solve(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     params, prefs, horizon = parse_model(config)
     s = solve(make_S_operator(params, prefs), horizon)
     a, d = (s_view(s, which, params, prefs) for which in "AD")
-    samples = int(config.get("samples", 201))
+    samples = _check_size(config.get("samples", 201), "samples", 1)
     taus = np.linspace(0.0, horizon, samples)
     n = params.n
     meta = base_meta(config)
     entry_names = [f"{i}{j}" for i in range(n) for j in range(n)]
     tables = {}
     for name, sol in (("a_solution", a), ("d_solution", d)):
-        matrices = np.array([sol.interpolate(tau) for tau in taus]).reshape(samples, n * n)
-        tables[name] = np.column_stack([taus, matrices, [sol.trace_integral_at(tau) for tau in taus]])
+        matrices = sol.interpolate(taus).reshape(samples, n * n)
+        tables[name] = np.column_stack([taus, matrices, sol.trace_integral_at(taus)])
         write_csv(
             outdir / f"{name}.csv", meta,
             ["tau", *(f"{name[0]}_{e}" for e in entry_names), "trace_integral"], tables[name].tolist(),
@@ -305,8 +305,8 @@ def cmd_positions(config: dict, outdir: Path, seed: int, plot: bool) -> int:
 def cmd_simulate(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     params, prefs, horizon = parse_model(config)
     section = config.get("simulate", {})
-    n_paths = int(section.get("n_paths", 1000))
-    n_steps = int(section.get("n_steps", default_steps(horizon)))
+    n_paths = _check_size(section.get("n_paths", 1000), "n_paths", 2)  # a standard error needs 2
+    n_steps = _check_size(section.get("n_steps", default_steps(horizon)), "n_steps", 1)
     spec = optimal_strategy(params, prefs, horizon)
     ens = simulate(params, prefs, spec, horizon, n_steps, n_paths, seed,
                    x0=section.get("x0"), store_paths=False)
@@ -458,7 +458,6 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     outdir = Path(args.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -468,6 +467,7 @@ def main(argv=None) -> int:
     if args.plot and args.command in PLOTLESS:
         print(f"note: {args.command} has no figure; --plot writes nothing", file=sys.stderr)
     try:
+        seed = _check_size(config.get("seed", 0) if args.seed is None else args.seed, "seed", 0)
         return COMMANDS[args.command](config, outdir, seed, args.plot)
     except ValidationError as exc:
         print(f"validation error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -44,12 +44,9 @@ class StrategySpec:
     def horizon(self) -> float:
         return self.d_solution.horizon
 
-    def feedback(self, tau: float) -> np.ndarray:
+    def feedback(self, tau) -> np.ndarray:
+        """The feedback matrix at tau, shape (n, n), or one per tau of an array, shape (m, n, n)."""
         return self.frame * self.d_solution.interpolate(tau)
-
-    def feedback_many(self, taus) -> np.ndarray:
-        """Feedback matrices at several tau values, shape (len(taus), n, n)."""
-        return self.d_solution.at_many(taus) * self.frame
 
     def position(self, w: float, x, t: float) -> np.ndarray:
         """Position at wealth w > 0 and time t: a vector for a state x of shape (n,),

@@ -86,5 +86,9 @@ class OutOfRange(MeanrevError):
     """A grid or path query lies outside the stored span."""
 
 
+class TooFewPaths(MeanrevError):
+    """Fewer than two retained paths leave a Monte-Carlo estimate without a standard error."""
+
+
 class NonPositiveVariance(MeanrevError):
     """Terminal-wealth variance estimate is not positive; Sharpe undefined."""

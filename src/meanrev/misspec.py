@@ -39,24 +39,18 @@ def make_Q_operator(epsilon, spec) -> QuadraticOperator:
 
     ``epsilon`` and ``spec`` may instead be an array of exponents and a list of
     rules with one true model, for the operator of their stack: one stacked
-    read of the rules' feedback solutions gives every system's beta."""
-    if isinstance(spec, StrategySpec):
-        eps, params = epsilon, spec.params
-
-        def beta_of(tau):
-            return beta_matrix(spec, tau)
-    else:
-        eps, params = np.reshape(epsilon, (-1, 1, 1)), spec[0].params
-        read, frame = stacked_reader([s.d_solution for s in spec]), np.stack([s.frame for s in spec])
-
-        def beta_of(tau):
-            return -(frame * read(tau))
-
+    read of the rules' feedback solutions gives every system's beta.  One rule
+    is the stack of one, without the stack axis, as the stepper drops it."""
+    specs = [spec] if isinstance(spec, StrategySpec) else spec
+    eps, frame = np.reshape(epsilon, (-1, 1, 1)), np.stack([s.frame for s in specs])
+    if len(specs) == 1:
+        eps, frame = float(eps[0, 0, 0]), frame[0]
+    read, params = stacked_reader([s.d_solution for s in specs]), specs[0].params
     corr, kappa = params.corr, params.kappa
     kmat = np.diag(kappa)
 
     def coefficients(tau):
-        beta = beta_of(tau)
+        beta = -(frame * read(tau))
         beta_t = beta.swapaxes(-1, -2)
         bt_corr, bk = beta_t @ corr, beta_t * kappa
         return (eps * bt_corr - kmat,

@@ -6,7 +6,8 @@ of the state process for simulation.  An ``OUParams`` validates itself when
 it is made (``dataclasses.replace`` included), so every model in hand is
 valid, and it maps states into and positions out of its own unit-noise
 coordinates: nothing else holds its sigma and theta.  The rules for a positive
-scalar (``check_positive``) and a state live here too, so no caller checks one.
+scalar (``check_positive``), an integer count or seed (``_check_size``) and a
+state live here too, so no caller checks one.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ PD_TOL = 1e-10
 CLIP_TOL = -1e-12
 
 
-def _check_size(n) -> int:
-    """``n`` as an int; ``OutOfDomain`` unless it is an integer >= 1 (a bool is not)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise OutOfDomain(f"n must be an integer >= 1, got {n!r}")
-    return int(n)
+def _check_size(value, name: str, minimum: int) -> int:
+    """``value`` as an int; ``OutOfDomain`` unless it is an integer >= ``minimum``
+    (a bool is not).  The one rule for a count or a seed."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise OutOfDomain(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _as_vector(v, n: int, name: str) -> np.ndarray:
@@ -73,7 +75,7 @@ class OUParams:
     corr: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _check_size(self.n))
+        object.__setattr__(self, "n", _check_size(self.n, "n", 1))
         object.__setattr__(self, "kappa", _as_vector(self.kappa, self.n, "kappa"))
         object.__setattr__(self, "sigma", _as_vector(self.sigma, self.n, "sigma"))
         object.__setattr__(self, "theta", _as_vector(self.theta, self.n, "theta"))
@@ -119,7 +121,7 @@ class OUParams:
             n=n,
             kappa=doc["kappa"],
             sigma=doc["sigma"],
-            theta=doc["theta"] if "theta" in doc else np.zeros(_check_size(n)),
+            theta=doc["theta"] if "theta" in doc else np.zeros(_check_size(n, "n", 1)),
             corr=doc["corr"],
         )
 

@@ -353,10 +353,9 @@ def a_d_consistency(cases=RANDOM_CASES, taus=np.linspace(0.0, 2.0, 21)) -> Check
         s = solve(make_S_operator(params, prefs), taus[-1])
         a, d = (s_view(s, which, params, prefs) for which in "AD")
         base = prefs.delta * params.corr_inv @ np.diag(params.kappa)
-        for tau, ref in zip(taus, reference_solve(*d_equation(params, prefs), taus[-1], taus)):
-            am = a.interpolate(tau)
-            worst = max(worst, np.max(np.abs(d.interpolate(tau) - ref)),
-                        np.max(np.abs(base - (am + am.T) - ref)))
+        ref, am = reference_solve(*d_equation(params, prefs), taus[-1], taus), a.interpolate(taus)
+        worst = max(worst, np.max(np.abs(d.interpolate(taus) - ref)),
+                    np.max(np.abs(base - (am + am.swapaxes(1, 2)) - ref)))
     return Check(float(worst), SOLVER_TOL, f"max err {worst:.2e}")
 
 
@@ -366,8 +365,8 @@ def f_consistency(cases=RANDOM_CASES, taus=np.linspace(0.0, 2.0, 21)) -> Check:
     worst = 0.0
     for params, prefs in cases:
         a = solve_A(params, prefs, taus[-1])
-        for tau, ref in zip(taus, reference_solve(*f_equation(params, prefs), taus[-1], taus)):
-            worst = max(worst, np.max(np.abs(a.interpolate(tau) @ params.corr - ref)))
+        ref = reference_solve(*f_equation(params, prefs), taus[-1], taus)
+        worst = max(worst, np.max(np.abs(a.interpolate(taus) @ params.corr - ref)))
     return Check(float(worst), SOLVER_TOL, f"max err {worst:.2e}")
 
 

@@ -36,7 +36,8 @@ integrator gave, bit for bit.  The stepper advances a stack of systems in
 lock step: ``solve_stack`` solves many equations of one size and one Theta
 with one stacked product per stage, each system keeping its own steps, and
 ``solve`` is the stack of one.  Every system's solution is bit for bit the
-one its solve alone gives.
+one its solve alone gives.  A solution is read one way, at a tau or at an
+array of taus alike: scipy's scalar dense output.
 
 The explicitly solvable special cases (scalar, uncorrelated, common
 reversion rate, single mean-reverting asset hedged by Brownian motions)
@@ -50,6 +51,7 @@ import copy
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -314,9 +316,10 @@ class RiccatiSolution:
         y(tau) = y_old[k] + h * Q[k] @ (x, x^2, x^3, x^4),  x = (tau - ts[k]) / h,
 
     evaluated with the same operations, in the same order, as scipy's
-    ``OdeSolution``, so every read equals scipy's to the last bit; a time on
-    a step boundary is read from the earlier step.  The solution presents the
-    affine view
+    ``OdeSolution`` reads one tau, so every read equals scipy's scalar read to
+    the last bit, of one tau or of each tau of an array (``_gather``); a time
+    on a step boundary is read from the earlier step.  The solution presents
+    the affine view
 
         M = offset + scale * S,  trace integral scale * T + trace_rate * tau,
 
@@ -347,83 +350,79 @@ class RiccatiSolution:
         out.scale, out.offset, out.trace_rate = scale, offset, trace_rate
         return out
 
-    def _matrix(self, x: np.ndarray) -> np.ndarray:
-        return self.offset + self.scale * x
+    @cached_property
+    def _steps(self) -> np.ndarray:
+        """One row per step: its start, its length and y_old, so one gather reads all three."""
+        return np.column_stack([self.ts[:-1], np.diff(self.ts), self.y_old])
 
-    def _state(self, tau: float) -> np.ndarray:
-        """y(tau) on one step: ``OdeSolution``'s scalar read without its wrappers."""
-        if not 0.0 <= tau <= self.horizon:
-            raise OutOfRange(f"tau={tau} outside [0, {self.horizon}]")
-        k = min(max(bisect_left(self._ts, tau) - 1, 0), len(self._ts) - 2)
-        return _dense_read(self._ts[k], self._ts[k + 1], self.y_old[k], self.Q[k], tau)
-
-    def interpolate(self, tau: float) -> np.ndarray:
-        n = self.n
-        return self._matrix(self._state(tau)[: n * n].reshape(n, n))
-
-    def trace_integral_at(self, tau: float) -> float:
-        return float(self.scale * self._state(tau)[-1] + self.trace_rate * tau)
-
-    def at_many(self, taus: np.ndarray) -> np.ndarray:
-        """Matrices at several tau values, shape (len(taus), n, n).
-
-        The taus are sorted and each run of them on one step is read in one
-        product, as ``OdeSolution`` reads an array."""
-        taus = np.asarray(taus, dtype=float)
-        n = self.n
-        if taus.size == 0:
-            return np.empty((0, n, n))
-        if not np.all((taus >= 0.0) & (taus <= self.horizon)):
+    def _read(self, tau) -> np.ndarray:
+        """y(tau), shape (d,), or for an array of taus one ``_gather``, shape taus.shape + (d,)."""
+        if not isinstance(tau, np.ndarray):  # the cheaper kernel of one read
+            if not 0.0 <= tau <= self.horizon:
+                raise OutOfRange(f"tau={tau} outside [0, {self.horizon}]")
+            k = min(max(bisect_left(self._ts, tau) - 1, 0), len(self._ts) - 2)
+            return _dense_read(self._ts[k], self._ts[k + 1], self.y_old[k], self.Q[k], tau)
+        taus = np.ravel(tau).astype(float, copy=False)
+        if not ((taus >= 0.0) & (taus <= self.horizon)).all():
             raise OutOfRange("tau values outside solution span")
-        order = np.argsort(taus)
-        t_sorted = taus[order]
-        steps = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, self.ts.size - 2)
-        bounds = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), taus.size]
-        y = np.empty((self.y_old.shape[1], taus.size))
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            k = steps[start]
-            h = self.ts[k + 1] - self.ts[k]
-            x = (t_sorted[start:stop] - self.ts[k]) / h
-            p = np.cumprod(np.tile(x, (self.Q.shape[2], 1)), axis=0)
-            block = h * np.dot(self.Q[k], p)
-            block += self.y_old[k][:, None]
-            y[:, order[start:stop]] = block
-        return self._matrix(np.moveaxis(y[: n * n].reshape(n, n, -1), 2, 0))
+        at = np.clip(np.searchsorted(self.ts, taus) - 1, 0, self.ts.size - 2)
+        # Laid out tau-fastest, so a sum over the taus (``wealth.decompose``'s einsum) runs along memory.
+        y = np.ascontiguousarray(_gather(self._steps, self.Q, at, taus).T).T
+        return y.reshape(tau.shape + y.shape[-1:])
+
+    def interpolate(self, tau) -> np.ndarray:
+        """The matrix at a tau, shape (n, n), or one per tau of an array, shape taus.shape + (n, n)."""
+        n = self.n
+        y = self._read(tau)
+        return self.offset + self.scale * y[..., : n * n].reshape(y.shape[:-1] + (n, n))
+
+    def trace_integral_at(self, tau):
+        """The trace integral at tau, a float, or one per tau of an array."""
+        y = self._read(tau)
+        if isinstance(tau, np.ndarray):
+            return self.scale * y[..., -1] + self.trace_rate * tau
+        return float(self.scale * y[-1] + self.trace_rate * tau)
+
+
+def _gather(steps: np.ndarray, q: np.ndarray, at: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """y(taus[i]) on row at[i] of a table of ``_steps`` with dense-output coefficients
+    q, shape (len(taus), d): the operations of ``_dense_read``, with one
+    stacked product for every tau, so each row is its scalar read bit for bit."""
+    step = steps[at]
+    h = step[:, 1]
+    powers = np.empty((at.size, 4, 1))
+    x = powers[:, 0, 0] = (taus - step[:, 0]) / h
+    np.multiply(x, x, out=powers[:, 1, 0])
+    np.multiply(powers[:, 1, 0], x, out=powers[:, 2, 0])
+    np.multiply(powers[:, 2, 0], x, out=powers[:, 3, 0])
+    return h[:, None] * (q[at] @ powers)[..., 0] + step[:, 2:]
 
 
 def stacked_reader(solutions: list) -> Callable[[np.ndarray], np.ndarray]:
     """A function of taus that returns [solutions[i].interpolate(taus[i])], shape
-    (k, n, n), for solutions of one size: the step each tau falls on, then one
-    stacked dense read, bit for bit what ``interpolate`` reads."""
+    (k, n, n), for solutions of one size: one ``_gather`` over a step table of
+    them all, made once.  One solution, as a single solve and the pole search
+    read it, is read at its one tau by the scalar kernel, shape (n, n)."""
+    if len(solutions) == 1:
+        solution, = solutions
+        return lambda taus: solution.interpolate(np.asarray(taus).item())
     n = solutions[0].n
     ts = [sol._ts for sol in solutions]
     first = np.cumsum([0] + [len(t) - 1 for t in ts[:-1]]).tolist()
-    t_old = np.concatenate([sol.ts[:-1] for sol in solutions])
-    # Per step: its start, its length and y_old, so one gather reads all three.
-    steps = np.column_stack([t_old, np.concatenate([sol.ts[1:] for sol in solutions]) - t_old,
-                             np.concatenate([sol.y_old[:, : n * n] for sol in solutions])])
-    q = np.concatenate([sol.Q[:, : n * n] for sol in solutions])
+    steps = np.concatenate([sol._steps for sol in solutions])
+    q = np.concatenate([sol.Q for sol in solutions])
     offset = np.stack([np.broadcast_to(sol.offset, (n, n)) for sol in solutions])
     scale = np.array([sol.scale for sol in solutions])[:, None]
     horizons = np.array([sol.horizon for sol in solutions])
 
     def read(taus) -> np.ndarray:
-        if len(solutions) == 1:  # one solution, as the pole search reads it: a scalar read
-            return solutions[0].interpolate(float(np.reshape(taus, -1)[0]))[None]
         taus = np.atleast_1d(taus)
         if not ((taus >= 0.0) & (taus <= horizons)).all():
             raise OutOfRange("tau values outside solution span")
-        at = [first[i] + min(max(bisect_left(t, tau) - 1, 0), len(t) - 2)
-              for i, (t, tau) in enumerate(zip(ts, taus.tolist()))]
-        read_steps = steps[at]
-        length = read_steps[:, 1]
-        powers = np.empty((len(at), 4, 1))  # x, x^2, x^3, x^4 as _dense_read forms them
-        x = powers[:, 0, 0] = (taus - read_steps[:, 0]) / length
-        np.multiply(x, x, out=powers[:, 1, 0])
-        np.multiply(powers[:, 1, 0], x, out=powers[:, 2, 0])
-        np.multiply(powers[:, 2, 0], x, out=powers[:, 3, 0])
-        y = length[:, None] * (q[at] @ powers)[..., 0] + read_steps[:, 2:]
-        return offset + (scale * y).reshape(-1, n, n)
+        at = np.array([first[i] + min(max(bisect_left(t, tau) - 1, 0), len(t) - 2)
+                       for i, (t, tau) in enumerate(zip(ts, taus.tolist()))])
+        y = _gather(steps, q, at, taus)
+        return offset + (scale * y[:, : n * n]).reshape(-1, n, n)
 
     return read
 

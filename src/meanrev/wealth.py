@@ -15,8 +15,8 @@ import numpy as np
 
 from ._fork import fork_map, worker_count
 from .control import StrategySpec
-from .errors import OutOfDomain, OutOfHorizon, OutOfRange
-from .model import ExactStepper, OUParams, Preferences, check_positive
+from .errors import OutOfDomain, OutOfHorizon, OutOfRange, TooFewPaths
+from .model import ExactStepper, OUParams, Preferences, _check_size, check_positive
 
 # |log W| beyond this is treated as a diverged path and excluded.
 LOG_WEALTH_GUARD = 700.0
@@ -79,9 +79,12 @@ class SimulationEnsemble:
         """Sample mean and standard error of W_T^gamma / gamma (or log W_T).
 
         Any exponent is accepted, so this also estimates the moment
-        E[W_T^eps / eps] of the misspecification framework.
+        E[W_T^eps / eps] of the misspecification framework.  Fewer than two
+        retained paths raise ``TooFewPaths``.
         """
         logw = self.retained_terminal_log_wealth
+        if logw.size < 2:
+            raise TooFewPaths(f"{logw.size} of {self.n_paths} paths retained; a standard error needs 2")
         if gamma == 0.0:
             sample = logw
         else:
@@ -117,7 +120,8 @@ def simulate(
     Ito (left-point) discretization of d log W = -x'D' dX - x'D'ThetaD x dt/2
     using the exact state increment.  ``prefs.delta`` is recorded on the
     ensemble for ``decompose``.  ``params`` must equal ``spec.params``
-    (``OutOfDomain``); the model checks the horizon and ``x0``, flattened.
+    (``OutOfDomain``); the model checks the horizon, ``x0``, flattened, and the
+    counts and seed, before any worker starts.
 
     Paths run in chunks of ``_CHUNK``.  A chunk holds its states
     asset-major, as (n, paths) arrays, so a step is a few small matrix
@@ -134,8 +138,8 @@ def simulate(
     horizon = check_positive(horizon, "horizon")
     if params != spec.params:
         raise OutOfDomain("simulate's model is not the true model of its rule, spec.params")
-    if n_steps < 1 or n_paths < 1:
-        raise OutOfDomain("need n_steps >= 1 and n_paths >= 1")
+    n_steps, n_paths = _check_size(n_steps, "n_steps", 1), _check_size(n_paths, "n_paths", 1)
+    seed = _check_size(seed, "seed", 0)
     if spec.horizon < horizon:
         raise OutOfHorizon("strategy horizon does not cover the simulation span")
     n = params.n
@@ -145,7 +149,7 @@ def simulate(
 
     # Feedback matrices at left points, shared by every path: D'ThetaD of
     # the drift stacked over D of the stochastic term, one product per step.
-    d_left = spec.feedback_many(spec.horizon - times[:-1])
+    d_left = spec.feedback(spec.horizon - times[:-1])
     quad_left = np.einsum("kji,jl,klm->kim", d_left, params.corr, d_left)
 
     n_chunks = -(-n_paths // _CHUNK)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -125,6 +126,26 @@ def test_shapes_and_sizes_are_validation_errors(tmp_path, capsys, command, secti
     cfg[section] = {**cfg.get(section, {}), **change}
     assert run(tmp_path, cfg, command) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("validation error: ")
+
+
+@pytest.mark.parametrize("command, change, args", [
+    ("solve", {"samples": 2.7}, ()),
+    ("solve", {"samples": 0}, ()),
+    ("solve", {"samples": -1}, ()),
+    ("simulate", {"simulate": {"n_paths": 1, "n_steps": 4}}, ()),
+    ("simulate", {"simulate": {"n_paths": 4, "n_steps": 2.5}}, ()),
+    ("simulate", {"seed": 1.5}, ()),
+    ("simulate", {}, ("--seed", "-3")),
+], ids=["float-samples", "zero-samples", "negative-samples", "one-path", "float-steps",
+        "float-seed", "negative-seed"])
+def test_counts_and_seeds_are_integers(tmp_path, capsys, command, change, args):
+    # One integer rule for every count and the seed: not a truncated float,
+    # a header-only CSV, or numpy's ValueError from a worker.
+    cfg = base_config(**change)
+    assert main(["--config", write_config(tmp_path, cfg), "--output-dir", str(tmp_path / "out"),
+                 *args, command]) == EXIT_VALIDATION
+    assert re.match(r"validation error: OutOfDomain: \w+ must be an integer >= \d", capsys.readouterr().err)
+    assert not list((tmp_path / "out").glob("*.csv"))
 
 
 def test_an_output_dir_that_cannot_be_made_is_io_error(tmp_path, capsys):

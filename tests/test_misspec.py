@@ -89,7 +89,7 @@ def test_moment_solve_matches_non_symmetric_q_equation():
                 except BlowUpDetected:
                     continue
                 solved += 1
-                q_sym = sol.at_many(sol.tau_grid)
+                q_sym = sol.interpolate(sol.tau_grid)
                 assert np.array_equal(q_sym, q_sym.transpose(0, 2, 1))
                 ref = reference_solve(*q_equation(params, est, prefs, eps), taus[-1], taus)
                 q_ref, trace_ref = ref[:, :n, :n], ref[:, 2 * n, 2 * n]
@@ -125,7 +125,7 @@ def test_zeroth_moment_is_trivial():
     params = correlated_pair()
     est = replace(params, kappa=params.kappa * 1.3)
     q0 = solve_Q(0.0, misspecified_strategy(params, est, Preferences(gamma=-1.0), 1.0))
-    assert np.max(np.abs(q0.at_many(q0.tau_grid))) == 0.0
+    assert np.max(np.abs(q0.interpolate(q0.tau_grid))) == 0.0
     assert q0.trace_integral_at(1.0) == 0.0
     with pytest.raises(OutOfDomain, match="exponent 0"):
         p_epsilon(1.0, params.theta, 0.0, 0.0, q0, params)

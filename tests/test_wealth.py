@@ -8,7 +8,7 @@ import pytest
 
 import meanrev.wealth as wealth_mod
 from meanrev.control import misspecified_strategy, optimal_strategy, solve_value, value_function
-from meanrev.errors import NonFinite, OutOfDomain, OutOfHorizon, OutOfRange
+from meanrev.errors import NonFinite, OutOfDomain, OutOfHorizon, OutOfRange, TooFewPaths
 from meanrev.model import (OUParams, Preferences, covariance_factor, normalize,
                            step_covariance)
 from meanrev.wealth import decompose, default_steps, path_rng, simulate
@@ -83,7 +83,7 @@ def test_decomposition_subinterval():
     ens = simulate(params, prefs, spec, 1.0, 256, 2, 5,
                    x0=np.array([0.4, 0.1]), store_paths=True)
     # decompose slices the feedback the paths traded with.
-    assert np.array_equal(ens.feedback, spec.feedback_many(spec.horizon - ens.times[:-1]))
+    assert np.array_equal(ens.feedback, spec.feedback(spec.horizon - ens.times[:-1]))
     s, t = ens.times[64], ens.times[192]
     dec = decompose(ens, 0, s, t)
     assert abs(dec.residual) < 5e-3
@@ -105,7 +105,7 @@ def test_term_c_is_zero_exactly_when_corr_commutes_with_kappa(params, gamma, zer
     spec = optimal_strategy(params, prefs, 1.0)
     ens = simulate(params, prefs, spec, 1.0, 64, 3, 7,
                    x0=np.linspace(0.5, -0.3, params.n), store_paths=True)
-    d = spec.feedback_many(1.0 - ens.times[:-1])
+    d = spec.feedback(1.0 - ens.times[:-1])
     for p in range(3):
         term_c = decompose(ens, p, 0.0, 1.0).term_c
         if zero:
@@ -135,6 +135,36 @@ def test_simulate_needs_a_strategy_covering_the_span():
     spec = optimal_strategy(params, prefs, 1.0)
     with pytest.raises(OutOfHorizon, match="does not cover"):
         simulate(params, prefs, spec, 1.5, 8, 1, 1)
+
+
+@pytest.mark.parametrize("n_steps, n_paths, seed, name", [
+    (0, 2, 0, "n_steps"), (4.0, 2, 0, "n_steps"), (4, 0, 0, "n_paths"), (4, True, 0, "n_paths"),
+    (4, 2, -3, "seed"), (4, 2, 1.5, "seed"),
+], ids=["zero-steps", "float-steps", "zero-paths", "bool-paths", "negative-seed", "float-seed"])
+def test_simulate_refuses_a_bad_count_or_seed(monkeypatch, n_steps, n_paths, seed, name):
+    # The model's one integer rule, before any chunk runs: a negative seed
+    # never reaches a worker's generator.
+    def no_fork(*args):
+        raise AssertionError("simulate started its chunks")
+
+    monkeypatch.setattr(wealth_mod, "fork_map", no_fork)
+    params, prefs = two_asset(), Preferences(gamma=-1.0)
+    spec = optimal_strategy(params, prefs, 1.0)
+    with pytest.raises(OutOfDomain, match=f"^{name} must be an integer >= "):
+        simulate(params, prefs, spec, 1.0, n_steps, n_paths, seed)
+
+
+def test_a_utility_estimate_needs_two_retained_paths():
+    # One path, or five that all overflowed, leave no standard error: a typed
+    # error, not a NaN and numpy's RuntimeWarnings.
+    params, prefs = two_asset(), Preferences(gamma=-1.0)
+    spec = optimal_strategy(params, prefs, 1.0)
+    for n_paths, x0 in ((1, None), (5, np.array([1e160, 0.0]))):
+        ens = simulate(params, prefs, spec, 1.0, 8, n_paths, 1, x0=x0, store_paths=False)
+        with pytest.raises(TooFewPaths, match=f"^[01] of {n_paths} paths retained"):
+            ens.utility_estimate(prefs.gamma)
+    mean, se = simulate(params, prefs, spec, 1.0, 8, 2, 1, store_paths=False).utility_estimate(prefs.gamma)
+    assert np.isfinite(mean) and se > 0.0
 
 
 def test_decompose_needs_stored_paths():
@@ -171,7 +201,7 @@ def _reference_simulate(params, spec, horizon, n_steps, n_paths, seed, x0):
     decay = np.exp(-norm_params.kappa * dt)
     factor = covariance_factor(step_covariance(norm_params, dt))
     times = np.linspace(0.0, horizon, n_steps + 1)
-    d_left = spec.feedback_many(spec.horizon - times[:-1])
+    d_left = spec.feedback(spec.horizon - times[:-1])
     quad_left = np.einsum("kji,jl,klm->kim", d_left, norm_params.corr, d_left)
     z = np.stack([path_rng(seed, i).standard_normal((n_steps, params.n)) for i in range(n_paths)])
     x = np.broadcast_to(record.state_to_unit_noise(x0), (n_paths, params.n)).copy()
