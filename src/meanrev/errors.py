@@ -53,8 +53,8 @@ class BlowUpDetected(MeanrevError):
     tau_star : float
         The pole.  From ``riccati.solve``, the root of det P, P the solve's
         shifted inverse of S, or for a failed integration the last time it
-        reached.  From the embedding pass of ``analysis``, the first zero of
-        det U, located inside the step that counted it.
+        reached.  From ``riccati.embedding_pass``, the first zero of det U,
+        located inside the step that counted it.
     switch_tau : float or None
         Inverse time at which the solve switched from S to P, the end of its
         first step at which max|S| reached the switch level; None if none did.
@@ -76,6 +76,10 @@ class TrigSingularity(BlowUpDetected):
 
 class ValueOverflow(MeanrevError):
     """A value is past the largest double, though its logarithm is finite."""
+
+
+class ValueUnderflow(MeanrevError):
+    """A value is below the smallest normal double, though its logarithm is finite."""
 
 
 class OutOfHorizon(ValidationError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,6 +23,7 @@ from meanrev.errors import (
     NotPositiveDefinite,
     OutOfDomain,
     ValueOverflow,
+    ValueUnderflow,
 )
 from meanrev.misspec import misspec_sweep
 from meanrev.model import OUParams, Preferences
@@ -311,6 +314,20 @@ def test_an_overflowing_value_is_refused_by_name():
         value_at_mean(two_asset(rho=0.0, kappa=(1.0, 1.6)), prefs, 2000.0)
 
 
+def test_an_underflowing_value_is_refused_by_name():
+    # At T = 1000 and gamma = -4, log|gamma J| = -950.07 is below the log of
+    # the smallest normal double (-708.4): value_at_mean refuses J, where it
+    # returned -0.0, and a sweep records the refusal (test_cli holds that).
+    # corr_sensitivity keeps J and its derivatives at 0 and the log fields finite.
+    prefs = Preferences(gamma=-4.0)
+    with pytest.raises(ValueUnderflow, match=r"^J underflows a double: log\|gamma J\| = -950\.07"):
+        value_at_mean(two_asset(), prefs, 1000.0)
+    report = corr_sensitivity(two_asset(), prefs, 1000.0, (0, 1))
+    assert report.value == 0.0 and report.second_derivative == 0.0
+    assert np.isfinite([report.log_value, report.log_first_derivative,
+                        report.log_second_derivative]).all()
+
+
 MODEL, PREFS = two_asset(), Preferences(gamma=-4.0)
 HORIZON_ENTRIES = {
     "value_at_mean": lambda t: value_at_mean(MODEL, PREFS, t),
@@ -378,6 +395,39 @@ def test_corr_sensitivity_matches_finite_differences(seed, gamma):
     # 1e-6 relative to max(|x|, 1): the solver's tolerance over h^2 leaves
     # the reference about 1e-7 of absolute noise on small derivatives.
     assert got == pytest.approx(expected, rel=1e-6, abs=1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), gamma=st.sampled_from([-4.0, -1.0, 0.5]))
+def test_the_uncorrelated_point_is_stationary_with_curvature_of_the_sign_of_gamma(seed, n, gamma):
+    # The paper's correlation claim over random models: at Theta = I, which
+    # has no pole for any gamma < 1, J is stationary in every pairwise
+    # correlation, and the curvature of log|J| in the correlation of two
+    # distinct rates has the sign of gamma.  Held through the embedding pass
+    # (corr_sensitivity) and, as a second code path, through central
+    # differences of solve_A's trace integral, which agree to their O(h^2).
+    rng = np.random.default_rng(seed)
+    kappa = rng.permutation(0.3 + np.cumsum(rng.uniform(0.2, 0.6, n)))  # distinct rates
+    params = OUParams(n=n, kappa=kappa, sigma=rng.uniform(0.2, 1.5, n),
+                      theta=rng.uniform(-0.5, 0.5, n), corr=np.eye(n))
+    prefs, horizon, h = Preferences(gamma=gamma), float(rng.uniform(0.5, 2.0)), 1e-2
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    def log_j(pair, rho):  # log|J| less the constant log|1/gamma|
+        corr = np.eye(n)
+        corr[pair] = corr[pair[::-1]] = rho
+        solution = riccati.solve_A(replace(params, corr=corr), prefs, horizon)
+        return solution.trace_integral_at(horizon) / prefs.delta
+
+    center = log_j(pairs[0], 0.0)
+    for pair in pairs:
+        report = corr_sensitivity(params, prefs, horizon, pair)
+        up, down = log_j(pair, h), log_j(pair, -h)
+        assert abs(report.log_first_derivative) <= 1e-12  # first_derivative is J times it
+        assert abs(up - down) / (2 * h) <= 1e-8
+        curvature = (up - 2.0 * center + down) / h**2
+        assert np.sign(report.log_second_derivative) == np.sign(curvature) == np.sign(gamma)
+        assert curvature == pytest.approx(report.log_second_derivative, rel=5e-4)
 
 
 @pytest.mark.parametrize("kappa, rho, gamma, horizon", [

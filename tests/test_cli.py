@@ -430,6 +430,27 @@ def test_corr_sweep_refuses_an_overflowing_header(tmp_path, capsys):
     assert not (tmp_path / "out" / "corr_sweep.csv").exists()
 
 
+def test_kappa_sweep_records_an_underflowing_value_as_a_failure(tmp_path, capsys):
+    # At T = 1000 and gamma = -4, J in every cell of the default 15 x 3 grid is
+    # below the smallest normal double: each is written as nan with its
+    # reason, never as -0 or a denormal.
+    assert run(tmp_path, base_config(horizon=1000.0), "kappa-sweep") == EXIT_OK
+    body = read_body(tmp_path / "out" / "value_surface.csv")[1:]
+    assert len(body) == 45 and all(ln.endswith(",nan") for ln in body)
+    reasons = [ln for ln in capsys.readouterr().err.splitlines() if " failed: " in ln]
+    assert len(reasons) == 45
+    assert all("J underflows a double: log|gamma J| = -" in ln for ln in reasons)
+
+
+def test_misspec_refuses_an_underflowing_true_value(tmp_path, capsys):
+    # The sweep's cells are differences from J at the true model, which
+    # underflows at T = 1000: the command fails typed, as for an overflow.
+    assert run(tmp_path, base_config(horizon=1000.0), "misspec") == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: ValueUnderflow: J underflows a double: log|gamma J| = -950.07" in err
+    assert not (tmp_path / "out" / "misspec_sweep.csv").exists()
+
+
 def test_kappa_sweep_sweeps_the_configured_model(tmp_path, capsys):
     # Every cell is the value at the mean of the configured three-asset model
     # with kappa_2 and Theta_01 replaced.  At Theta_01 = -0.9 the matrix is

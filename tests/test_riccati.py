@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from meanrev import analysis, misspec, oracles, riccati
+from meanrev import misspec, oracles, riccati
 from meanrev.analysis import value_at_mean
 from meanrev.control import misspecified_strategy, optimal_strategy
 from meanrev.errors import BlowUpDetected, NonFinite, OutOfDomain, OutOfRange, TrigSingularity
@@ -172,6 +172,78 @@ def test_dense_output_is_read_only_in_riccati():
     assert {module for module, _ in sites} == {"riccati"}, sorted(sites)
 
 
+# The S-solving machinery: the stepper, the matrix exponential and its
+# squarings, the root finder and the in-step pole locate.
+S_SOLVERS = {"_dormand_prince", "_expm", "_squarings", "_PADE13", "brent_root", "_pole_in_step"}
+
+
+class _SolverSites(ast.NodeVisitor):
+    """(enclosing function, name) for each definition of, import of or reference
+    to one of ``S_SOLVERS``, and (enclosing function, "step loop") for each loop
+    that sums log det of a step, as the embedding pass does."""
+
+    def __init__(self):
+        self.scope: list[str] = []
+        self.sites: set[tuple[str, str]] = set()
+
+    def _record(self, name):
+        if name in S_SOLVERS:
+            self.sites.add((".".join(self.scope) or "<module>", name))
+
+    def _enter(self, node):
+        self._record(node.name)
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_ClassDef = _enter
+
+    def _loop(self, node):
+        if any(isinstance(sub, ast.Attribute) and sub.attr == "slogdet" for sub in ast.walk(node)):
+            self.sites.add((".".join(self.scope) or "<module>", "step loop"))
+        self.generic_visit(node)
+
+    visit_For = visit_While = _loop
+
+    def visit_Name(self, node):
+        self._record(node.id)
+
+    def visit_Attribute(self, node):
+        self._record(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        self._record(node.name)
+
+
+def test_the_s_equation_is_solved_only_in_riccati():
+    # One module decides how S is stepped and where its poles are: every
+    # definition of and reference to the S-solving machinery, and the one
+    # step loop of the embedding pass, lie in riccati.
+    sites = set()
+    for path in sorted(Path(riccati.__file__).parent.glob("*.py")):
+        collector = _SolverSites()
+        collector.visit(ast.parse(path.read_text(), filename=str(path)))
+        sites.update((path.stem, *site) for site in collector.sites)
+    assert {module for module, _, _ in sites} == {"riccati"}, sorted(sites)
+    assert {scope for _, scope, name in sites if name == "step loop"} == {"embedding_pass"}
+    assert {name for *_, name in sites} == S_SOLVERS | {"step loop"}
+
+
+def test_the_pole_locate_reuses_its_exponentials(monkeypatch):
+    # The step that counts the pole already holds Phi(step), and the halving
+    # that brackets the pole has evaluated both ends that brent_root starts
+    # from: a whole value_at_mean pass on the single-MR pole model makes 15
+    # exponentials (18 when each is made again), and tau* stays exact.
+    real, calls = riccati._expm, []
+    monkeypatch.setattr(riccati, "_expm", lambda a: calls.append(a) or real(a))
+    params, prefs = two_asset(rho=0.9, kappa=(1.0, 0.0)), Preferences(gamma=0.5)
+    with pytest.raises(BlowUpDetected) as info:
+        value_at_mean(params, prefs, 3.0)
+    assert len(calls) <= 15
+    assert info.value.tau_star == pytest.approx(single_mr_blowup_tau(1.0, params.corr, 0.5), rel=1e-14)
+
+
 @pytest.mark.parametrize("horizon", [np.inf, np.nan, 0.0, -1.0])
 def test_solve_rejects_bad_horizon(horizon):
     with pytest.raises(OutOfDomain if np.isfinite(horizon) else NonFinite):
@@ -183,8 +255,8 @@ def test_poles_match_the_radon_embedding():
     # S-equation inside the horizon for some draws and not for others.  The
     # linear embedding [U; V] = expm(tau H) [I; 0] solves no Riccati equation;
     # the solve must agree with it on whether a pole exists and where.  The
-    # embedding is the one analysis.value_at_mean steps through, which counts
-    # the poles of U step by step.
+    # embedding is the one riccati.embedding_pass steps for value_at_mean,
+    # counting the poles of U step by step.
     rng = np.random.default_rng(20261018)
     seen = {True: 0, False: 0}
     for _ in range(12):
@@ -377,10 +449,10 @@ def test_switched_reads_equal_scipys_dense_output(monkeypatch):
         _assert_reads_equal_scipys(sol, op, horizon, np.random.default_rng(8))
 
 
-@pytest.mark.parametrize("module", [riccati, analysis], ids=["inverse-chart", "embedding-pass"])
-def test_pole_root_finder_makes_no_more_calls_than_brentq(monkeypatch, module):
+@pytest.mark.parametrize("locate", ["inverse-chart", "embedding-pass"])
+def test_pole_root_finder_makes_no_more_calls_than_brentq(monkeypatch, locate):
     # The single-MR pole at rho = 0.9, gamma = 0.5 (tau* = 0.8749), located by
-    # the inverse chart of riccati.solve and by analysis's embedding pass: each
+    # the inverse chart of riccati.solve and by riccati.embedding_pass: each
     # bracket's root is scipy's brentq's, found in no more evaluations.
     real, seen = riccati.brent_root, []
 
@@ -391,10 +463,10 @@ def test_pole_root_finder_makes_no_more_calls_than_brentq(monkeypatch, module):
         seen.append((len(calls), info.function_calls, root, reference))
         return root
 
-    monkeypatch.setattr(module, "brent_root", counting)
+    monkeypatch.setattr(riccati, "brent_root", counting)
     params, prefs = two_asset(rho=0.9, kappa=(1.0, 0.0)), Preferences(gamma=0.5)
     with pytest.raises(BlowUpDetected) as info:
-        solve_A(params, prefs, 3.0) if module is riccati else value_at_mean(params, prefs, 3.0)
+        solve_A(params, prefs, 3.0) if locate == "inverse-chart" else value_at_mean(params, prefs, 3.0)
     pole = single_mr_blowup_tau(1.0, params.corr, 0.5)
     assert info.value.tau_star == pytest.approx(pole, rel=oracles.POLE_TOL)
     assert len(seen) == 1
