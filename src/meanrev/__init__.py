@@ -28,11 +28,13 @@ from .control import (
     log_utility_value,
     misspecified_strategy,
     optimal_strategy,
+    p_epsilon,
     solve_value,
+    value_at_mean,
     value_function,
 )
 from .wealth import SimulationEnsemble, WealthDecomposition, decompose, simulate
-from .misspec import misspec_sweep, p_epsilon, sharpe, solve_Q
+from .misspec import misspec_sweep, sharpe, solve_Q
 from .analysis import (
     CorrSensitivityReport,
     corr_sensitivity,
@@ -40,7 +42,6 @@ from .analysis import (
     lambda_closed_form,
     psi_closed_form,
     psi_integral,
-    value_at_mean,
     value_vs_kappa2_rho,
 )
 from .grids import SensitivityGrid

@@ -4,10 +4,10 @@ The value function, viewed through F = (A + A')Theta/2 = A Theta, is
 stationary in every pairwise correlation at Theta = I, and the curvature
 there carries the sign of the risk-aversion exponent.  This module
 implements the diagonal-limit closed forms (Psi, lambda) used to establish
-those facts, and takes the value at the mean and its exact correlation
-derivatives from ``riccati.embedding_pass`` of the correlation generators
-of each index pair.  It also produces the sweep data behind the
-position-multiplier and value-surface figures.
+those facts, and builds the correlation generators of each index pair, from
+which ``control.mean_value_pass`` gives the value at the mean and its exact
+correlation derivatives.  It also produces the sweep data behind the
+position-multiplier and value-surface figures, from ``control.value_at_mean``.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .control import mean_value_pass, value_at_mean
 from .errors import (BlowUpDetected, NotPositiveDefinite, OutOfDomain, OutOfHorizon, ValueOverflow,
                      ValueUnderflow)
 from .grids import SensitivityGrid
 from .model import OUParams, Preferences, check_positive
-from .riccati import d_scalar_closed_form, embedding_pass
+from .riccati import d_scalar_closed_form
 
 
 def _omega(delta: float) -> float:
@@ -141,46 +142,6 @@ def check_pair(n: int, pair) -> tuple[int, int]:
     return int(p[0]), int(p[1])
 
 
-def _log_value(params: OUParams, prefs: Preferences, horizon: float, pairs: list):
-    """log|gamma J(1, theta, 0)| = (delta T tr K - log det U(T)) / (2 delta) and, per pair a
-    in ``pairs``, d log|J| / drho_a and d2 log|J| / drho_0 drho_a, from ``embedding_pass`` of
-    the generators: with E_a = I^{pq}, c = delta(delta - 1), dH/drho_a has -E_a top right and
-    -c K Theta^{-1} E_a Theta^{-1} K bottom left, and d2H/drho_0 drho_a has
-    c K Theta^{-1} (E_0 Theta^{-1} E_a + E_a Theta^{-1} E_0) Theta^{-1} K bottom left."""
-    if prefs.gamma == 0.0:
-        raise OutOfDomain("exponent 0 (log utility) is served by log_utility_value")
-    n = params.n
-    e = np.array([pair_matrix(n, a) for a in pairs]).reshape(-1, n, n)  # (m, n, n)
-    ci, kk, c = params.corr_inv, np.outer(params.kappa, params.kappa), prefs.delta * (prefs.delta - 1.0)
-    h1, h2 = np.zeros((2, len(e), 2 * n, 2 * n))
-    h1[:, :n, n:] = -e
-    h1[:, n:, :n] = -c * kk * (ci @ e @ ci)
-    h2[:, n:, :n] = c * kk * (ci @ e[:1] @ ci @ e @ ci + ci @ e @ ci @ e[:1] @ ci)
-    log_det, d1, d2 = embedding_pass(params, prefs, horizon, h1, h2)
-    log_trace = float(horizon * np.sum(prefs.delta * params.kappa) - log_det) / (2.0 * prefs.delta)
-    return log_trace, (-d1 / (2.0 * prefs.delta)).tolist(), (-d2 / (2.0 * prefs.delta)).tolist()
-
-
-def _value_from_log(log_value: float, gamma: float) -> float:
-    """J from log|gamma J|; ``ValueOverflow`` where J is past the largest double."""
-    with np.errstate(over="ignore"):
-        value = float(np.exp(log_value)) / gamma
-    if not np.isfinite(value):
-        raise ValueOverflow(f"J overflows a double: log|gamma J| = {log_value:.6g}")
-    return value
-
-
-def value_at_mean(params: OUParams, prefs: Preferences, horizon: float) -> float:
-    """J(1, theta, 0), the value at the mean, from the embedding pass with no pairs;
-    ``ValueOverflow`` where J is past the largest double, ``ValueUnderflow``
-    where it is below the smallest normal one."""
-    log_value = _log_value(params, prefs, horizon, [])[0]
-    value = _value_from_log(log_value, prefs.gamma)
-    if abs(value) < np.finfo(float).tiny:
-        raise ValueUnderflow(f"J underflows a double: log|gamma J| = {log_value:.6g}")
-    return value
-
-
 def corr_sensitivity(
     params: OUParams,
     prefs: Preferences,
@@ -190,10 +151,14 @@ def corr_sensitivity(
     """Correlation derivatives of J(1, theta, 0) at the model's correlation matrix.
 
     J and its derivatives in every pair's correlation, ``pair`` first, come from
-    one ``riccati.embedding_pass``, which raises ``BlowUpDetected`` with the
-    tau* of the first pole of S before the horizon.  Where J is past the
-    largest double it raises ``ValueOverflow``, as ``value_at_mean`` does;
-    where J underflows it does not raise, and the ``log_`` fields stay finite.
+    one ``control.mean_value_pass`` along the generators of the pairs a: with
+    E_a = I^{pq}, c = delta(delta - 1), dH/drho_a has -E_a top right and
+    -c K Theta^{-1} E_a Theta^{-1} K bottom left, and d2H/drho_0 drho_a has
+    c K Theta^{-1} (E_0 Theta^{-1} E_a + E_a Theta^{-1} E_0) Theta^{-1} K bottom
+    left.  The pass raises ``BlowUpDetected`` with the tau* of the first pole
+    of S before the horizon and ``ValueOverflow`` where J is past the largest
+    double; where J underflows nothing is raised, and the ``log_`` fields stay
+    finite.
 
     Two curvatures are reported.  ``second_derivative`` is the curvature of
     J itself, positive on both sides of gamma = 0 at Theta = I (the
@@ -206,10 +171,15 @@ def corr_sensitivity(
     n = params.n
     key = tuple(sorted(check_pair(n, pair)))
     others = [(p, q) for p in range(n) for q in range(p + 1, n) if (p, q) != key]
-    log_trace, l1, l2 = _log_value(params, prefs, horizon, [key, *others])  # log|gamma J|
-    value = _value_from_log(log_trace, prefs.gamma)
+    e = np.array([pair_matrix(n, a) for a in [key, *others]])  # (m, n, n)
+    ci, kk, c = params.corr_inv, np.outer(params.kappa, params.kappa), prefs.delta * (prefs.delta - 1.0)
+    h1, h2 = np.zeros((2, len(e), 2 * n, 2 * n))
+    h1[:, :n, n:] = -e
+    h1[:, n:, :n] = -c * kk * (ci @ e @ ci)
+    h2[:, n:, :n] = c * kk * (ci @ e[:1] @ ci @ e @ ci + ci @ e @ ci @ e[:1] @ ci)
+    value, log_gamma_j, l1, l2 = mean_value_pass(params, prefs, horizon, h1, h2)
     return CorrSensitivityReport(
-        pair=pair, value=value, log_value=log_trace - float(np.log(abs(prefs.gamma))),
+        pair=pair, value=value, log_value=log_gamma_j - float(np.log(abs(prefs.gamma))),
         # + 0.0 turns the signed zero of a vanishing derivative into 0.0.
         first_derivative=value * l1[0] + 0.0,
         log_first_derivative=l1[0] + 0.0,

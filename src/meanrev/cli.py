@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import check_pair, corr_sensitivity, d_curve_1d, value_vs_kappa2_rho
-from .control import optimal_strategy
+from .control import optimal_strategy, value_at_mean
 from .errors import BlowUpDetected, MeanrevError, ValidationError
 from .misspec import misspec_sweep
 from .model import OUParams, Preferences, _check_size, check_positive
@@ -359,6 +359,7 @@ def cmd_corr_sweep(config: dict, outdir: Path, seed: int, plot: bool) -> int:
     for (_, j), reason in sorted(grid.failures.items()):
         print(f"row rho={rhos[j]:g} failed: {reason}", file=sys.stderr)
     report = corr_sensitivity(params, prefs, horizon, pair)
+    value_at_mean(params, prefs, horizon)  # refuses a J that underflows, whose derivatives read 0
     meta = base_meta(config)
     meta.update({
         "pair": f"{pair[0]}-{pair[1]}",

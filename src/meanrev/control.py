@@ -1,6 +1,10 @@
-"""Position rule and value function evaluation from Riccati solutions.
+"""Position rules and the one evaluator of values and wealth moments.
 
-The model checks a query's wealth (``check_positive``) and its state; only
+Every value the package reports is formed here: the value function and the
+wealth moments P_eps from their Riccati solutions, and the value at the mean
+from log det U(T) of ``riccati.embedding_pass``, with the one rule that turns
+log|gamma J| into J (or refuses it) and the one refusal of exponent 0.  The
+model checks a query's wealth (``check_positive``) and its state; only
 0 <= t <= horizon is checked here.
 """
 
@@ -10,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomain, OutOfHorizon
+from .errors import OutOfDomain, OutOfHorizon, ValueOverflow, ValueUnderflow
 from .model import OUParams, Preferences, check_positive
-from .riccati import RiccatiSolution, s_view, solve_A, solve_D
+from .riccati import RiccatiSolution, embedding_pass, s_view, solve_A, solve_D
 
 
 def _time_to_go(w, t: float, horizon: float) -> float:
@@ -112,13 +116,17 @@ class LogValueReport:
         return self.log_wealth + self.correction
 
 
+def _refuse_log_utility(epsilon: float) -> None:
+    if epsilon == 0.0:
+        raise OutOfDomain("exponent 0 (log utility) is served by log_utility_value")
+
+
 def _exp_quadratic(w: float, x, t: float, epsilon: float, solution: RiccatiSolution,
                    params: OUParams, divisor: float) -> ValueReport:
     """``ValueReport`` of ``solution`` (M and its trace integral T) at (w, x, t),
     tau = T - t, with x mapped to the unit-noise coordinates of ``params``."""
     tau = _time_to_go(w, t, solution.horizon)
-    if epsilon == 0.0:
-        raise OutOfDomain("exponent 0 (log utility) is served by log_utility_value")
+    _refuse_log_utility(epsilon)
     x_norm = params.state_to_unit_noise(x, stack=False)
     return ValueReport(
         epsilon=epsilon,
@@ -144,6 +152,43 @@ def value_function(
     ``log_utility_value`` instead.
     """
     return _exp_quadratic(w, x, t, prefs.gamma, a_solution, params, prefs.delta)
+
+
+def p_epsilon(
+    w: float,
+    x,
+    t: float,
+    epsilon: float,
+    q_solution: RiccatiSolution,
+    true_params: OUParams,
+) -> ValueReport:
+    """P_eps = E[W_T^eps / eps] under the rule behind ``q_solution`` (from
+    ``misspec.solve_Q``) at (w, x, t): (w^eps / eps) exp{int Tr(Q Theta) + x'Q x}."""
+    return _exp_quadratic(w, x, t, epsilon, q_solution, true_params, 1.0)
+
+
+def mean_value_pass(params: OUParams, prefs: Preferences, horizon: float, dh=(), d2h=()):
+    """(J, log|gamma J|, d1, d2) at (1, theta, 0) from one ``riccati.embedding_pass``:
+    log|gamma J| = (delta T tr K - log det U(T)) / (2 delta), and the lists d1 of
+    d log|J| / drho_a and d2 of d2 log|J| / drho_0 drho_a along the pass's generator
+    stacks ``dh`` and ``d2h``.  ``ValueOverflow`` where J is past the largest double."""
+    _refuse_log_utility(prefs.gamma)
+    log_det, d1, d2 = embedding_pass(params, prefs, horizon, dh, d2h)
+    log_value = float(horizon * np.sum(prefs.delta * params.kappa) - log_det) / (2.0 * prefs.delta)
+    with np.errstate(over="ignore"):
+        value = float(np.exp(log_value)) / prefs.gamma
+    if not np.isfinite(value):
+        raise ValueOverflow(f"J overflows a double: log|gamma J| = {log_value:.6g}")
+    return value, log_value, (-d1 / (2.0 * prefs.delta)).tolist(), (-d2 / (2.0 * prefs.delta)).tolist()
+
+
+def value_at_mean(params: OUParams, prefs: Preferences, horizon: float) -> float:
+    """J(1, theta, 0), the value at the mean: ``mean_value_pass`` with no generators;
+    ``ValueUnderflow`` where J is below the smallest normal double."""
+    value, log_value, _, _ = mean_value_pass(params, prefs, horizon)
+    if abs(value) < np.finfo(float).tiny:
+        raise ValueUnderflow(f"J underflows a double: log|gamma J| = {log_value:.6g}")
+    return value
 
 
 def log_utility_value(w: float, x, t: float, params: OUParams, horizon: float) -> LogValueReport:

@@ -5,7 +5,9 @@ if they were true.  Under the actual dynamics, every power moment of the
 resulting terminal wealth solves another matrix Riccati ODE, which makes
 expected utility, first and second moments, Sharpe ratios, and whole
 misspecification sweeps cheap to evaluate without Monte Carlo.  A rule
-holds its true model, so the moment solvers take no second one.
+holds its true model, so the moment solvers take no second one.  This
+module solves the moment equations; ``control`` evaluates them
+(``p_epsilon``) and gives the true value (``value_at_mean``).
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analysis import value_at_mean
-from .control import StrategySpec, ValueReport, _exp_quadratic, misspecified_strategy
+from .control import StrategySpec, ValueReport, misspecified_strategy, p_epsilon, value_at_mean
 from .errors import BlowUpDetected, NonPositiveVariance, OutOfDomain
 from .grids import SensitivityGrid
 from .model import OUParams, Preferences
@@ -68,29 +69,17 @@ def solve_Q(epsilon: float, spec: StrategySpec) -> RiccatiSolution:
     return s_q.view(scale=0.5)
 
 
-def p_epsilon(
-    w: float,
-    x,
-    t: float,
-    epsilon: float,
-    q_solution: RiccatiSolution,
-    true_params: OUParams,
-) -> ValueReport:
-    """P_eps = E[W_T^eps / eps] under the rule behind ``q_solution`` (from
-    ``solve_Q``) at (w, x, t): (w^eps / eps) exp{int Tr(Q Theta) + x'Q x}."""
-    return _exp_quadratic(w, x, t, epsilon, q_solution, true_params, 1.0)
-
-
 def sharpe(p1: ValueReport, p2: ValueReport) -> float:
     """Terminal-wealth Sharpe ratio from the first two moments.
 
     P_2 carries the 1/2 of its definition, hence the factor 2 under the root.
+    A variance that is not positive, NaN included, raises ``NonPositiveVariance``.
     """
     if p1.epsilon != 1.0 or p2.epsilon != 2.0:
         raise OutOfDomain("sharpe needs the epsilon = 1 and epsilon = 2 moments")
     mean = p1.total
     variance = 2.0 * p2.total - mean**2
-    if variance <= 0:
+    if not variance > 0:
         raise NonPositiveVariance(f"2 P_2 - P_1^2 = {variance:.3e} is not positive")
     return mean / float(np.sqrt(variance))
 
@@ -110,7 +99,8 @@ def misspec_sweep(
     The true point (1, 1) anchors the grid at zero; blow-ups become NaN
     cells with a recorded reason.  With ``with_sharpe``, every finite cell
     also gets the Sharpe ratio of its terminal wealth in
-    ``metadata["sharpe"]``; a Q_1 or Q_2 blow-up leaves the cell's value
+    ``metadata["sharpe"]``; a Q_1 or Q_2 blow-up, or a variance 2 P_2 - P_1^2
+    that is not positive (``NonPositiveVariance``), leaves the cell's value
     standing, sets only its Sharpe ratio to NaN and records the reason in
     ``metadata["sharpe_failures"]``.  An empty multiplier axis raises
     ``OutOfDomain``.
@@ -120,7 +110,8 @@ def misspec_sweep(
     and Q_2 of the cells whose Q_gamma converged.  Each cell's numbers are
     bit for bit those of the loop ``misspecified_strategy`` -> ``solve_Q`` ->
     ``p_epsilon`` -> ``sharpe``, and the moments are read cell by cell, so an
-    error other than a blow-up is the lowest cell's, as the loop raises it.
+    error other than the recorded ones is the lowest cell's, as the loop
+    raises it.
     ``metadata["diagnostics"]`` sums, over the Riccati solves that returned
     a solution, ``solves``, ``s_evals``, ``p_evals``, ``switched`` (solves
     that reached the switch level), ``accepted`` and ``rejected`` steps, and
@@ -169,8 +160,11 @@ def misspec_sweep(
                 sharpe_failures[divmod(k, m2.size)] = str(lost)
                 continue
             q1, q2 = moments[k]
-            sharpes[k] = sharpe(p_epsilon(1.0, theta, 0.0, 1.0, q1, true_params),
-                                p_epsilon(1.0, theta, 0.0, 2.0, q2, true_params))
+            try:
+                sharpes[k] = sharpe(p_epsilon(1.0, theta, 0.0, 1.0, q1, true_params),
+                                    p_epsilon(1.0, theta, 0.0, 2.0, q2, true_params))
+            except NonPositiveVariance as exc:
+                sharpe_failures[divmod(k, m2.size)] = str(exc)
     diagnostics = {
         "solves": len(solved),
         **{key: sum(d.diagnostics[key] for d in solved)

@@ -13,8 +13,8 @@ import pytest
 
 from meanrev.analysis import corr_sensitivity
 from meanrev.cli import main
-from meanrev.control import misspecified_strategy, optimal_strategy, solve_value, value_function
-from meanrev.misspec import misspec_sweep, p_epsilon, solve_Q
+from meanrev.control import misspecified_strategy, optimal_strategy, p_epsilon, solve_value, value_function
+from meanrev.misspec import misspec_sweep, solve_Q
 from meanrev.model import Preferences
 from meanrev.oracles import CHECKS, pair_corr, unit_noise
 from meanrev.riccati import solve_D

@@ -12,10 +12,9 @@ from meanrev.analysis import (
     lambda_closed_form,
     psi_closed_form,
     psi_integral,
-    value_at_mean,
     value_vs_kappa2_rho,
 )
-from meanrev.control import solve_value, value_function
+from meanrev.control import solve_value, value_at_mean, value_function
 from meanrev.errors import (
     AllKappaZero,
     BlowUpDetected,

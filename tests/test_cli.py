@@ -25,7 +25,8 @@ from meanrev.cli import (
     parse_model,
     write_csv,
 )
-from meanrev.analysis import corr_sensitivity, value_at_mean
+from meanrev.analysis import corr_sensitivity
+from meanrev.control import value_at_mean
 from meanrev.errors import NonPositiveVariance
 from meanrev.riccati import single_mr_blowup_tau
 
@@ -449,6 +450,18 @@ def test_misspec_refuses_an_underflowing_true_value(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: ValueUnderflow: J underflows a double: log|gamma J| = -950.07" in err
     assert not (tmp_path / "out" / "misspec_sweep.csv").exists()
+
+
+def test_corr_sweep_refuses_an_underflowing_header(tmp_path, capsys):
+    # At T = 1000 and gamma = -4, J at the model's own correlation is below the
+    # smallest normal double, so its derivatives would read 0 and -0: the
+    # command fails typed, as misspec does on this config, and writes no header.
+    cfg = base_config(horizon=1000.0, corr_sweep={"rho_grid": [0.0]})
+    assert run(tmp_path, cfg, "corr-sweep") == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.endswith("numerical failure: ValueUnderflow: J underflows a double: "
+                        "log|gamma J| = -950.075\n")
+    assert not (tmp_path / "out" / "corr_sweep.csv").exists()
 
 
 def test_kappa_sweep_sweeps_the_configured_model(tmp_path, capsys):

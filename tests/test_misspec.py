@@ -10,13 +10,14 @@ from meanrev.control import (
     ValueReport,
     misspecified_strategy,
     optimal_strategy,
+    p_epsilon,
     solve_value,
+    value_at_mean,
     value_function,
 )
 from meanrev import misspec
-from meanrev.analysis import value_at_mean
-from meanrev.errors import BlowUpDetected, NonPositiveVariance, OutOfDomain
-from meanrev.misspec import misspec_sweep, p_epsilon, sharpe, solve_Q
+from meanrev.errors import BlowUpDetected, NonPositiveVariance, OutOfDomain, ValueOverflow
+from meanrev.misspec import misspec_sweep, sharpe, solve_Q
 from meanrev.model import OUParams, Preferences
 from meanrev.oracles import d_equation, q_equation, reference_solve
 from meanrev.wealth import simulate
@@ -178,6 +179,12 @@ def test_sharpe_variance_guard():
                          log_trace_factor=0.0, log_quadratic_factor=0.0)
         # 2 P_2 - P_1^2 = 2*0.5 - 1 = 0, not positive.
         sharpe(p1, p2)
+    # Moments past the largest double leave 2 P_2 - P_1^2 = inf - inf = NaN,
+    # which is no variance either.
+    p1, p2 = (ValueReport(epsilon=e, wealth_factor=1.0 / e, log_trace_factor=np.inf, log_quadratic_factor=0.0)
+              for e in (1.0, 2.0))
+    with pytest.raises(NonPositiveVariance, match="= nan is not positive"):
+        sharpe(p1, p2)
 
 
 def test_sweep_properties():
@@ -219,6 +226,18 @@ def test_sharpe_failures_leave_the_value_cells():
     assert all(finite[c] for c in lost)
     for (i, j), ok in np.ndenumerate(finite):
         assert np.isfinite(sharpes[i, j]) == (ok and (i, j) not in lost)
+
+
+def test_a_sharpe_ratio_without_a_variance_leaves_the_sweep_standing():
+    # Over a horizon of 1e-9 terminal wealth is the starting wealth to the
+    # last bit, so 2 P_2 - P_1^2 is exactly 0 in every cell: each Sharpe ratio
+    # is NaN with its reason, and every value cell is still finite.
+    params, prefs, mult = two_asset(), Preferences(gamma=-4.0), [0.5, 1.0, 2.0]
+    grid = misspec_sweep(params, prefs, 1e-9, mult, mult, with_sharpe=True)
+    assert np.all(np.isfinite(grid.cells)) and not grid.failures
+    assert np.all(np.isnan(grid.metadata["sharpe"]))
+    assert grid.metadata["sharpe_failures"] == {
+        (i, j): "2 P_2 - P_1^2 = 0.000e+00 is not positive" for i in range(3) for j in range(3)}
 
 
 def test_sweep_requires_two_assets():
@@ -269,8 +288,8 @@ def test_sweep_equals_the_per_cell_loop():
 
 
 def test_a_failing_cell_reaches_the_caller_as_the_loop_raises_it(monkeypatch):
-    # sharpe raises in cells 1 and 2; the caller sees cell 1's error, as the
-    # loop over cells raises it.
+    # sharpe raises an error the sweep does not record in cells 1 and 2; the
+    # caller sees cell 1's error, as the loop over cells raises it.
     params, prefs, horizon = two_asset(rho=0.7), Preferences(gamma=-4.0), 0.5
     m1, m2 = [0.5, 1.0], [0.5, 1.0, 2.0]
 
@@ -285,11 +304,11 @@ def test_a_failing_cell_reaches_the_caller_as_the_loop_raises_it(monkeypatch):
 
     def failing(p1, p2):
         if p1.total in seeded:
-            raise NonPositiveVariance(f"seeded failure in {seeded[p1.total]}")
+            raise ValueOverflow(f"seeded failure in {seeded[p1.total]}")
         return real(p1, p2)
 
     monkeypatch.setattr(misspec, "sharpe", failing)
-    with pytest.raises(NonPositiveVariance, match="^seeded failure in cell 1$"):
+    with pytest.raises(ValueOverflow, match="^seeded failure in cell 1$"):
         misspec_sweep(params, prefs, horizon, m1, m2, with_sharpe=True)
     monkeypatch.setattr(misspec, "sharpe", real)
     grid = misspec_sweep(params, prefs, horizon, m1, m2, with_sharpe=True)

@@ -10,8 +10,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from meanrev import misspec, oracles, riccati
-from meanrev.analysis import value_at_mean
-from meanrev.control import misspecified_strategy, optimal_strategy
+from meanrev.control import misspecified_strategy, optimal_strategy, value_at_mean
 from meanrev.errors import BlowUpDetected, NonFinite, OutOfDomain, OutOfRange, TrigSingularity
 from meanrev.misspec import make_Q_operator, misspec_sweep, solve_Q
 from meanrev.model import Preferences, normalize

@@ -7,7 +7,9 @@ place that makes a plain ``ValueError``, ``TypeError`` or ``RuntimeError``;
 they must be exactly the sites below, each with its reason, so a plain error
 cannot come back unnoticed.  The same walk holds ``NonFinite`` and
 ``ShapeMismatch`` to ``model``, where the one state rule and the one
-positive-scalar rule live, and a table of bad states, horizons and models
+positive-scalar rule live, holds ``ValueOverflow``, ``ValueUnderflow`` and
+the exponent-0 refusal to ``control``, the one evaluator, from which
+``misspec`` takes its values, and a table of bad states, horizons and models
 runs through every entry that takes one.
 """
 
@@ -20,7 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import meanrev
-from meanrev.control import log_utility_value, optimal_strategy, solve_value, value_function
+from meanrev import misspec
+from meanrev.control import log_utility_value, optimal_strategy, p_epsilon, solve_value, value_function
 from meanrev.errors import (
     AllKappaZero,
     NonFinite,
@@ -32,7 +35,7 @@ from meanrev.errors import (
     ShapeMismatch,
 )
 from meanrev.analysis import value_vs_kappa2_rho
-from meanrev.misspec import misspec_sweep, p_epsilon, solve_Q
+from meanrev.misspec import misspec_sweep, solve_Q
 from meanrev.model import OUParams, Preferences
 from meanrev.wealth import simulate
 
@@ -62,10 +65,12 @@ ALLOWED = {
 
 
 class _Collector(ast.NodeVisitor):
-    """(enclosing function, exception) for each call or raise of one of ``names``."""
+    """(enclosing function, exception) for each call or raise of one of ``names``;
+    with a ``message``, only each call whose first argument is a string that starts with it."""
 
-    def __init__(self, names):
+    def __init__(self, names, message=None):
         self.names = names
+        self.message = message
         self.scope: list[str] = []
         self.sites: list[tuple[str, str]] = []
 
@@ -81,21 +86,24 @@ class _Collector(ast.NodeVisitor):
             self.sites.append((".".join(self.scope) or "<module>", name))
 
     def visit_Call(self, node):
-        if isinstance(node.func, ast.Name):
+        first = node.args[0] if node.args else None
+        if isinstance(node.func, ast.Name) and (self.message is None or (
+                isinstance(first, ast.Constant) and str(first.value).startswith(self.message))):
             self._record(node.func.id)
         self.generic_visit(node)
 
     def visit_Raise(self, node):
-        if isinstance(node.exc, ast.Name):  # ``raise ValueError`` without a call
+        if isinstance(node.exc, ast.Name) and self.message is None:  # ``raise ValueError`` without a call
             self._record(node.exc.id)
         self.generic_visit(node)
 
 
-def error_sites(names=PLAIN) -> set:
-    """(module, enclosing function, exception) for every error of ``names`` the package makes."""
+def error_sites(names=PLAIN, message=None) -> set:
+    """(module, enclosing function, exception) for every error of ``names`` the package
+    makes, or, with a ``message``, for every one made with a message that starts with it."""
     sites = set()
     for path in sorted(Path(meanrev.__file__).parent.glob("*.py")):
-        collector = _Collector(names)
+        collector = _Collector(names, message)
         collector.visit(ast.parse(path.read_text(), filename=str(path)))
         sites.update((path.stem, scope, name) for scope, name in collector.sites)
     return sites
@@ -111,6 +119,29 @@ def test_state_and_finiteness_errors_are_raised_only_by_the_model():
     # A second copy of the state or positive-scalar rule would raise them elsewhere.
     sites = error_sites({"NonFinite", "ShapeMismatch"})
     assert {module for module, _, _ in sites} == {"model"}, sorted(sites)
+
+
+def test_values_are_formed_and_exponent_0_refused_only_by_control():
+    # One rule turns log|gamma J| into J and one refuses exponent 0; a second
+    # copy of either would make its error outside control.
+    sites = error_sites({"ValueOverflow", "ValueUnderflow"})
+    assert {module for module, _, _ in sites} == {"control"}, sorted(sites)
+    refusals = error_sites({"OutOfDomain"}, message="exponent 0")
+    assert {(module, scope) for module, scope, _ in refusals} == {("control", "_refuse_log_utility")}
+
+
+def test_misspec_takes_its_values_from_control_only():
+    # No import of analysis, and no private name of another module.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(misspec.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("meanrev")):
+            module = (node.module or "").removeprefix("meanrev").lstrip(".")
+            imported.update((module or alias.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((alias.name.removeprefix("meanrev."), alias.name) for alias in node.names
+                            if alias.name.startswith("meanrev."))
+    assert "analysis" not in {module for module, _ in imported}, sorted(imported)
+    assert not {name for _, name in imported if name.startswith("_")}, sorted(imported)
 
 
 MODEL, PREFS, HORIZON = two_asset(sigma=(0.5, 2.0), theta=(0.1, -0.3)), Preferences(gamma=-1.0), 1.0

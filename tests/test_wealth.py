@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import meanrev.wealth as wealth_mod
-from meanrev.control import misspecified_strategy, optimal_strategy, solve_value, value_function
+from meanrev.control import (log_utility_value, misspecified_strategy, optimal_strategy, solve_value,
+                             value_function)
 from meanrev.errors import NonFinite, OutOfDomain, OutOfHorizon, OutOfRange, TooFewPaths
 from meanrev.model import (OUParams, Preferences, covariance_factor, normalize,
                            step_covariance)
@@ -74,6 +75,17 @@ def test_mc_matches_analytic_value_small():
     j = value_function(1.0, x0, 0.0, a, prefs, params).total
     assert abs(mean - j) < 3.0 * se
     assert ens.n_excluded == 0
+
+
+def test_mc_matches_the_log_utility_value():
+    # At gamma = 0 the estimate is the mean of log W_T, against the closed
+    # form E[log W_T] of the static log-utility rule.
+    params, prefs, horizon = two_asset(), Preferences(gamma=0.0), 1.0
+    spec = optimal_strategy(params, prefs, horizon)
+    ens = simulate(params, prefs, spec, horizon, 512, 2000, 0, x0=params.theta, store_paths=False)
+    mean, se = ens.utility_estimate(0.0)
+    assert ens.n_excluded == 0
+    assert abs(mean - log_utility_value(1.0, params.theta, 0.0, params, horizon).total) < 4.0 * se
 
 
 def test_decomposition_subinterval():
